@@ -11,8 +11,9 @@ from .specfun import EULER_GAMMA, PI2_OVER_6, digamma, harmonic, trigamma
 from .theory import (MixtureSpec, RectangularSpec, TheorySpectrum,
                      gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
                      truncated_unitary_spectrum)
-from .sigma import (JPair, SigmaSpec, j_integrals, kargin_mu1, kargin_variance1,
-                    residue_j_sums, sigma_spectrum_complex, sigma_variance1_complex)
+from .sigma import (JPair, SigmaSpec, j_integrals, kargin_mu1, kargin_top,
+                    kargin_variance1, residue_j_sums, sigma_spectrum_complex,
+                    sigma_variance1_complex)
 from .ensembles import (FactorStream, FieldMatrix, GaussianInverseMixture,
                         GeneralSigmaGaussian, InverseGaussian,
                         RectangularGaussian, StandardGaussian, TruncatedUnitary,
@@ -29,7 +30,7 @@ __all__ = [
     "gaussian_spectrum", "rectangular_spectrum", "mixture_spectrum",
     "truncated_unitary_spectrum",
     "SigmaSpec", "JPair", "sigma_spectrum_complex", "sigma_variance1_complex",
-    "j_integrals", "residue_j_sums", "kargin_mu1", "kargin_variance1",
+    "j_integrals", "residue_j_sums", "kargin_top", "kargin_mu1", "kargin_variance1",
     "StandardGaussian", "GeneralSigmaGaussian", "InverseGaussian",
     "GaussianInverseMixture", "RectangularGaussian", "TruncatedUnitary",
     "FieldMatrix", "FactorStream", "sample_gaussian", "sample_haar_unitary",

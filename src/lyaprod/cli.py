@@ -16,10 +16,8 @@ seed; chain c uses numpy's SeedSequence(seed, spawn_key=(c,)).
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,7 @@ from .ensembles import (GaussianInverseMixture, GeneralSigmaGaussian,
                         InverseGaussian, RectangularGaussian, StandardGaussian,
                         TruncatedUnitary)
 from .montecarlo import estimate, spectral_ratio_samples
-from .sigma import (SigmaSpec, kargin_mu1, kargin_variance1,
+from .sigma import (DistinctnessError, SigmaSpec, kargin_top,
                     sigma_spectrum_complex, sigma_variance1_complex)
 from .theory import (MixtureSpec, RectangularSpec, gaussian_spectrum,
                      mixture_spectrum, rectangular_spectrum,
@@ -108,7 +106,6 @@ class RunConfig:
     k_max: int | None = None
     seed: int = 1
     output_format: str = "csv"
-    threads: object = "auto"
 
     def __post_init__(self):
         if self.N < 1 or self.chains < 1:
@@ -129,12 +126,11 @@ class RunConfig:
             "k_max": self.k_max,
             "seed": self.seed,
             "output_format": self.output_format,
-            "threads": self.threads,
         }
 
     @classmethod
     def from_dict(cls, obj):
-        known = {"ensemble", "N", "chains", "k_max", "seed", "output_format", "threads"}
+        known = {"ensemble", "N", "chains", "k_max", "seed", "output_format"}
         unknown = set(obj) - known
         if unknown:
             raise CliError(f"unknown config fields: {sorted(unknown)}")
@@ -143,14 +139,6 @@ class RunConfig:
         kwargs = dict(obj)
         kwargs["ensemble"] = ensemble_from_dict(obj["ensemble"])
         return cls(**kwargs)
-
-    def resolved_threads(self):
-        if self.threads == "auto":
-            return os.cpu_count() or 1
-        t = int(self.threads)
-        if t < 1:
-            raise CliError("threads must be >= 1 or 'auto'")
-        return t
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +167,17 @@ def theory_rows(spec):
 def _general_sigma_rows(spec):
     y = spec.sigma_inv_eigenvalues
     if spec.beta == 2:
-        mu = sigma_spectrum_complex(y)
-        var1 = sigma_variance1_complex(y)
+        try:
+            mu = sigma_spectrum_complex(y)
+            var1 = sigma_variance1_complex(y)
+        except DistinctnessError as exc:
+            raise CliError(f"the beta=2 general-covariance formulas need distinct "
+                           f"Sigma^-1 eigenvalues: {exc}")
         return [(k + 1, mu[k], var1 if k == 0 else None) for k in range(spec.d)]
     # Real and quaternion entries: the unitary-group integral behind the
     # full-spectrum determinant formula has no orthogonal/symplectic
     # analogue, so only the largest exponent is available (contour route).
-    return [(1, kargin_mu1(spec.beta, y), kargin_variance1(spec.beta, y))]
+    return [(1, *kargin_top(spec.beta, y))]
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +189,9 @@ def cmd_theory(config):
     return [dict(zip(THEORY_HEADER, r)) for r in rows]
 
 
-def _parallel_map(threads, chains):
-    if threads <= 1 or chains <= 1:
-        return None
-    pool = ThreadPoolExecutor(max_workers=min(threads, chains))
-    return pool, pool.map
-
-
 def _run_estimate(config):
-    threads = config.resolved_threads()
-    pool_map = _parallel_map(threads, config.chains)
     t0 = time.perf_counter()
-    try:
-        est = estimate(config.ensemble, config.k_max, config.N, config.chains,
-                       config.seed, parallel_map=pool_map[1] if pool_map else None)
-    finally:
-        if pool_map:
-            pool_map[0].shutdown()
+    est = estimate(config.ensemble, config.k_max, config.N, config.chains, config.seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return est, wall_ms
 
@@ -243,6 +221,10 @@ def comparison_rows(theory, est, k_max):
         mu_t, ns2_t = covered[i]
         mu_mc = float(est.mu_hat[i - 1])
         se = float(est.se_mu[i - 1])
+        if not se > 0.0:
+            raise CliError(
+                f"se_mu at index {i} is {se!r}: a standard error needs at least "
+                "two increments per index (raise N or chains)")
         z = (mu_mc - mu_t) / se
         if not math.isfinite(z):
             raise CliError(f"non-finite z-score at index {i}")
@@ -281,7 +263,7 @@ def cmd_ratio(beta, d, samples, seed):
         "samples": int(samples),
         "ratio": float(ratios.mean()),
         "min_ratio": float(ratios.min()),
-        "sqrt2": math.sqrt(2.0),
+        "limit": 2.0,
     }
     meta = {"seed": int(seed), "wall_ms": wall_ms, "redraws": 0, "version": __version__}
     return row, meta
@@ -343,7 +325,6 @@ def build_parser():
         p.add_argument("--k-max", dest="k_max", type=int,
                        help="number of leading exponents (default: d)")
         p.add_argument("--seed", type=int, help="64-bit master seed")
-        p.add_argument("--threads", help="chain parallelism: integer or 'auto'")
         p.add_argument("--format", dest="output_format", choices=("csv", "json"))
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--dump-config", dest="dump_config",
@@ -370,12 +351,10 @@ def _resolve_config(args):
             obj = json.load(fh)
     if args.ensemble:
         obj["ensemble"] = json.loads(args.ensemble)
-    for field_name in ("N", "chains", "k_max", "seed", "output_format", "threads"):
+    for field_name in ("N", "chains", "k_max", "seed", "output_format"):
         value = getattr(args, field_name, None)
         if value is not None:
             obj[field_name] = value
-    if "threads" in obj and obj["threads"] != "auto":
-        obj["threads"] = int(obj["threads"])
     return RunConfig.from_dict(obj)
 
 

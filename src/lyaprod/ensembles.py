@@ -18,7 +18,7 @@ Conventions
 * All randomness flows through numpy Generators.  Batched draws consume the
   underlying bit stream exactly like repeated single draws, so block size is
   a pure performance knob and identical seeds give identical factor streams
-  regardless of batching or thread count.
+  regardless of batching.
 """
 
 import math
@@ -381,47 +381,51 @@ class FactorStream:
 
     # -- batched stream ----------------------------------------------------
 
-    def factors(self, n):
-        """Yield n factors; i.i.d. square ensembles are generated in blocks."""
-        spec = self.spec
-        if isinstance(spec, (StandardGaussian, GeneralSigmaGaussian)) or (
-                isinstance(spec, InverseGaussian) and spec.d == 1):
-            yield from self._batched_simple(n)
-        elif isinstance(spec, TruncatedUnitary):
-            yield from self._batched_truncated(n)
-        else:
-            for _ in range(n):
-                yield self._one()
+    def blocks(self, n):
+        """Yield n factors in blocks of at most ``block`` steps.
 
-    def _batched_simple(self, n):
+        I.i.d. square ensembles draw a block as one (b, rows, cols) array;
+        the others draw factor by factor and give a list of b factors.
+        Either way the generator is consumed exactly as by single draws.
+        """
         spec = self.spec
         left = n
         while left > 0:
             b = min(self.block, left)
-            data = _gaussian_data(spec.beta, spec.d, spec.d, self.rng, size=b)
-            if isinstance(spec, GeneralSigmaGaussian):
-                y = np.asarray(spec.sigma_inv_eigenvalues.y)
-                scale = y ** -0.5
-                if spec.beta == 4:
-                    scale = np.repeat(scale, 2)
-                data = scale[None, :, None] * data
-            elif isinstance(spec, InverseGaussian):
-                data = np.linalg.inv(data)
-                if spec.beta == 4:
-                    data = _quaternion_symmetrize_batch(data)
-            yield from data
+            if isinstance(spec, (StandardGaussian, GeneralSigmaGaussian)) or (
+                    isinstance(spec, InverseGaussian) and spec.d == 1):
+                yield self._simple_block(b)
+            elif isinstance(spec, TruncatedUnitary):
+                yield self._truncated_block(b)
+            else:
+                yield [self._one() for _ in range(b)]
             left -= b
 
-    def _batched_truncated(self, n):
+    def factors(self, n):
+        """Yield n factors one by one."""
+        for block in self.blocks(n):
+            yield from block
+
+    def _simple_block(self, b):
+        spec = self.spec
+        data = _gaussian_data(spec.beta, spec.d, spec.d, self.rng, size=b)
+        if isinstance(spec, GeneralSigmaGaussian):
+            y = np.asarray(spec.sigma_inv_eigenvalues.y)
+            scale = y ** -0.5
+            if spec.beta == 4:
+                scale = np.repeat(scale, 2)
+            data = scale[None, :, None] * data
+        elif isinstance(spec, InverseGaussian):
+            data = np.linalg.inv(data)
+            if spec.beta == 4:
+                data = _quaternion_symmetrize_batch(data)
+        return data
+
+    def _truncated_block(self, b):
         spec = self.spec
         k = spec.d if spec.beta != 4 else 2 * spec.d
-        left = n
-        while left > 0:
-            b = min(self.block, left)
-            z = _haar_data(spec.beta, spec.d + spec.n, self.rng, size=b)
-            block = np.ascontiguousarray(z[:, :k, :k])
-            yield from block
-            left -= b
+        z = _haar_data(spec.beta, spec.d + spec.n, self.rng, size=b)
+        return np.ascontiguousarray(z[:, :k, :k])
 
 
 def _quaternion_symmetrize_batch(m):

@@ -13,6 +13,7 @@ diagonal entries of a quaternion column pair agree up to rounding and half
 their summed logs is recorded as the quaternion increment.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +48,6 @@ class ChainResult:
 
     k_max: int
     increments: np.ndarray
-    seed: int | None = None
     redraw_count: int = 0
     type_ids: np.ndarray | None = None
 
@@ -88,8 +88,15 @@ def _identity_frame(spec, k_max):
     return np.eye(spec.d, k_max, dtype=dtype)
 
 
-def run_chain(spec, k_max, N, rng, *, seed=None, block=256):
-    """Run one chain of N steps, recording k_max increments per step."""
+def run_chain(spec, k_max, N, rngs, *, block=256):
+    """Run one chain per Generator in ``rngs``, N steps each, all together.
+
+    Chain c draws its factors from its own FactorStream on rngs[c].  Each
+    block of the C streams is stacked as (b, C, rows, cols), so a step makes
+    one batched matmul and one batched QR over the C frames.  Single-column
+    frames take a scalar update chain by chain instead.  Returns one
+    ChainResult per chain, in the order of ``rngs``.
+    """
     d = spec.d
     k_max = int(k_max)
     N = int(N)
@@ -97,36 +104,61 @@ def run_chain(spec, k_max, N, rng, *, seed=None, block=256):
         raise ValueError(f"k_max must satisfy 1 <= k_max <= d = {d}, got {k_max}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    streams = [FactorStream(spec, rng, block=block) for rng in rngs]
+    if not streams:
+        raise ValueError("run_chain needs at least one Generator")
 
     frame = _identity_frame(spec, k_max)
-    quaternion = spec.beta == 4
-    increments = np.empty((N, k_max))
-    stream = FactorStream(spec, rng, block=block)
-    single_column = frame.shape[1] == 1
+    increments = np.empty((len(streams), N, k_max))
+    if frame.shape[1] == 1:
+        frames = [frame] * len(streams)
+        steps = _scalar_steps
+    else:
+        frames = np.repeat(frame[None], len(streams), axis=0)
+        steps = functools.partial(_qr_steps, quaternion=spec.beta == 4)
+    square = is_square(spec)
+    done = 0
+    for blocks in zip(*(stream.blocks(N) for stream in streams)):
+        # non-square rectangular factors change shape from step to step
+        factors = (np.stack(blocks, axis=1) if square
+                   else [np.stack(step) for step in zip(*blocks)])
+        frames = steps(factors, frames, increments[:, done:done + len(factors)], done)
+        done += len(factors)
 
-    for j, a in enumerate(stream.factors(N)):
-        y = a @ frame
-        if single_column:
+    return [ChainResult(k_max=k_max, increments=inc, redraw_count=stream.redraws,
+                        type_ids=(np.asarray(stream.type_trace, dtype=np.uint8)
+                                  if stream.type_trace is not None else None))
+            for inc, stream in zip(increments, streams)]
+
+
+def _scalar_steps(factors, frames, out, done):
+    """Single-column frames, chain by chain: the step is a norm and a log."""
+    for c, frame in enumerate(frames):
+        for i, a in enumerate(factors):
+            y = a[c] @ frame
             r = math.sqrt(np.vdot(y, y).real)
             if not (r > 0.0 and math.isfinite(r)):
-                raise ArithmeticError(f"non-finite increment at step {j + 1}")
-            increments[j, 0] = math.log(r)
+                raise ArithmeticError(f"non-finite increment at step {done + i + 1}")
+            out[c, i, 0] = math.log(r)
             frame = y / r
-            continue
-        q, r = np.linalg.qr(y)
-        rdiag = np.diagonal(r)
+        frames[c] = frame
+    return frames
+
+
+def _qr_steps(factors, frames, out, done, quaternion=False):
+    """All chains at once: one batched matmul and QR per step, phases fixed
+    so that the R diagonal is real positive."""
+    for i, a in enumerate(factors):
+        q, r = np.linalg.qr(a @ frames)
+        rdiag = r.diagonal(axis1=1, axis2=2)
         rabs = np.abs(rdiag)
         logs = np.log(rabs)
-        row = 0.5 * (logs[0::2] + logs[1::2]) if quaternion else logs
-        if not math.isfinite(float(row.sum())):
-            raise ArithmeticError(f"non-finite increment at step {j + 1}")
-        increments[j] = row
-        frame = q * (rdiag / rabs)
-
-    type_ids = (np.asarray(stream.type_trace, dtype=np.uint8)
-                if stream.type_trace is not None else None)
-    return ChainResult(k_max=k_max, increments=increments, seed=seed,
-                       redraw_count=stream.redraws, type_ids=type_ids)
+        if not math.isfinite(logs.sum()):
+            raise ArithmeticError(f"non-finite increment at step {done + i + 1}")
+        out[:, i] = 0.5 * (logs[:, 0::2] + logs[:, 1::2]) if quaternion else logs
+        q *= (rdiag / rabs)[:, None]
+        frames = q
+    return frames
 
 
 def _chain_moments(result):
@@ -177,27 +209,23 @@ def _combine_types(per_type):
     return total, mean_acc[1], var
 
 
-def estimate(spec, k_max, N, chains, master_seed, *, parallel_map=None, block=256):
+def estimate(spec, k_max, N, chains, master_seed, *, block=256):
     """Estimate the top k_max exponents and variances from seeded chains.
 
-    Chain c draws from chain_rng(master_seed, c); chains may be evaluated by
-    any order-preserving ``parallel_map`` (default: builtin map) and are
-    merged by a deterministic reduction in chain order, so results are
-    bit-identical regardless of parallelism.
+    Chain c draws from chain_rng(master_seed, c); all chains are stepped
+    together by one run_chain call and merged by a deterministic reduction
+    in chain order.
     """
     chains = int(chains)
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
 
-    def one(c):
-        rng = chain_rng(master_seed, c)
-        return _chain_moments(run_chain(spec, k_max, N, rng, seed=c, block=block))
-
-    mapper = parallel_map if parallel_map is not None else map
+    rngs = [chain_rng(master_seed, c) for c in range(chains)]
     redraws = 0
     acc_xi = {}
     acc_eta = {}
-    for per_type, rd in mapper(one, range(chains)):
+    for result in run_chain(spec, k_max, N, rngs, block=block):
+        per_type, rd = _chain_moments(result)
         redraws += rd
         for t, (mom_xi, mom_eta) in per_type.items():
             acc_xi[t] = mom_xi if t not in acc_xi else _merge_moments(acc_xi[t], mom_xi)

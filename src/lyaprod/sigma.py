@@ -40,6 +40,7 @@ __all__ = [
     "sigma_variance1_complex",
     "j_integrals",
     "residue_j_sums",
+    "kargin_top",
     "kargin_mu1",
     "kargin_variance1",
 ]
@@ -217,15 +218,20 @@ def residue_j_sums(beta, d):
     return JPair(J1=j1, J2=j2, method="residue")
 
 
-def kargin_mu1(beta, spec):
-    """Largest Lyapunov exponent, any beta: mu_1 = (-gamma + log(2/beta) - J1)/2."""
+def kargin_top(beta, spec):
+    """(mu_1, N sigma_1^2) for any beta from one evaluation of the J integrals:
+    mu_1 = (-gamma + log(2/beta) - J1)/2 and N sigma_1^2 = (pi^2/6 - J2 - J1^2)/4."""
     beta = _check_beta(beta)
     pair = j_integrals(beta, spec)
-    return 0.5 * (-EULER_GAMMA + math.log(2.0 / beta) - pair.J1)
+    return (0.5 * (-EULER_GAMMA + math.log(2.0 / beta) - pair.J1),
+            0.25 * (PI2_OVER_6 - pair.J2 - pair.J1 * pair.J1))
+
+
+def kargin_mu1(beta, spec):
+    """Largest Lyapunov exponent, any beta: mu_1 = (-gamma + log(2/beta) - J1)/2."""
+    return kargin_top(beta, spec)[0]
 
 
 def kargin_variance1(beta, spec):
     """Top variance, any beta: N sigma_1^2 = (pi^2/6 - J2 - J1^2)/4."""
-    beta = _check_beta(beta)
-    pair = j_integrals(beta, spec)
-    return 0.25 * (PI2_OVER_6 - pair.J2 - pair.J1 * pair.J1)
+    return kargin_top(beta, spec)[1]

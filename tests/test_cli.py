@@ -8,6 +8,7 @@ from lyaprod.cli import (CliError, RunConfig, cmd_compare, cmd_ratio,
                          cmd_simulate, cmd_theory, comparison_rows,
                          ensemble_from_dict, ensemble_to_dict, main,
                          theory_rows, Z_GATE, COMPARE_HEADER)
+from lyaprod import sigma
 from lyaprod.ensembles import StandardGaussian, TruncatedUnitary
 from lyaprod.montecarlo import estimate
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6
@@ -66,6 +67,22 @@ class TestTheoryRows:
         rows = theory_rows(spec)
         assert len(rows) == 1 and rows[0][0] == 1
 
+    def test_general_sigma_real_runs_quadrature_once(self, monkeypatch):
+        calls = []
+        original = sigma.j_integrals
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sigma, "j_integrals", counted)
+        spec = ensemble_from_dict({"kind": "general_sigma_gaussian", "beta": 4,
+                                   "sigma_inv_eigenvalues": [1.0, 0.25]})
+        rows = theory_rows(spec)
+        assert len(calls) == 1
+        assert rows == [(1, sigma.kargin_mu1(4, spec.sigma_inv_eigenvalues),
+                         sigma.kargin_variance1(4, spec.sigma_inv_eigenvalues))]
+
 
 class TestCommands:
     def test_simulate_zero_truncation_all_zero(self):
@@ -106,7 +123,7 @@ class TestCommands:
         row, meta = cmd_ratio(2, 16, 4, 11)
         assert row["ratio"] >= 1.0
         assert row["min_ratio"] >= 1.0
-        assert row["sqrt2"] == pytest.approx(math.sqrt(2.0))
+        assert row["limit"] == 2.0
 
     def test_ratio_rejects_scalar(self):
         with pytest.raises(CliError):
@@ -175,18 +192,32 @@ class TestMainEndToEnd:
                      "--out", str(out2)]) == 0
         assert out1.read_text() != out2.read_text()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        out1 = tmp_path / "t1.csv"
-        out4 = tmp_path / "t4.csv"
-        base = ["simulate", "--ensemble", TRUNC, "--N", "2000", "--chains", "4",
-                "--seed", "29"]
-        assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(out4)]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
-
     def test_bad_ensemble_exits_2(self, capsys):
         assert main(["theory", "--ensemble", '{"kind":"nope"}']) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_sigma_eigenvalue_theory_exits_2(self, capsys):
+        repeated = ('{"kind":"general_sigma_gaussian","beta":%d,'
+                    '"sigma_inv_eigenvalues":[1.0,1.0]}')
+        assert main(["theory", "--ensemble", repeated % 2]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        # real and quaternion entries take the quadrature route, which
+        # needs no distinct eigenvalues
+        for beta in (1, 4):
+            assert main(["theory", "--ensemble", repeated % beta]) == 0
+
+    def test_compare_single_step_exits_2(self, capsys):
+        assert main(["compare", "--ensemble", GAUSS_21, "--N", "1"]) == 2
+        assert "two increments" in capsys.readouterr().err
+
+    def test_threads_flag_and_field_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--ensemble", GAUSS_21, "--threads", "2"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"ensemble": json.loads(GAUSS_21), "threads": 2}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
 
     def test_general_sigma_quaternion_compare_errors_with_explanation(self, capsys):
         spec = ('{"kind":"general_sigma_gaussian","beta":4,'
@@ -200,7 +231,7 @@ class TestMainEndToEnd:
         assert main(["ratio", "--beta", "2", "--d", "12", "--samples", "3",
                      "--seed", "4"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("beta,d,samples,ratio,min_ratio,sqrt2")
+        assert out.startswith("beta,d,samples,ratio,min_ratio,limit")
 
     def test_bad_k_max_exits_2(self):
         assert main(["simulate", "--ensemble", GAUSS_21, "--k-max", "5",

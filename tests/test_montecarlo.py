@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from lyaprod.ensembles import (FactorStream, GaussianInverseMixture,
                                GeneralSigmaGaussian, InverseGaussian,
                                RectangularGaussian, StandardGaussian,
                                TruncatedUnitary, chain_rng)
+from lyaprod import montecarlo
 from lyaprod.montecarlo import (estimate, run_chain, spectral_ratio,
                                 spectral_ratio_samples, stability_exponents)
 from lyaprod.sigma import SigmaSpec
@@ -39,7 +39,7 @@ def direct_log_volume(spec, k, n, rng):
 
 class TestRunChain:
     def test_unitary_factors_zero_increments(self):
-        res = run_chain(TruncatedUnitary(2, 2, 0), 2, 40, chain_rng(1, 0))
+        res = run_chain(TruncatedUnitary(2, 2, 0), 2, 40, [chain_rng(1, 0)])[0]
         assert np.abs(res.increments).max() <= 1e-12
 
     @pytest.mark.parametrize("beta,d,k", [
@@ -50,18 +50,18 @@ class TestRunChain:
         # log-volume of the propagated frame
         spec = StandardGaussian(beta, d)
         n = 18
-        res = run_chain(spec, k, n, chain_rng(9, beta))
+        res = run_chain(spec, k, n, [chain_rng(9, beta)])[0]
         direct = direct_log_volume(spec, k, n, chain_rng(9, beta))
         assert math.fsum(res.increments.sum(axis=1)) == pytest.approx(direct, abs=1e-8)
 
     def test_volume_telescoping_general_sigma(self):
         spec = GeneralSigmaGaussian(2, SigmaSpec((0.5, 2.0, 3.0)))
-        res = run_chain(spec, 2, 15, chain_rng(10, 0))
+        res = run_chain(spec, 2, 15, [chain_rng(10, 0)])[0]
         direct = direct_log_volume(spec, 2, 15, chain_rng(10, 0))
         assert res.increments.sum() == pytest.approx(direct, abs=1e-8)
 
     def test_increments_shape_and_finiteness(self):
-        res = run_chain(StandardGaussian(2, 3), 2, 25, chain_rng(11, 0))
+        res = run_chain(StandardGaussian(2, 3), 2, 25, [chain_rng(11, 0)])[0]
         assert res.increments.shape == (25, 2)
         assert np.all(np.isfinite(res.increments))
         assert res.k_max == 2
@@ -71,16 +71,16 @@ class TestRunChain:
         # the two R-diagonal entries of a quaternion column pair agree, so
         # a k_max = d run has increments equal to the half-pair averages
         spec = StandardGaussian(4, 2)
-        res = run_chain(spec, 2, 30, chain_rng(12, 0))
+        res = run_chain(spec, 2, 30, [chain_rng(12, 0)])[0]
         assert np.all(np.isfinite(res.increments))
 
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
-            run_chain(StandardGaussian(2, 2), 3, 5, chain_rng(13, 0))
+            run_chain(StandardGaussian(2, 2), 3, 5, [chain_rng(13, 0)])[0]
         with pytest.raises(ValueError):
-            run_chain(StandardGaussian(2, 2), 0, 5, chain_rng(13, 0))
+            run_chain(StandardGaussian(2, 2), 0, 5, [chain_rng(13, 0)])[0]
         with pytest.raises(ValueError):
-            run_chain(StandardGaussian(2, 2), 1, 0, chain_rng(13, 0))
+            run_chain(StandardGaussian(2, 2), 1, 0, [chain_rng(13, 0)])[0]
 
 
 class TestEstimate:
@@ -94,15 +94,26 @@ class TestEstimate:
         for i in range(2):
             assert est.mu_hat[i] >= est.mu_hat[i + 1] - 3.0 * est.se_mu[i + 1]
 
-    def test_bit_identical_across_parallelism(self):
-        spec = GaussianInverseMixture(2, 2, 0.5)
-        seq = estimate(spec, 2, 4000, 4, 19)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            par = estimate(spec, 2, 4000, 4, 19, parallel_map=pool.map)
-        assert np.array_equal(seq.mu_hat, par.mu_hat)
-        assert np.array_equal(seq.n_sigma2_hat, par.n_sigma2_hat)
-        assert np.array_equal(seq.partial_sum_n_sigma2, par.partial_sum_n_sigma2)
-        assert seq.redraw_count == par.redraw_count
+    @pytest.mark.parametrize("spec,k", [
+        (GaussianInverseMixture(2, 2, 0.5), 2),
+        (StandardGaussian(4, 3), 3),
+        (StandardGaussian(1, 1), 1),
+        (RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5)))), 2),
+    ], ids=["mixture", "beta4_d3", "d1", "rectangular"])
+    def test_chains_stepped_together_match_single_chains(self, spec, k, monkeypatch):
+        # estimate steps its four chains in one batched run_chain call; the
+        # same chains run one at a time must give bit-identical results
+        together = estimate(spec, k, 3000, 4, 19)
+
+        def one_at_a_time(spec, k_max, N, rngs, **kwargs):
+            return [run_chain(spec, k_max, N, [rng], **kwargs)[0] for rng in rngs]
+
+        monkeypatch.setattr(montecarlo, "run_chain", one_at_a_time)
+        alone = estimate(spec, k, 3000, 4, 19)
+        for field in ("mu_hat", "se_mu", "n_sigma2_hat", "partial_sum_mu",
+                      "partial_sum_n_sigma2"):
+            assert np.array_equal(getattr(together, field), getattr(alone, field)), field
+        assert together.redraw_count == alone.redraw_count
 
     def test_block_size_invariance(self):
         a = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20, block=64)
@@ -174,7 +185,7 @@ class TestStabilityExponents:
     def test_scalar_equals_mean_increment(self):
         spec = StandardGaussian(2, 1)
         lams = stability_exponents(spec, 800, chain_rng(31, 0))
-        res = run_chain(spec, 1, 800, chain_rng(31, 0))
+        res = run_chain(spec, 1, 800, [chain_rng(31, 0)])[0]
         assert abs(lams[0][0] - res.increments.mean()) <= 1e-12
 
     def test_complex_pair_matches_theory(self):
