@@ -8,7 +8,7 @@ from lyaprod.cli import (CliError, RunConfig, cmd_compare, cmd_ratio,
                          cmd_simulate, cmd_theory, comparison_rows,
                          ensemble_from_dict, ensemble_to_dict, main,
                          theory_rows, Z_GATE, COMPARE_HEADER)
-from lyaprod import sigma
+from lyaprod import montecarlo, sigma
 from lyaprod.ensembles import StandardGaussian, TruncatedUnitary
 from lyaprod.montecarlo import estimate
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6
@@ -191,6 +191,23 @@ class TestMainEndToEnd:
         assert main(["simulate", "--config", str(cfg), "--seed", "2",
                      "--out", str(out2)]) == 0
         assert out1.read_text() != out2.read_text()
+
+    def test_threads_do_not_change_output(self, tmp_path, monkeypatch):
+        # the chains of a run are stepped together in one process; stepping
+        # them one at a time must write the same bytes
+        out_together = tmp_path / "together.csv"
+        out_alone = tmp_path / "alone.csv"
+        base = ["simulate", "--ensemble", TRUNC, "--N", "2000", "--chains", "4",
+                "--seed", "29"]
+        assert main(base + ["--out", str(out_together)]) == 0
+        run_chain = montecarlo.run_chain
+
+        def one_at_a_time(spec, k_max, N, rngs, **kwargs):
+            return [run_chain(spec, k_max, N, [rng], **kwargs)[0] for rng in rngs]
+
+        monkeypatch.setattr(montecarlo, "run_chain", one_at_a_time)
+        assert main(base + ["--out", str(out_alone)]) == 0
+        assert out_together.read_bytes() == out_alone.read_bytes()
 
     def test_bad_ensemble_exits_2(self, capsys):
         assert main(["theory", "--ensemble", '{"kind":"nope"}']) == 2

@@ -115,6 +115,24 @@ class TestEstimate:
             assert np.array_equal(getattr(together, field), getattr(alone, field)), field
         assert together.redraw_count == alone.redraw_count
 
+    def test_bit_identical_across_parallelism(self, monkeypatch):
+        # however the chains of an estimate are split into groups stepped
+        # apart (as separate workers would run them), the result is the same
+        spec = GaussianInverseMixture(2, 2, 0.5)
+        together = estimate(spec, 2, 4000, 4, 19)
+
+        def in_groups(spec, k_max, N, rngs, **kwargs):
+            groups = [rngs[:2], rngs[2:3], rngs[3:]]
+            return [res for group in groups
+                    for res in run_chain(spec, k_max, N, group, **kwargs)]
+
+        monkeypatch.setattr(montecarlo, "run_chain", in_groups)
+        grouped = estimate(spec, 2, 4000, 4, 19)
+        assert np.array_equal(together.mu_hat, grouped.mu_hat)
+        assert np.array_equal(together.n_sigma2_hat, grouped.n_sigma2_hat)
+        assert np.array_equal(together.partial_sum_n_sigma2, grouped.partial_sum_n_sigma2)
+        assert together.redraw_count == grouped.redraw_count
+
     def test_block_size_invariance(self):
         a = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20, block=64)
         b = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20, block=1024)
