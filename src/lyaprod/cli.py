@@ -270,8 +270,10 @@ def cmd_ratio(beta, d, samples, seed):
 
 
 def _meta(config, wall_ms, redraws):
+    """Run metadata; steps_per_s counts chain-steps (chains x N) per second of the estimate."""
     return {"seed": config.seed, "wall_ms": wall_ms, "redraws": redraws,
-            "version": __version__}
+            "version": __version__,
+            "steps_per_s": config.chains * config.N / (wall_ms * 1e-3)}
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +409,8 @@ def _log_lines(command, config, meta):
     if command == "theory":
         return []
     return [f"{command}: N={config.N} chains={config.chains} seed={config.seed} "
-            f"redraws={meta['redraws']} wall={meta['wall_ms']:.0f}ms"]
+            f"redraws={meta['redraws']} wall={meta['wall_ms']:.0f}ms "
+            f"steps_per_s={meta['steps_per_s']:.0f}"]
 
 
 if __name__ == "__main__":

@@ -173,12 +173,15 @@ def is_square(spec):
 # ---------------------------------------------------------------------------
 
 def quaternion_dual(m):
-    """J conj(M) J^{-1} for the 2x2-block embedding; equals M iff structured."""
+    """J conj(M) J^{-1} for the 2x2-block embedding; equals M iff structured.
+
+    Acts on the last two axes, so a stack of matrices is dualized at once.
+    """
     out = np.empty_like(m)
-    out[0::2, 0::2] = np.conj(m[1::2, 1::2])
-    out[0::2, 1::2] = -np.conj(m[1::2, 0::2])
-    out[1::2, 0::2] = -np.conj(m[0::2, 1::2])
-    out[1::2, 1::2] = np.conj(m[0::2, 0::2])
+    out[..., 0::2, 0::2] = np.conj(m[..., 1::2, 1::2])
+    out[..., 0::2, 1::2] = -np.conj(m[..., 1::2, 0::2])
+    out[..., 1::2, 0::2] = -np.conj(m[..., 0::2, 1::2])
+    out[..., 1::2, 1::2] = np.conj(m[..., 0::2, 0::2])
     return out
 
 
@@ -217,15 +220,22 @@ def _mate_columns(v):
 # Gaussian and Haar sampling (batched; stream-compatible with single draws)
 # ---------------------------------------------------------------------------
 
+def _to_field(beta, comps):
+    """(..., beta) real Gaussian components -> entries of variance 1.
+
+    beta is also the number of real components per entry; quaternion
+    entries come out as the complex embedding.
+    """
+    if beta == 1:
+        return comps[..., 0]
+    if beta == 2:
+        return (comps[..., 0] + 1j * comps[..., 1]) * _SQRT_HALF
+    return _embed_quaternion(comps)
+
+
 def _gaussian_data(beta, rows, cols, rng, size=None):
     shape = (rows, cols) if size is None else (size, rows, cols)
-    if beta == 1:
-        return rng.standard_normal(shape)
-    if beta == 2:
-        comps = rng.standard_normal(shape + (2,))
-        return (comps[..., 0] + 1j * comps[..., 1]) * _SQRT_HALF
-    comps = rng.standard_normal(shape + (4,))
-    return _embed_quaternion(comps)
+    return _to_field(beta, rng.standard_normal(shape + (beta,)))
 
 
 def sample_gaussian(beta, rows, cols, rng):
@@ -280,29 +290,65 @@ def sample_haar_unitary(beta, m, rng):
 
 
 # ---------------------------------------------------------------------------
-# Rectangular offset schedule
+# Deterministic type schedule (rectangular offsets, Gaussian/inverse mixture)
 # ---------------------------------------------------------------------------
 
-def _schedule_pick(proportions, counts):
-    """Index whose quota is most overdue (Sainte-Lague priority), ties by position."""
-    priorities = [(counts[s] + 0.5) / proportions[s] for s in range(len(counts))]
-    return priorities.index(min(priorities))
+def _quota_schedule(proportions, counts, steps):
+    """The next ``steps`` type indices of the quota round-robin.
+
+    Each step takes the type whose quota is most overdue (Sainte-Lague
+    priority, ties by position), so prefix frequencies track the proportions
+    to within one occurrence.  ``counts`` holds how often each type was
+    picked so far and is advanced in place.
+    """
+    out = []
+    for _ in range(steps):
+        priorities = [(c + 0.5) / p if p > 0 else math.inf
+                      for c, p in zip(counts, proportions)]
+        s = priorities.index(min(priorities))
+        counts[s] += 1
+        out.append(s)
+    return out
 
 
 def rectangular_offsets(shapes, steps):
-    """Deterministic quota round-robin sequence of offsets for the given steps.
-
-    Prefix frequencies track the proportions to within one occurrence.
-    """
+    """Deterministic quota round-robin sequence of offsets for the given steps."""
     if not isinstance(shapes, RectangularSpec):
         shapes = RectangularSpec(tuple(shapes))
     counts = [0] * len(shapes.shapes)
-    out = []
-    for _ in range(steps):
-        s = _schedule_pick(shapes.proportions, counts)
-        counts[s] += 1
-        out.append(shapes.offsets[s])
-    return out
+    return [shapes.offsets[s] for s in _quota_schedule(shapes.proportions, counts, steps)]
+
+
+def _sigma_scale(spec, g):
+    """Sigma^{1/2} G for a factor or a stack of factors."""
+    scale = np.asarray(spec.sigma_inv_eigenvalues.y) ** -0.5
+    if spec.beta == 4:
+        scale = np.repeat(scale, 2)
+    return scale[:, None] * g
+
+
+def _ill_conditioned(g):
+    """Flags the stacked matrices that np.linalg.cond puts above CONDITION_LIMIT.
+
+    cond(g) < (2 / |det g|) (||g||_F / sqrt(n))^n for n x n g (Guggenheimer,
+    Edelman & Johnson, College Math. J. 26 (1995) 2) costs one LU; the SVD
+    of np.linalg.cond runs only where this bound misses the limit by more
+    than a factor of 1000, far beyond the rounding of either route.
+    """
+    n = g.shape[-1]
+    _, logdet = np.linalg.slogdet(g)
+    frob2 = np.square(np.abs(g)).sum(axis=(-2, -1))
+    log_bound = math.log(2.0) - logdet + 0.5 * n * np.log(frob2 / n)
+    unsure = ~(log_bound <= math.log(CONDITION_LIMIT / 1e3))
+    bad = np.zeros(len(g), dtype=bool)
+    if unsure.any():
+        bad[unsure] = ~(np.linalg.cond(g[unsure]) <= CONDITION_LIMIT)
+    return bad
+
+
+def _invert(beta, g):
+    inv = np.linalg.inv(g)
+    return _quaternion_symmetrize(inv) if beta == 4 else inv
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +358,11 @@ def rectangular_offsets(shapes, steps):
 class FactorStream:
     """Sequential factor source for one Monte Carlo chain.
 
-    Yields raw matrix data (the complex embedding for beta = 4).  Tracks the
-    number of redraws triggered by the near-singular guard on factors that
-    get inverted, and the offset schedule state for rectangular ensembles.
+    Yields raw matrix data (the complex embedding for beta = 4), drawn a
+    block at a time.  Tracks the number of redraws triggered by the
+    near-singular guard on factors that get inverted, and, for ensembles
+    mixing factor types (rectangular offset classes, Gaussian vs inverse),
+    the per-step type trace of the deterministic type schedule.
     """
 
     def __init__(self, spec, rng, block=256):
@@ -322,83 +370,34 @@ class FactorStream:
         self.rng = rng
         self.block = max(1, int(block))
         self.redraws = 0
-        self._counts = ([0] * len(spec.shapes.shapes)
-                        if isinstance(spec, RectangularGaussian) else None)
-        self._nu_prev = 0
-        # per-step factor-type trace for ensembles mixing factor
-        # distributions (offset class / Gaussian-vs-inverse coin)
-        self.type_trace = ([] if isinstance(
-            spec, (RectangularGaussian, GaussianInverseMixture)) else None)
-
-    # -- single factors ----------------------------------------------------
-
-    def _inverse_gaussian(self, beta, d):
-        while True:
-            g = _gaussian_data(beta, d, d, self.rng)
-            if d == 1 or np.linalg.cond(g) <= CONDITION_LIMIT:
-                break
-            self.redraws += 1
-        inv = np.linalg.inv(g)
-        if beta == 4:
-            inv = _quaternion_symmetrize(inv)
-        return inv
-
-    def _one(self):
-        spec = self.spec
-        beta = spec.beta
-        if isinstance(spec, StandardGaussian):
-            return _gaussian_data(beta, spec.d, spec.d, self.rng)
-        if isinstance(spec, GeneralSigmaGaussian):
-            return self._sigma_scale(_gaussian_data(beta, spec.d, spec.d, self.rng))
-        if isinstance(spec, InverseGaussian):
-            return self._inverse_gaussian(beta, spec.d)
-        if isinstance(spec, GaussianInverseMixture):
-            if self.rng.random() < spec.alpha_plus:
-                self.type_trace.append(0)
-                return _gaussian_data(beta, spec.d, spec.d, self.rng)
-            self.type_trace.append(1)
-            return self._inverse_gaussian(beta, spec.d)
         if isinstance(spec, RectangularGaussian):
-            s = _schedule_pick(spec.shapes.proportions, self._counts)
-            self._counts[s] += 1
-            self.type_trace.append(s)
-            nu = spec.shapes.offsets[s]
-            data = _gaussian_data(beta, spec.d + nu, spec.d + self._nu_prev, self.rng)
-            self._nu_prev = nu
-            return data
-        if isinstance(spec, TruncatedUnitary):
-            z = _haar_data(beta, spec.d + spec.n, self.rng)
-            k = spec.d if beta != 4 else 2 * spec.d
-            return np.ascontiguousarray(z[:k, :k])
-        raise TypeError(f"unknown ensemble spec {spec!r}")
+            self._proportions = spec.shapes.proportions
+        elif isinstance(spec, GaussianInverseMixture):
+            self._proportions = (spec.alpha_plus, 1.0 - spec.alpha_plus)
+        else:
+            self._proportions = None
+        self._counts = [0] * len(self._proportions) if self._proportions else None
+        self.type_trace = [] if self._proportions else None
 
-    def _sigma_scale(self, g):
-        y = np.asarray(self.spec.sigma_inv_eigenvalues.y)
-        scale = y ** -0.5
-        if self.spec.beta == 4:
-            scale = np.repeat(scale, 2)
-        return scale[:, None] * g
-
-    # -- batched stream ----------------------------------------------------
+    def _schedule(self, b):
+        """Type indices of the next b steps; extends ``type_trace``."""
+        types = _quota_schedule(self._proportions, self._counts, b)
+        self.type_trace.extend(types)
+        return types
 
     def blocks(self, n):
         """Yield n factors in blocks of at most ``block`` steps.
 
-        I.i.d. square ensembles draw a block as one (b, rows, cols) array;
-        the others draw factor by factor and give a list of b factors.
-        Either way the generator is consumed exactly as by single draws.
+        A block of square factors is one (b, rows, cols) array; non-square
+        rectangular factors change shape from step to step and come as a
+        list of b arrays.  Either way the generator is consumed exactly as
+        by drawing factor by factor, so block size does not change the
+        stream.
         """
-        spec = self.spec
         left = n
         while left > 0:
             b = min(self.block, left)
-            if isinstance(spec, (StandardGaussian, GeneralSigmaGaussian)) or (
-                    isinstance(spec, InverseGaussian) and spec.d == 1):
-                yield self._simple_block(b)
-            elif isinstance(spec, TruncatedUnitary):
-                yield self._truncated_block(b)
-            else:
-                yield [self._one() for _ in range(b)]
+            yield self._block(b)
             left -= b
 
     def factors(self, n):
@@ -406,60 +405,90 @@ class FactorStream:
         for block in self.blocks(n):
             yield from block
 
-    def _simple_block(self, b):
+    def _block(self, b):
         spec = self.spec
-        data = _gaussian_data(spec.beta, spec.d, spec.d, self.rng, size=b)
+        beta, d = spec.beta, spec.d
+        if isinstance(spec, StandardGaussian):
+            return _gaussian_data(beta, d, d, self.rng, size=b)
         if isinstance(spec, GeneralSigmaGaussian):
-            y = np.asarray(spec.sigma_inv_eigenvalues.y)
-            scale = y ** -0.5
-            if spec.beta == 4:
-                scale = np.repeat(scale, 2)
-            data = scale[None, :, None] * data
-        elif isinstance(spec, InverseGaussian):
-            data = np.linalg.inv(data)
-            if spec.beta == 4:
-                data = _quaternion_symmetrize_batch(data)
-        return data
+            return _sigma_scale(spec, _gaussian_data(beta, d, d, self.rng, size=b))
+        if isinstance(spec, TruncatedUnitary):
+            k = d if beta != 4 else 2 * d
+            z = _haar_data(beta, d + spec.n, self.rng, size=b)
+            return np.ascontiguousarray(z[:, :k, :k])
+        if isinstance(spec, RectangularGaussian):
+            return self._rectangular_block(b)
+        if isinstance(spec, InverseGaussian):
+            return _invert(beta, self._guarded_draws(np.ones(b, dtype=bool)))
+        if isinstance(spec, GaussianInverseMixture):
+            inverse = np.array(self._schedule(b)) == 1
+            g = self._guarded_draws(inverse)
+            g[inverse] = _invert(beta, g[inverse])
+            return g
+        raise TypeError(f"unknown ensemble spec {spec!r}")
 
-    def _truncated_block(self, b):
+    def _guarded_draws(self, inverse):
+        """Gaussian draws for one block; ``inverse`` flags the steps to be inverted.
+
+        A step to be inverted skips every draw whose condition number exceeds
+        CONDITION_LIMIT (counted in ``redraws``) and takes the next draw of
+        the stream instead, as drawing factor by factor would.  Each round
+        draws exactly the steps still missing, so no draw is wasted.
+        """
         spec = self.spec
-        k = spec.d if spec.beta != 4 else 2 * spec.d
-        z = _haar_data(spec.beta, spec.d + spec.n, self.rng, size=b)
-        return np.ascontiguousarray(z[:, :k, :k])
+        b = len(inverse)
+        kept = []
+        filled = 0
+        while filled < b:
+            g = _gaussian_data(spec.beta, spec.d, spec.d, self.rng, size=b - filled)
+            keep = np.ones(len(g), dtype=bool)
+            skipped = 0
+            for i in np.flatnonzero(_ill_conditioned(g)):
+                # each skipped draw moves the later draws one step back
+                if inverse[filled + i - skipped]:
+                    keep[i] = False
+                    skipped += 1
+            kept.append(g[keep] if skipped else g)
+            filled += len(g) - skipped
+            self.redraws += skipped
+        return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
-
-def _quaternion_symmetrize_batch(m):
-    out = np.empty_like(m)
-    out[..., 0::2, 0::2] = np.conj(m[..., 1::2, 1::2])
-    out[..., 0::2, 1::2] = -np.conj(m[..., 1::2, 0::2])
-    out[..., 1::2, 0::2] = -np.conj(m[..., 0::2, 1::2])
-    out[..., 1::2, 1::2] = np.conj(m[..., 0::2, 0::2])
-    return 0.5 * (m + out)
+    def _rectangular_block(self, b):
+        """Factors of shape (d + nu_t, d + nu_{t-1}) from one draw (nu_0 = 0)."""
+        spec = self.spec
+        offsets = spec.shapes.offsets
+        nus = [offsets[self.type_trace[-1]] if self.type_trace else 0]
+        nus += [offsets[s] for s in self._schedule(b)]
+        shapes = [(spec.d + nu, spec.d + prev) for prev, nu in zip(nus, nus[1:])]
+        comps = self.rng.standard_normal((sum(r * c for r, c in shapes), spec.beta))
+        # real and complex entries are elementwise in their components
+        entries = comps if spec.beta == 4 else _to_field(spec.beta, comps)
+        out = []
+        start = 0
+        for r, c in shapes:
+            part = entries[start:start + r * c].reshape((r, c) + entries.shape[1:])
+            out.append(_embed_quaternion(part) if spec.beta == 4 else part)
+            start += r * c
+        return out
 
 
 def sample_factor(spec, step_index, rng):
     """One product factor A_{step_index} (step indices start at 1).
 
     Stateless convenience wrapper around FactorStream: i.i.d. ensembles
-    ignore step_index; for rectangular ensembles the offset schedule is
+    ignore step_index; for ensembles with a type schedule the schedule is
     replayed up to step_index (O(step_index) bookkeeping), so chains should
     prefer FactorStream.
     """
     if step_index < 1:
         raise ValueError(f"step_index starts at 1, got {step_index}")
-    stream = FactorStream(spec, rng)
-    if isinstance(spec, RectangularGaussian):
-        nus = rectangular_offsets(spec.shapes, step_index)
-        nu, nu_prev = nus[-1], (nus[-2] if step_index >= 2 else 0)
-        data = _gaussian_data(spec.beta, spec.d + nu, spec.d + nu_prev, rng)
-        rows, cols = spec.d + nu, spec.d + nu_prev
-    else:
-        data = stream._one()
-        rows = cols = spec.d
-        if data.ndim == 2 and spec.beta != 4:
-            rows, cols = data.shape
-        elif spec.beta == 4:
-            rows, cols = data.shape[0] // 2, data.shape[1] // 2
+    stream = FactorStream(spec, rng, block=1)
+    if stream.type_trace is not None:
+        stream._schedule(step_index - 1)
+    data = next(stream.factors(1))
+    rows, cols = data.shape
+    if spec.beta == 4:
+        rows, cols = rows // 2, cols // 2
     return FieldMatrix(spec.beta, rows, cols, data)
 
 

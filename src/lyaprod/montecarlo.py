@@ -42,8 +42,8 @@ class ChainResult:
     """Per-step log-volume increments of one chain (shape N x k_max).
 
     type_ids flags the factor type of each step for ensembles that mix
-    factor distributions (rectangular offset classes, Gaussian-vs-inverse
-    coins); it is None when all factors are identically distributed.
+    factor distributions (rectangular offset classes, Gaussian vs inverse
+    factors); it is None when all factors are identically distributed.
     """
 
     k_max: int
@@ -63,8 +63,8 @@ class McEstimate:
     are the analogous statistics of the per-step log-determinant increments
     sum_{i<=k} xi^(i).
 
-    For ensembles that mix factor types (rectangular offsets on a
-    deterministic schedule, Gaussian/inverse coins) the variances are pooled
+    For ensembles that mix factor types on a deterministic schedule
+    (rectangular offsets, Gaussian/inverse mixtures) the variances are pooled
     within each type and combined with the realized frequencies.  The
     increment mean shifts with the type, and that deterministic alternation
     contributes nothing to the variance of mu_hat, so a naive pool across

@@ -181,6 +181,18 @@ class TestMainEndToEnd:
             json_val = doc["rows"][0][key]
             assert text == format(float(json_val), ".15g") or text == str(json_val)
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_meta_reports_steps_per_s(self, command, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main([command, "--ensemble", TRUNC, "--N", "500", "--chains", "3",
+                     "--seed", "31", "--format", "json", "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert set(meta) >= {"seed", "wall_ms", "redraws", "version", "steps_per_s"}
+        assert meta["steps_per_s"] > 0
+        assert math.isclose(meta["steps_per_s"], 3 * 500 / (meta["wall_ms"] * 1e-3))
+        log = capsys.readouterr().err
+        assert f"steps_per_s={meta['steps_per_s']:.0f}" in log
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"ensemble": json.loads(GAUSS_21),

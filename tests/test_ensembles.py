@@ -178,6 +178,8 @@ class TestDeterminism:
         InverseGaussian(1, 1),
         GaussianInverseMixture(2, 2, 0.5),
         RectangularGaussian(2, 2, HALF_HALF),
+        RectangularGaussian(1, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5)))),
+        RectangularGaussian(4, 2, RectangularSpec(((0, 0.25), (2, 0.75)))),
         TruncatedUnitary(2, 2, 2),
         TruncatedUnitary(4, 2, 1),
     ]
@@ -193,8 +195,10 @@ class TestDeterminism:
     def test_block_size_does_not_change_stream(self, spec):
         a = collect(spec, 9, chain_rng(43, 1), block=1)
         b = collect(spec, 9, chain_rng(43, 1), block=257)
-        for x, y in zip(a, b):
+        c = collect(spec, 9, chain_rng(43, 1), block=4)
+        for x, y, z in zip(a, b, c):
             assert np.array_equal(x, y)
+            assert np.array_equal(x, z)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__ + str(s.beta))
     def test_sample_factor_matches_stream(self, spec):
@@ -214,6 +218,100 @@ class TestDeterminism:
     def test_quaternion_stream_structure_exact(self, spec):
         for f in collect(spec, 6, chain_rng(45, 0)):
             assert is_quaternion_structured(f)
+
+
+def one_at_a_time(spec, n, rng):
+    """Reference draw, factor by factor, with np.linalg.cond on each factor to invert.
+
+    Mixture types follow the quota schedule of a two-offset rectangular
+    ensemble: offset 0 is a Gaussian step, offset 1 an inverse one.
+    """
+    if isinstance(spec, InverseGaussian):
+        types = [1] * n
+    else:
+        types = rectangular_offsets(((0, spec.alpha_plus), (1, 1.0 - spec.alpha_plus)), n)
+    out, redraws = [], 0
+    for t in types:
+        g = ens._gaussian_data(spec.beta, spec.d, spec.d, rng)
+        while t == 1 and not np.linalg.cond(g) <= ens.CONDITION_LIMIT:
+            redraws += 1
+            g = ens._gaussian_data(spec.beta, spec.d, spec.d, rng)
+        if t == 1:
+            g = np.linalg.inv(g)
+            if spec.beta == 4:
+                g = 0.5 * (g + quaternion_dual(g))
+        out.append(g)
+    return out, redraws
+
+
+class TestRedrawPath:
+    """Forced redraws: a low CONDITION_LIMIT makes many draws ill-conditioned."""
+
+    SPECS = [InverseGaussian(b, d) for b in (1, 2, 4) for d in (2, 3)] + [
+        GaussianInverseMixture(2, 2, 0.5),
+        GaussianInverseMixture(1, 3, 0.3),
+        GaussianInverseMixture(4, 2, 0.7),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def low_limit(self, monkeypatch):
+        monkeypatch.setattr(ens, "CONDITION_LIMIT", 3.0)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_block_size_and_single_draws_agree(self, spec):
+        streams = [FactorStream(spec, chain_rng(50, 1), block=block) for block in (1, 257)]
+        a, b = (list(s.factors(40)) for s in streams)
+        assert streams[0].redraws == streams[1].redraws > 0
+        assert streams[0].type_trace == streams[1].type_trace
+        rng = chain_rng(50, 1)
+        singles = [sample_factor(spec, i, rng).data for i in range(1, 41)]
+        reference, redraws = one_at_a_time(spec, 40, chain_rng(50, 1))
+        assert streams[0].redraws == redraws
+        for x, y, z, r in zip(a, b, singles, reference):
+            assert np.array_equal(x, y)
+            assert np.array_equal(x, z)
+            assert np.array_equal(x, r)
+
+    def test_flags_match_np_linalg_cond(self, monkeypatch):
+        # conditions log-uniform over 1 .. 1e18, on both sides of every
+        # limit, and scales over 1e-6 .. 1e6 (the condition ignores scale)
+        rng = chain_rng(51, 0)
+        for n in (1, 2, 3, 6):
+            g = rng.standard_normal((500, n, n)) + 1j * rng.standard_normal((500, n, n))
+            u, s, vh = np.linalg.svd(g)
+            s[:, -1] = s[:, 0] * 10.0 ** -rng.uniform(0.0, 18.0, 500)
+            s *= 10.0 ** rng.uniform(-6.0, 6.0, (500, 1))
+            g = (u * s[:, None, :]) @ vh
+            cond = np.linalg.cond(g)
+            for limit in (1.5, 30.0, 1e6, 1e12):
+                monkeypatch.setattr(ens, "CONDITION_LIMIT", limit)
+                assert np.array_equal(ens._ill_conditioned(g), ~(cond <= limit))
+
+
+class TestMixtureSchedule:
+    @pytest.mark.parametrize("alpha", [0.5, 0.3, 0.85])
+    def test_type_prefix_frequencies_within_one(self, alpha):
+        stream = FactorStream(GaussianInverseMixture(1, 2, alpha), chain_rng(52, 0))
+        list(stream.factors(3000))
+        gaussian = np.cumsum(np.array(stream.type_trace) == 0)
+        n = np.arange(1, gaussian.size + 1)
+        assert np.abs(gaussian - alpha * n).max() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("alpha,kind", [(0.0, 1), (1.0, 0)])
+    def test_pure_proportions_use_one_type(self, alpha, kind):
+        stream = FactorStream(GaussianInverseMixture(2, 2, alpha), chain_rng(53, 0))
+        list(stream.factors(50))
+        assert stream.type_trace == [kind] * 50
+
+    def test_factors_follow_the_type_trace(self):
+        # without redraws step t takes the t-th Gaussian draw, inverted at type 1
+        spec = GaussianInverseMixture(2, 3, 0.4)
+        stream = FactorStream(spec, chain_rng(54, 0), block=16)
+        factors = list(stream.factors(100))
+        g = ens._gaussian_data(2, 3, 3, chain_rng(54, 0), size=100)
+        assert stream.redraws == 0
+        for f, x, t in zip(factors, g, stream.type_trace):
+            assert np.array_equal(f, np.linalg.inv(x) if t == 1 else x)
 
 
 class TestRectangularSchedule:
