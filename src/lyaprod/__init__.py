@@ -14,11 +14,10 @@ from .theory import (MixtureSpec, RectangularSpec, TheorySpectrum,
 from .sigma import (JPair, SigmaSpec, j_integrals, kargin_mu1, kargin_top,
                     kargin_variance1, residue_j_sums, sigma_spectrum_complex,
                     sigma_variance1_complex)
-from .ensembles import (FactorStream, FieldMatrix, GaussianInverseMixture,
-                        GeneralSigmaGaussian, InverseGaussian,
-                        RectangularGaussian, StandardGaussian, TruncatedUnitary,
-                        chain_rng, sample_factor, sample_gaussian,
-                        sample_haar_unitary)
+from .ensembles import (ENSEMBLES, Ensemble, FactorStream,
+                        GaussianInverseMixture, GeneralSigmaGaussian,
+                        InverseGaussian, RectangularGaussian, StandardGaussian,
+                        TruncatedUnitary, chain_rng)
 from .montecarlo import (ChainResult, McEstimate, estimate, run_chain,
                          spectral_ratio, spectral_ratio_samples,
                          stability_exponents)
@@ -31,10 +30,10 @@ __all__ = [
     "truncated_unitary_spectrum",
     "SigmaSpec", "JPair", "sigma_spectrum_complex", "sigma_variance1_complex",
     "j_integrals", "residue_j_sums", "kargin_top", "kargin_mu1", "kargin_variance1",
+    "Ensemble", "ENSEMBLES",
     "StandardGaussian", "GeneralSigmaGaussian", "InverseGaussian",
     "GaussianInverseMixture", "RectangularGaussian", "TruncatedUnitary",
-    "FieldMatrix", "FactorStream", "sample_gaussian", "sample_haar_unitary",
-    "sample_factor", "chain_rng",
+    "FactorStream", "chain_rng",
     "ChainResult", "McEstimate", "run_chain", "estimate",
     "stability_exponents", "spectral_ratio", "spectral_ratio_samples",
 ]

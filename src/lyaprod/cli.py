@@ -18,12 +18,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
-from .ensembles import (GaussianInverseMixture, GeneralSigmaGaussian,
+from .ensembles import (ENSEMBLES, GaussianInverseMixture, GeneralSigmaGaussian,
                         InverseGaussian, RectangularGaussian, StandardGaussian,
                         TruncatedUnitary)
 from .montecarlo import estimate, spectral_ratio_samples
@@ -57,45 +57,32 @@ def ensemble_from_dict(obj):
     except (TypeError, KeyError):
         raise CliError("ensemble JSON must be an object with a 'kind' field")
     try:
-        if kind == "standard_gaussian":
-            return StandardGaussian(obj["beta"], obj["d"])
-        if kind == "general_sigma_gaussian":
-            return GeneralSigmaGaussian(
-                obj["beta"], SigmaSpec(tuple(obj["sigma_inv_eigenvalues"])))
-        if kind == "inverse_gaussian":
-            return InverseGaussian(obj["beta"], obj["d"])
-        if kind == "gaussian_inverse_mixture":
-            return GaussianInverseMixture(obj["beta"], obj["d"], obj["alpha_plus"])
-        if kind == "rectangular_gaussian":
-            shapes = RectangularSpec(tuple((g, a) for g, a in obj["shapes"]))
-            return RectangularGaussian(obj["beta"], obj["d"], shapes)
-        if kind == "truncated_unitary":
-            return TruncatedUnitary(obj["beta"], obj["d"], obj["n"])
+        cls = ENSEMBLES[kind]
+    except (TypeError, KeyError):
+        raise CliError(f"unknown ensemble kind {kind!r}")
+    names = [f.name for f in fields(cls)]
+    unknown = set(obj) - {"kind", *names}
+    if unknown:
+        raise CliError(f"unknown fields of ensemble '{kind}': {sorted(unknown)}")
+    try:
+        return cls(**{name: obj[name] for name in names})
     except KeyError as exc:
         raise CliError(f"ensemble '{kind}' is missing field {exc}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc))
-    raise CliError(f"unknown ensemble kind {kind!r}")
+
+
+def _to_json(value):
+    if isinstance(value, SigmaSpec):
+        return list(value.y)
+    if isinstance(value, RectangularSpec):
+        return [list(pair) for pair in value.shapes]
+    return value
 
 
 def ensemble_to_dict(spec):
-    if isinstance(spec, StandardGaussian):
-        return {"kind": "standard_gaussian", "beta": spec.beta, "d": spec.d}
-    if isinstance(spec, GeneralSigmaGaussian):
-        return {"kind": "general_sigma_gaussian", "beta": spec.beta,
-                "sigma_inv_eigenvalues": list(spec.sigma_inv_eigenvalues.y)}
-    if isinstance(spec, InverseGaussian):
-        return {"kind": "inverse_gaussian", "beta": spec.beta, "d": spec.d}
-    if isinstance(spec, GaussianInverseMixture):
-        return {"kind": "gaussian_inverse_mixture", "beta": spec.beta,
-                "d": spec.d, "alpha_plus": spec.alpha_plus}
-    if isinstance(spec, RectangularGaussian):
-        return {"kind": "rectangular_gaussian", "beta": spec.beta, "d": spec.d,
-                "shapes": [[g, a] for g, a in spec.shapes.shapes]}
-    if isinstance(spec, TruncatedUnitary):
-        return {"kind": "truncated_unitary", "beta": spec.beta,
-                "d": spec.d, "n": spec.n}
-    raise TypeError(f"unknown ensemble spec {spec!r}")
+    return {"kind": spec.kind,
+            **{f.name: _to_json(getattr(spec, f.name)) for f in fields(spec)}}
 
 
 @dataclass
@@ -108,6 +95,10 @@ class RunConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
+        for name in ("N", "chains", "seed") + (("k_max",) if self.k_max is not None else ()):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise CliError(f"{name} must be an integer, got {value!r}")
         if self.N < 1 or self.chains < 1:
             raise CliError("N and chains must be positive")
         if self.k_max is None:
@@ -116,7 +107,6 @@ class RunConfig:
             raise CliError(f"k_max must lie in [1, {self.ensemble.d}]")
         if self.output_format not in ("csv", "json"):
             raise CliError("output_format must be 'csv' or 'json'")
-        self.seed = int(self.seed)
 
     def to_dict(self):
         return {
@@ -185,8 +175,11 @@ def _general_sigma_rows(spec):
 # ---------------------------------------------------------------------------
 
 def cmd_theory(config):
-    rows = theory_rows(config.ensemble)
-    return [dict(zip(THEORY_HEADER, r)) for r in rows]
+    t0 = time.perf_counter()
+    rows = [dict(zip(THEORY_HEADER, r)) for r in theory_rows(config.ensemble)]
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    meta = {"seed": config.seed, "wall_ms": wall_ms, "redraws": 0, "version": __version__}
+    return rows, meta
 
 
 def _run_estimate(config):
@@ -208,14 +201,20 @@ def cmd_simulate(config):
     return rows, meta
 
 
-def comparison_rows(theory, est, k_max):
-    """Join theory rows with an McEstimate; z = (mu_mc - mu_theory) / se."""
+def _covered(theory, k_max):
+    """Theory rows by index; a CliError unless they cover indices 1..k_max."""
     covered = {i: (mu, ns2) for i, mu, ns2 in theory}
     missing = [i for i in range(1, k_max + 1) if i not in covered]
     if missing:
         raise CliError(
             f"theory covers only indices {sorted(covered)} for this ensemble; "
             f"rerun with k_max <= {max(covered)} (missing {missing})")
+    return covered
+
+
+def comparison_rows(theory, est, k_max):
+    """Join theory rows with an McEstimate; z = (mu_mc - mu_theory) / se."""
+    covered = _covered(theory, k_max)
     rows = []
     for i in range(1, k_max + 1):
         mu_t, ns2_t = covered[i]
@@ -235,14 +234,8 @@ def comparison_rows(theory, est, k_max):
 
 
 def cmd_compare(config):
-    spec = config.ensemble
-    if isinstance(spec, GeneralSigmaGaussian) and spec.beta != 2 and config.k_max > 1:
-        raise CliError(
-            "general-covariance spectra beyond i=1 are only available for "
-            "complex entries (beta=2); the determinant formula rests on a "
-            "unitary-group integral with no orthogonal/symplectic analogue. "
-            "Rerun with k_max=1 to compare the largest exponent.")
     theory = theory_rows(config.ensemble)
+    _covered(theory, config.k_max)  # fail before the estimate, not after it
     est, wall_ms = _run_estimate(config)
     rows = comparison_rows(theory, est, config.k_max)
     status = 1 if any(abs(r["z"]) > Z_GATE for r in rows) else 0
@@ -382,9 +375,7 @@ def main(argv=None):
 
         status = 0
         if args.command == "theory":
-            rows = cmd_theory(config)
-            meta = {"seed": config.seed, "wall_ms": 0.0, "redraws": 0,
-                    "version": __version__}
+            rows, meta = cmd_theory(config)
             header = THEORY_HEADER
         elif args.command == "simulate":
             rows, meta = cmd_simulate(config)

@@ -22,25 +22,23 @@ Conventions
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .sigma import SigmaSpec
-from .theory import MixtureSpec, RectangularSpec, VALID_BETA, _check_beta, _check_dim
+from .theory import MixtureSpec, RectangularSpec, _check_beta, _check_dim
 
 __all__ = [
+    "Ensemble",
+    "ENSEMBLES",
     "StandardGaussian",
     "GeneralSigmaGaussian",
     "InverseGaussian",
     "GaussianInverseMixture",
     "RectangularGaussian",
     "TruncatedUnitary",
-    "FieldMatrix",
     "FactorStream",
-    "sample_gaussian",
-    "sample_haar_unitary",
-    "sample_factor",
     "chain_rng",
     "quaternion_dual",
     "is_quaternion_structured",
@@ -56,27 +54,57 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Ensemble descriptions
 # ---------------------------------------------------------------------------
 
+def _check_truncation(n):
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"truncation size n must be >= 0, got {n}")
+    return n
+
+
+#: Validation and normalization of every ensemble field, keyed by field name.
+_NORMALIZE = {
+    "beta": _check_beta,
+    "d": _check_dim,
+    "n": _check_truncation,
+    "alpha_plus": lambda a: MixtureSpec(a).alpha_plus,
+    "sigma_inv_eigenvalues": lambda y: y if isinstance(y, SigmaSpec) else SigmaSpec(tuple(y)),
+    "shapes": lambda s: s if isinstance(s, RectangularSpec) else RectangularSpec(tuple(s)),
+}
+
+
 @dataclass(frozen=True)
-class StandardGaussian:
+class Ensemble:
+    """A factor ensemble: Dyson index beta plus the fields of its kind.
+
+    ``kind`` is the JSON name of the ensemble.  ``square`` tells whether
+    every factor is d x d, and ``proportions`` gives the shares of the
+    factor types of an ensemble that mixes types on the deterministic quota
+    schedule (None when all factors are identically distributed).
+    """
+
     beta: int
+
+    kind = None
+    square = True
+    proportions = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _NORMALIZE[f.name](getattr(self, f.name)))
+
+
+@dataclass(frozen=True)
+class StandardGaussian(Ensemble):
     d: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _check_beta(self.beta))
-        object.__setattr__(self, "d", _check_dim(self.d))
+    kind = "standard_gaussian"
 
 
 @dataclass(frozen=True)
-class GeneralSigmaGaussian:
-    beta: int
+class GeneralSigmaGaussian(Ensemble):
     sigma_inv_eigenvalues: SigmaSpec
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _check_beta(self.beta))
-        spec = self.sigma_inv_eigenvalues
-        if not isinstance(spec, SigmaSpec):
-            spec = SigmaSpec(tuple(spec))
-        object.__setattr__(self, "sigma_inv_eigenvalues", spec)
+    kind = "general_sigma_gaussian"
 
     @property
     def d(self):
@@ -84,88 +112,52 @@ class GeneralSigmaGaussian:
 
 
 @dataclass(frozen=True)
-class InverseGaussian:
-    beta: int
+class InverseGaussian(Ensemble):
     d: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _check_beta(self.beta))
-        object.__setattr__(self, "d", _check_dim(self.d))
+    kind = "inverse_gaussian"
 
 
 @dataclass(frozen=True)
-class GaussianInverseMixture:
-    beta: int
+class GaussianInverseMixture(Ensemble):
     d: int
     alpha_plus: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _check_beta(self.beta))
-        object.__setattr__(self, "d", _check_dim(self.d))
-        MixtureSpec(self.alpha_plus)  # validates the proportion
-        object.__setattr__(self, "alpha_plus", float(self.alpha_plus))
+    kind = "gaussian_inverse_mixture"
+
+    @property
+    def proportions(self):
+        return (self.alpha_plus, 1.0 - self.alpha_plus)
 
 
 @dataclass(frozen=True)
-class RectangularGaussian:
-    beta: int
+class RectangularGaussian(Ensemble):
     d: int
     shapes: RectangularSpec
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _check_beta(self.beta))
-        object.__setattr__(self, "d", _check_dim(self.d))
-        shapes = self.shapes
-        if not isinstance(shapes, RectangularSpec):
-            shapes = RectangularSpec(tuple(shapes))
-        object.__setattr__(self, "shapes", shapes)
+    kind = "rectangular_gaussian"
 
     @property
     def square(self):
         return self.shapes.offsets == (0,)
 
+    @property
+    def proportions(self):
+        return self.shapes.proportions
+
 
 @dataclass(frozen=True)
-class TruncatedUnitary:
-    beta: int
+class TruncatedUnitary(Ensemble):
     d: int
     n: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _check_beta(self.beta))
-        object.__setattr__(self, "d", _check_dim(self.d))
-        n = int(self.n)
-        if n < 0:
-            raise ValueError(f"truncation size n must be >= 0, got {n}")
-        object.__setattr__(self, "n", n)
+    kind = "truncated_unitary"
 
 
-EnsembleSpec = (StandardGaussian | GeneralSigmaGaussian | InverseGaussian
-                | GaussianInverseMixture | RectangularGaussian | TruncatedUnitary)
-
-_FIELD_NAMES = {1: "real", 2: "complex", 4: "quaternion"}
-
-
-@dataclass(frozen=True)
-class FieldMatrix:
-    """A sampled factor; rows/cols count entries over the base field.
-
-    For beta = 4 ``data`` is the complex embedding of shape (2*rows, 2*cols).
-    """
-
-    beta: int
-    rows: int
-    cols: int
-    data: np.ndarray
-
-    @property
-    def field(self):
-        return _FIELD_NAMES[self.beta]
-
-
-def is_square(spec):
-    """True when every factor of the ensemble is d x d."""
-    return not isinstance(spec, RectangularGaussian) or spec.square
+#: Ensemble classes by their JSON ``kind``.
+ENSEMBLES = {cls.kind: cls for cls in (
+    StandardGaussian, GeneralSigmaGaussian, InverseGaussian,
+    GaussianInverseMixture, RectangularGaussian, TruncatedUnitary)}
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +230,6 @@ def _gaussian_data(beta, rows, cols, rng, size=None):
     return _to_field(beta, rng.standard_normal(shape + (beta,)))
 
 
-def sample_gaussian(beta, rows, cols, rng):
-    """One standard Gaussian matrix with E|entry|^2 = 1."""
-    beta = _check_beta(beta)
-    return FieldMatrix(beta, _check_dim(rows), _check_dim(cols),
-                       _gaussian_data(beta, rows, cols, rng))
-
-
 def _haar_data(beta, m, rng, size=None):
     g = _gaussian_data(beta, m, m, rng, size=size)
     if beta in (1, 2):
@@ -281,12 +266,6 @@ def _quaternion_gram_schmidt(g):
         q[:, :, 2 * i] = v
         q[:, :, 2 * i + 1] = _mate_columns(v)
     return q[0] if squeeze else q
-
-
-def sample_haar_unitary(beta, m, rng):
-    """One Haar-distributed unitary (orthogonal / unitary / symplectic)."""
-    beta = _check_beta(beta)
-    return FieldMatrix(beta, _check_dim(m), _check_dim(m), _haar_data(beta, m, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +349,7 @@ class FactorStream:
         self.rng = rng
         self.block = max(1, int(block))
         self.redraws = 0
-        if isinstance(spec, RectangularGaussian):
-            self._proportions = spec.shapes.proportions
-        elif isinstance(spec, GaussianInverseMixture):
-            self._proportions = (spec.alpha_plus, 1.0 - spec.alpha_plus)
-        else:
-            self._proportions = None
+        self._proportions = spec.proportions
         self._counts = [0] * len(self._proportions) if self._proportions else None
         self.type_trace = [] if self._proportions else None
 
@@ -470,26 +444,6 @@ class FactorStream:
             out.append(_embed_quaternion(part) if spec.beta == 4 else part)
             start += r * c
         return out
-
-
-def sample_factor(spec, step_index, rng):
-    """One product factor A_{step_index} (step indices start at 1).
-
-    Stateless convenience wrapper around FactorStream: i.i.d. ensembles
-    ignore step_index; for ensembles with a type schedule the schedule is
-    replayed up to step_index (O(step_index) bookkeeping), so chains should
-    prefer FactorStream.
-    """
-    if step_index < 1:
-        raise ValueError(f"step_index starts at 1, got {step_index}")
-    stream = FactorStream(spec, rng, block=1)
-    if stream.type_trace is not None:
-        stream._schedule(step_index - 1)
-    data = next(stream.factors(1))
-    rows, cols = data.shape
-    if spec.beta == 4:
-        rows, cols = rows // 2, cols // 2
-    return FieldMatrix(spec.beta, rows, cols, data)
 
 
 def chain_rng(master_seed, chain_index):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import FactorStream, chain_rng, is_square, _gaussian_data
+from .ensembles import FactorStream, chain_rng, _gaussian_data
 
 __all__ = [
     "ChainResult",
@@ -116,11 +116,10 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
     else:
         frames = np.repeat(frame[None], len(streams), axis=0)
         steps = functools.partial(_qr_steps, quaternion=spec.beta == 4)
-    square = is_square(spec)
     done = 0
     for blocks in zip(*(stream.blocks(N) for stream in streams)):
         # non-square rectangular factors change shape from step to step
-        factors = (np.stack(blocks, axis=1) if square
+        factors = (np.stack(blocks, axis=1) if spec.square
                    else [np.stack(step) for step in zip(*blocks)])
         frames = steps(factors, frames, increments[:, done:done + len(factors)], done)
         done += len(factors)
@@ -270,7 +269,7 @@ def stability_exponents(spec, N, rng, *, step_cap=STABILITY_STEP_CAP):
             "becomes numerically rank deficient (override with step_cap=...)")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if not is_square(spec):
+    if not spec.square:
         raise ValueError("stability exponents require square factors")
 
     d = spec.d

@@ -8,8 +8,9 @@ from lyaprod.cli import (CliError, RunConfig, cmd_compare, cmd_ratio,
                          cmd_simulate, cmd_theory, comparison_rows,
                          ensemble_from_dict, ensemble_to_dict, main,
                          theory_rows, Z_GATE, COMPARE_HEADER)
-from lyaprod import montecarlo, sigma
-from lyaprod.ensembles import StandardGaussian, TruncatedUnitary
+from lyaprod import cli, montecarlo, sigma
+from lyaprod.ensembles import (ENSEMBLES, FactorStream, StandardGaussian,
+                               TruncatedUnitary, chain_rng)
 from lyaprod.montecarlo import estimate
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6
 
@@ -37,6 +38,37 @@ class TestEnsembleRoundTrip:
             ensemble_from_dict({"kind": "levy_flight", "beta": 2, "d": 2})
         with pytest.raises(CliError):
             ensemble_from_dict({"beta": 2})
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(CliError, match="missing field 'd'"):
+            ensemble_from_dict({"kind": "inverse_gaussian", "beta": 2})
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(CliError, match="alpha_plus"):
+            ensemble_from_dict({"kind": "standard_gaussian", "beta": 2, "d": 2,
+                                "n": 5, "alpha_plus": 0.3})
+
+    def test_wrongly_typed_field_rejected(self):
+        with pytest.raises(CliError):
+            ensemble_from_dict({"kind": "standard_gaussian", "beta": 2, "d": None})
+        with pytest.raises(CliError):
+            ensemble_from_dict({"kind": "general_sigma_gaussian", "beta": 2,
+                                "sigma_inv_eigenvalues": 3})
+
+
+class TestRegistry:
+    """Every registered kind serializes, has a theory row and draws factors."""
+
+    EXAMPLES = {obj["kind"]: obj for obj in TestEnsembleRoundTrip.CASES}
+
+    @pytest.mark.parametrize("cls", list(ENSEMBLES.values()), ids=lambda c: c.kind)
+    def test_kind_is_wired_everywhere(self, cls):
+        obj = self.EXAMPLES[cls.kind]
+        spec = ensemble_from_dict(obj)
+        assert type(spec) is cls
+        assert json.dumps(ensemble_to_dict(spec)) == json.dumps(obj)
+        assert len(theory_rows(spec)) >= 1
+        assert len(list(FactorStream(spec, chain_rng(60, 0)).factors(3))) == 3
 
 
 class TestTheoryRows:
@@ -112,11 +144,16 @@ class TestCommands:
         rows = comparison_rows(wrong, est, 2)
         assert any(abs(r["z"]) > Z_GATE for r in rows)
 
-    def test_compare_k_max_beyond_theory_errors(self):
+    def test_compare_k_max_beyond_theory_errors(self, monkeypatch):
         spec = ensemble_from_dict({"kind": "general_sigma_gaussian", "beta": 1,
                                    "sigma_inv_eigenvalues": [1.0, 0.25]})
         config = RunConfig(ensemble=spec, N=100, chains=1, seed=9)  # k_max -> d = 2
-        with pytest.raises(CliError):
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the coverage check must run before the estimate")
+
+        monkeypatch.setattr(cli, "estimate", no_estimate)
+        with pytest.raises(CliError, match="k_max"):
             cmd_compare(config)
 
     def test_ratio_report(self):
@@ -225,6 +262,22 @@ class TestMainEndToEnd:
         assert main(["theory", "--ensemble", '{"kind":"nope"}']) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_ensemble_field_exits_2(self, capsys):
+        extra = '{"kind":"standard_gaussian","beta":2,"d":2,"n":5,"alpha_plus":0.3}'
+        assert main(["theory", "--ensemble", extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha_plus" in err
+
+    def test_theory_meta_reports_wall_time(self, tmp_path):
+        out = tmp_path / "t.json"
+        spec = ('{"kind":"general_sigma_gaussian","beta":1,'
+                '"sigma_inv_eigenvalues":[1.0,0.25]}')
+        assert main(["theory", "--ensemble", spec, "--format", "json",
+                     "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert set(meta) == {"seed", "wall_ms", "redraws", "version"}
+        assert meta["wall_ms"] > 0
+
     def test_repeated_sigma_eigenvalue_theory_exits_2(self, capsys):
         repeated = ('{"kind":"general_sigma_gaussian","beta":%d,'
                     '"sigma_inv_eigenvalues":[1.0,1.0]}')
@@ -276,6 +329,15 @@ class TestRunConfigValidation:
     def test_rejects_unknown_fields(self):
         with pytest.raises(CliError):
             RunConfig.from_dict({"ensemble": json.loads(GAUSS_21), "walltime": 3})
+
+    @pytest.mark.parametrize("field,value", [("N", "100"), ("seed", "abc"),
+                                             ("N", 100.7), ("chains", True),
+                                             ("k_max", 1.0)])
+    def test_rejects_non_integer_numbers(self, field, value, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"ensemble": json.loads(GAUSS_21), field: value}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_rejects_bad_format(self):
         with pytest.raises(CliError):

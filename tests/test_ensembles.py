@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import lyaprod
 import lyaprod.ensembles as ens
 from lyaprod.ensembles import (FactorStream, GaussianInverseMixture,
                                GeneralSigmaGaussian, InverseGaussian,
                                RectangularGaussian, StandardGaussian,
                                TruncatedUnitary, chain_rng,
                                is_quaternion_structured, quaternion_dual,
-                               rectangular_offsets, sample_factor,
-                               sample_gaussian, sample_haar_unitary)
+                               rectangular_offsets)
 from lyaprod.sigma import SigmaSpec
 from lyaprod.specfun import EULER_GAMMA
 from lyaprod.theory import RectangularSpec
@@ -21,6 +21,10 @@ HALF_HALF = RectangularSpec(((0, 0.5), (1, 0.5)))
 
 def collect(spec, n, rng, block=256):
     return list(FactorStream(spec, rng, block=block).factors(n))
+
+
+def first_factor(spec, rng):
+    return next(FactorStream(spec, rng, block=1).factors(1))
 
 
 class TestGaussianSampling:
@@ -45,12 +49,12 @@ class TestGaussianSampling:
 
     def test_quaternion_matrix_structure_exact(self):
         rng = chain_rng(103, 0)
-        m = sample_gaussian(4, 1, 1, rng)
-        assert m.data.shape == (2, 2)
-        assert is_quaternion_structured(m.data)
-        m = sample_gaussian(4, 3, 5, rng)
-        assert m.data.shape == (6, 10)
-        assert is_quaternion_structured(m.data)
+        m = ens._gaussian_data(4, 1, 1, rng)
+        assert m.shape == (2, 2)
+        assert is_quaternion_structured(m)
+        m = ens._gaussian_data(4, 3, 5, rng)
+        assert m.shape == (6, 10)
+        assert is_quaternion_structured(m)
 
     def test_quaternion_entry_normalization(self):
         rng = chain_rng(104, 0)
@@ -64,20 +68,20 @@ class TestHaarSampling:
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_unitarity(self, beta):
         rng = chain_rng(200, beta)
-        u = sample_haar_unitary(beta, 3, rng).data
+        u = ens._haar_data(beta, 3, rng)
         dev = np.abs(np.conj(u.T) @ u - np.eye(u.shape[0])).max()
         assert dev <= 1e-12
 
     def test_real_determinant_is_sign(self):
         rng = chain_rng(201, 0)
         for _ in range(20):
-            u = sample_haar_unitary(1, 2, rng).data
+            u = ens._haar_data(1, 2, rng)
             assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
 
     def test_quaternion_structure_exact(self):
         rng = chain_rng(202, 0)
         for m in (1, 2, 4):
-            u = sample_haar_unitary(4, m, rng).data
+            u = ens._haar_data(4, m, rng)
             assert is_quaternion_structured(u)
 
     def test_first_entry_phase_uniform(self):
@@ -122,16 +126,16 @@ class TestHaarSampling:
 class TestFactorSampling:
     def test_truncated_zero_is_unitary(self):
         rng = chain_rng(300, 0)
-        f = sample_factor(TruncatedUnitary(2, 2, 0), 1, rng)
-        dev = np.abs(np.conj(f.data.T) @ f.data - np.eye(2)).max()
+        f = first_factor(TruncatedUnitary(2, 2, 0), rng)
+        dev = np.abs(np.conj(f.T) @ f - np.eye(2)).max()
         assert dev <= 1e-12
 
     def test_general_sigma_factor_is_scaled_gaussian(self):
         # y = {1, 1/4} sorted ascending gives row scales (2, 1)
         spec = GeneralSigmaGaussian(2, SigmaSpec((1.0, 0.25)))
-        f = sample_factor(spec, 1, chain_rng(301, 0))
+        f = first_factor(spec, chain_rng(301, 0))
         g = ens._gaussian_data(2, 2, 2, chain_rng(301, 0))
-        assert np.array_equal(f.data, np.diag([2.0, 1.0]) @ g)
+        assert np.array_equal(f, np.diag([2.0, 1.0]) @ g)
 
     def test_inverse_scalar_log_mean(self):
         # E log|1/g| = +gamma/2, the negation of the Gaussian value
@@ -144,13 +148,13 @@ class TestFactorSampling:
 
     def test_inverse_is_matrix_inverse(self):
         spec = InverseGaussian(2, 3)
-        f = sample_factor(spec, 1, chain_rng(303, 0))
+        f = first_factor(spec, chain_rng(303, 0))
         g = ens._gaussian_data(2, 3, 3, chain_rng(303, 0))
-        assert np.allclose(f.data @ g, np.eye(3), atol=1e-10)
+        assert np.allclose(f @ g, np.eye(3), atol=1e-10)
 
     def test_inverse_quaternion_structure_exact(self):
-        f = sample_factor(InverseGaussian(4, 2), 1, chain_rng(304, 0))
-        assert is_quaternion_structured(f.data)
+        f = first_factor(InverseGaussian(4, 2), chain_rng(304, 0))
+        assert is_quaternion_structured(f)
 
     def test_mixture_structure_exact_and_runs(self):
         rng = chain_rng(305, 0)
@@ -163,10 +167,6 @@ class TestFactorSampling:
         stream = FactorStream(InverseGaussian(2, 2), rng)
         list(stream.factors(50))
         assert stream.redraws > 0
-
-    def test_sample_factor_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            sample_factor(StandardGaussian(2, 2), 0, chain_rng(307, 0))
 
 
 class TestDeterminism:
@@ -199,14 +199,6 @@ class TestDeterminism:
         for x, y, z in zip(a, b, c):
             assert np.array_equal(x, y)
             assert np.array_equal(x, z)
-
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__ + str(s.beta))
-    def test_sample_factor_matches_stream(self, spec):
-        streamed = collect(spec, 6, chain_rng(44, 2))
-        rng = chain_rng(44, 2)
-        singles = [sample_factor(spec, i, rng).data for i in range(1, 7)]
-        for x, y in zip(streamed, singles):
-            assert np.array_equal(x, y)
 
     def test_distinct_chains_differ(self):
         a = collect(StandardGaussian(2, 2), 3, chain_rng(42, 0))
@@ -263,13 +255,10 @@ class TestRedrawPath:
         a, b = (list(s.factors(40)) for s in streams)
         assert streams[0].redraws == streams[1].redraws > 0
         assert streams[0].type_trace == streams[1].type_trace
-        rng = chain_rng(50, 1)
-        singles = [sample_factor(spec, i, rng).data for i in range(1, 41)]
         reference, redraws = one_at_a_time(spec, 40, chain_rng(50, 1))
         assert streams[0].redraws == redraws
-        for x, y, z, r in zip(a, b, singles, reference):
+        for x, y, r in zip(a, b, reference):
             assert np.array_equal(x, y)
-            assert np.array_equal(x, z)
             assert np.array_equal(x, r)
 
     def test_flags_match_np_linalg_cond(self, monkeypatch):
@@ -359,3 +348,9 @@ class TestChainRng:
         expected = np.random.default_rng(ss).standard_normal(4)
         got = chain_rng(77, 3).standard_normal(4)
         assert np.array_equal(expected, got)
+
+
+@pytest.mark.parametrize("module", [lyaprod, ens], ids=lambda m: m.__name__)
+def test_exported_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
