@@ -19,8 +19,7 @@ from .ensembles import (ENSEMBLES, Ensemble, FactorStream,
                         InverseGaussian, RectangularGaussian, StandardGaussian,
                         TruncatedUnitary, chain_rng)
 from .montecarlo import (ChainResult, McEstimate, estimate, run_chain,
-                         spectral_ratio, spectral_ratio_samples,
-                         stability_exponents)
+                         spectral_ratio_samples, stability_exponents)
 
 __all__ = [
     "__version__",
@@ -35,5 +34,5 @@ __all__ = [
     "GaussianInverseMixture", "RectangularGaussian", "TruncatedUnitary",
     "FactorStream", "chain_rng",
     "ChainResult", "McEstimate", "run_chain", "estimate",
-    "stability_exponents", "spectral_ratio", "spectral_ratio_samples",
+    "stability_exponents", "spectral_ratio_samples",
 ]

@@ -27,7 +27,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .sigma import SigmaSpec
-from .theory import MixtureSpec, RectangularSpec, _check_beta, _check_dim
+from .theory import (MixtureSpec, RectangularSpec, _check_beta, _check_dim,
+                     _check_truncation)
 
 __all__ = [
     "Ensemble",
@@ -53,13 +54,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 # Ensemble descriptions
 # ---------------------------------------------------------------------------
-
-def _check_truncation(n):
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"truncation size n must be >= 0, got {n}")
-    return n
-
 
 #: Validation and normalization of every ensemble field, keyed by field name.
 _NORMALIZE = {
@@ -288,14 +282,6 @@ def _quota_schedule(proportions, counts, steps):
         counts[s] += 1
         out.append(s)
     return out
-
-
-def rectangular_offsets(shapes, steps):
-    """Deterministic quota round-robin sequence of offsets for the given steps."""
-    if not isinstance(shapes, RectangularSpec):
-        shapes = RectangularSpec(tuple(shapes))
-    counts = [0] * len(shapes.shapes)
-    return [shapes.offsets[s] for s in _quota_schedule(shapes.proportions, counts, steps)]
 
 
 def _sigma_scale(spec, g):

@@ -8,6 +8,15 @@ which carries the 1/N factor of the estimator variance, estimates
 N sigma_i^2 directly.  Per-step renormalization keeps every quantity in
 range for arbitrarily long products.
 
+The QR step calls the LAPACK routines geqrf and orgqr (ungqr for complex
+frames) directly, once per chain and step, instead of numpy's batched QR,
+whose Python wrapper costs more than the factorization itself at small d.
+numpy's QR calls the same two routines with the same workspace sizes, and
+tests/test_montecarlo.py holds the kernel bit for bit to a step loop on it.
+LAPACK's Householder reflectors make every R diagonal entry real, for
+complex matrices too, so the phase factor rdiag / |rdiag| is a sign up to
+rounding.
+
 For beta = 4 the frame is the complex embedding with 2k columns; the two R
 diagonal entries of a quaternion column pair agree up to rounding and half
 their summed logs is recorded as the quaternion increment.
@@ -18,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .ensembles import FactorStream, chain_rng, _gaussian_data
 
@@ -27,7 +37,6 @@ __all__ = [
     "run_chain",
     "estimate",
     "stability_exponents",
-    "spectral_ratio",
     "spectral_ratio_samples",
 ]
 
@@ -93,8 +102,8 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
 
     Chain c draws its factors from its own FactorStream on rngs[c].  Each
     block of the C streams is stacked as (b, C, rows, cols), so a step makes
-    one batched matmul and one batched QR over the C frames.  Single-column
-    frames take a scalar update chain by chain instead.  Returns one
+    one batched matmul over the C frames and one LAPACK QR per frame.
+    Single-column frames take a scalar update chain by chain instead.  Returns one
     ChainResult per chain, in the order of ``rngs``.
     """
     d = spec.d
@@ -115,7 +124,7 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
         steps = _scalar_steps
     else:
         frames = np.repeat(frame[None], len(streams), axis=0)
-        steps = functools.partial(_qr_steps, quaternion=spec.beta == 4)
+        steps = functools.partial(_qr_steps, lapack=_lapack_qr(frame), quaternion=spec.beta == 4)
     done = 0
     for blocks in zip(*(stream.blocks(N) for stream in streams)):
         # non-square rectangular factors change shape from step to step
@@ -144,19 +153,50 @@ def _scalar_steps(factors, frames, out, done):
     return frames
 
 
-def _qr_steps(factors, frames, out, done, quaternion=False):
-    """All chains at once: one batched matmul and QR per step, phases fixed
-    so that the R diagonal is real positive."""
+def _lapack_qr(frame):
+    """geqrf and orgqr (ungqr for complex frames) for frames like ``frame``,
+    each with the workspace size LAPACK reports as optimal, as numpy's QR
+    uses: a smaller one changes the blocking of frames over 128 columns."""
+    geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (frame,))
+    k = frame.shape[1]
+    lwork_r = int(geqrf(frame, -1)[2][0].real)
+    lwork_q = int(orgqr(frame, np.zeros(k, frame.dtype), -1)[1][0].real)
+    return geqrf, lwork_r, orgqr, lwork_q
+
+
+def _qr_steps(factors, frames, out, done, lapack, quaternion=False):
+    """All chains at once: one batched matmul per step, then geqrf and
+    orgqr per chain, phases fixed so that the R diagonal is real positive.
+
+    Each chain's product is copied once into column-major order, where
+    geqrf and then orgqr overwrite it in place (f2py skips its own copy for
+    a Fortran-ordered array when overwrite_a is set).  The Householder
+    reflectors of geqrf leave every R diagonal entry real, so
+    rdiag / |rdiag| is a sign up to rounding; it is computed as that
+    division, in the frame's dtype, so that Q matches numpy's QR-based step
+    bit for bit.  The diagonals of the block are kept in a (b, C, k)
+    buffer, and their logs, the quaternion pair halving and the finiteness
+    check are taken once per block.  The phase-fixed Q overwrites its
+    step's product ``y``, whose row count follows the factor's (non-square
+    rectangular factors change it from step to step).
+    """
+    geqrf, lwork_r, orgqr, lwork_q = lapack
+    rdiag = np.empty((len(factors), len(frames), frames.shape[2]), dtype=frames.dtype)
     for i, a in enumerate(factors):
-        q, r = np.linalg.qr(a @ frames)
-        rdiag = r.diagonal(axis1=1, axis2=2)
-        rabs = np.abs(rdiag)
-        logs = np.log(rabs)
-        if not math.isfinite(logs.sum()):
-            raise ArithmeticError(f"non-finite increment at step {done + i + 1}")
-        out[:, i] = 0.5 * (logs[:, 0::2] + logs[:, 1::2]) if quaternion else logs
-        q *= (rdiag / rabs)[:, None]
-        frames = q
+        y = a @ frames
+        yt = y.transpose(0, 2, 1).copy()
+        taus = [geqrf(m.T, lwork_r, 1)[1] for m in yt]
+        rd = rdiag[i]
+        rd[:] = yt.diagonal(0, 1, 2)
+        for m, tau in zip(yt, taus):
+            orgqr(m.T, tau, lwork_q, 1)
+        np.multiply(yt.transpose(0, 2, 1), (rd / np.abs(rd))[:, None], out=y)
+        frames = y
+    logs = np.log(np.abs(rdiag))
+    finite = np.isfinite(logs.sum(axis=(1, 2)))
+    if not finite.all():
+        raise ArithmeticError(f"non-finite increment at step {done + int(finite.argmin()) + 1}")
+    out[:] = (0.5 * (logs[..., 0::2] + logs[..., 1::2]) if quaternion else logs).swapaxes(0, 1)
     return frames
 
 
@@ -278,18 +318,20 @@ def stability_exponents(spec, N, rng, *, step_cap=STABILITY_STEP_CAP):
     log_scales = []
     log_dets = []
     det_phases = []
-    for a in FactorStream(spec, rng).factors(N):
-        prod = a @ prod
-        scale = float(np.abs(prod).max())
-        if not (scale > 0.0 and math.isfinite(scale)):
-            raise ArithmeticError("product collapsed to zero or overflowed")
-        prod /= scale
-        log_scales.append(math.log(scale))
-        sign, logdet = np.linalg.slogdet(a)
-        if sign == 0 or not math.isfinite(float(logdet)):
-            raise ArithmeticError("singular factor in stability run")
-        log_dets.append(float(logdet))
-        det_phases.append(float(np.angle(sign)))
+    for block in FactorStream(spec, rng).blocks(N):
+        signs, logdets = np.linalg.slogdet(block)
+        singular = (signs == 0) | ~np.isfinite(logdets)
+        for a, bad in zip(block, singular):
+            prod = a @ prod
+            scale = float(np.abs(prod).max())
+            if not (scale > 0.0 and math.isfinite(scale)):
+                raise ArithmeticError("product collapsed to zero or overflowed")
+            if bad:
+                raise ArithmeticError("singular factor in stability run")
+            prod /= scale
+            log_scales.append(math.log(scale))
+        log_dets.extend(logdets.tolist())
+        det_phases.extend(np.angle(signs).tolist())
     offset = math.fsum(log_scales)
     logdet_sum = math.fsum(log_dets)
 
@@ -342,7 +384,3 @@ def spectral_ratio_samples(beta, d, samples, rng):
         out[i] = smax / emax
     return out
 
-
-def spectral_ratio(beta, d, samples, rng):
-    """Sample mean of the singular-value / eigenvalue-modulus ratio."""
-    return float(spectral_ratio_samples(beta, d, samples, rng).mean())

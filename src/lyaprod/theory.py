@@ -20,6 +20,7 @@ number of product steps themselves:
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .specfun import digamma, trigamma
@@ -40,17 +41,32 @@ VALID_BETA = (1, 2, 4)
 _PROPORTION_TOL = 1e-12
 
 
+def _check_int(name, value):
+    """``value`` as an int; floats, bools and strings are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_beta(beta):
+    beta = _check_int("beta", beta)
     if beta not in VALID_BETA:
         raise ValueError(f"beta must be one of {VALID_BETA}, got {beta!r}")
-    return int(beta)
+    return beta
 
 
 def _check_dim(d):
-    d = int(d)
+    d = _check_int("matrix dimension d", d)
     if d < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {d}")
     return d
+
+
+def _check_truncation(n):
+    n = _check_int("truncation size n", n)
+    if n < 0:
+        raise ValueError(f"truncation size n must be >= 0, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -83,7 +99,7 @@ class RectangularSpec:
     shapes: tuple  # of (offset, proportion) pairs
 
     def __post_init__(self):
-        shapes = tuple((int(g), float(a)) for g, a in self.shapes)
+        shapes = tuple((_check_int("offset", g), float(a)) for g, a in self.shapes)
         object.__setattr__(self, "shapes", shapes)
         if not shapes:
             raise ValueError("at least one (offset, proportion) pair is required")
@@ -179,9 +195,7 @@ def truncated_unitary_spectrum(beta, d, n):
     """
     beta = _check_beta(beta)
     d = _check_dim(d)
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"truncation size n must be >= 0, got {n}")
+    n = _check_truncation(n)
     mu = tuple(
         0.5 * (digamma(beta * (d - i + 1) / 2.0) - digamma(beta * (n + d - i + 1) / 2.0))
         for i in range(1, d + 1))

@@ -56,6 +56,34 @@ class TestEnsembleRoundTrip:
                                 "sigma_inv_eigenvalues": 3})
 
 
+class TestIntegerEnsembleFields:
+    """Integer fields reject floats, bools and strings instead of truncating them."""
+
+    @pytest.mark.parametrize("field,obj", [
+        ("beta", {"kind": "standard_gaussian", "beta": 2.0, "d": 2}),
+        ("beta", {"kind": "inverse_gaussian", "beta": True, "d": 2}),
+        ("d", {"kind": "standard_gaussian", "beta": 2, "d": 2.7}),
+        ("d", {"kind": "gaussian_inverse_mixture", "beta": 2, "d": "2", "alpha_plus": 0.5}),
+        ("d", {"kind": "truncated_unitary", "beta": 2, "d": True, "n": 2}),
+        ("n", {"kind": "truncated_unitary", "beta": 2, "d": 2, "n": 1.6}),
+        ("n", {"kind": "truncated_unitary", "beta": 2, "d": 2, "n": "2"}),
+        ("offset", {"kind": "rectangular_gaussian", "beta": 2, "d": 2,
+                    "shapes": [[0, 0.5], [1.6, 0.5]]}),
+        ("offset", {"kind": "rectangular_gaussian", "beta": 2, "d": 2,
+                    "shapes": [[False, 0.5], [1, 0.5]]}),
+    ], ids=["beta-float", "beta-bool", "d-float", "d-str", "d-bool", "n-float",
+            "n-str", "offset-float", "offset-bool"])
+    def test_cli_exits_2(self, field, obj, capsys):
+        assert main(["theory", "--ensemble", json.dumps(obj)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_numpy_integers_accepted(self):
+        spec = ensemble_from_dict({"kind": "truncated_unitary", "beta": np.int64(2),
+                                   "d": np.int64(2), "n": np.int64(1)})
+        assert (spec.beta, spec.d, spec.n) == (2, 2, 1)
+        assert all(type(v) is int for v in (spec.beta, spec.d, spec.n))
+
+
 class TestRegistry:
     """Every registered kind serializes, has a theory row and draws factors."""
 

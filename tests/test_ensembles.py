@@ -11,7 +11,7 @@ from lyaprod.ensembles import (FactorStream, GaussianInverseMixture,
                                RectangularGaussian, StandardGaussian,
                                TruncatedUnitary, chain_rng,
                                is_quaternion_structured, quaternion_dual,
-                               rectangular_offsets)
+                               _quota_schedule)
 from lyaprod.sigma import SigmaSpec
 from lyaprod.specfun import EULER_GAMMA
 from lyaprod.theory import RectangularSpec
@@ -215,13 +215,13 @@ class TestDeterminism:
 def one_at_a_time(spec, n, rng):
     """Reference draw, factor by factor, with np.linalg.cond on each factor to invert.
 
-    Mixture types follow the quota schedule of a two-offset rectangular
-    ensemble: offset 0 is a Gaussian step, offset 1 an inverse one.
+    Mixture types follow the quota schedule over (alpha_plus, alpha_minus):
+    type 0 is a Gaussian step, type 1 an inverse one.
     """
     if isinstance(spec, InverseGaussian):
         types = [1] * n
     else:
-        types = rectangular_offsets(((0, spec.alpha_plus), (1, 1.0 - spec.alpha_plus)), n)
+        types = _quota_schedule((spec.alpha_plus, 1.0 - spec.alpha_plus), [0, 0], n)
     out, redraws = [], 0
     for t in types:
         g = ens._gaussian_data(spec.beta, spec.d, spec.d, rng)
@@ -305,7 +305,8 @@ class TestMixtureSchedule:
 
 class TestRectangularSchedule:
     def test_half_half_alternates(self):
-        assert rectangular_offsets(HALF_HALF, 6) == [0, 1, 0, 1, 0, 1]
+        seq = _quota_schedule(HALF_HALF.proportions, [0, 0], 6)
+        assert [HALF_HALF.offsets[s] for s in seq] == [0, 1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("shapes", [
         HALF_HALF,
@@ -313,9 +314,9 @@ class TestRectangularSchedule:
         RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5))),
     ])
     def test_prefix_frequencies_within_one_over_n(self, shapes):
-        seq = rectangular_offsets(shapes, 5000)
+        seq = _quota_schedule(shapes.proportions, [0] * len(shapes.shapes), 5000)
         counts = {g: 0 for g in shapes.offsets}
-        for i, off in enumerate(seq, start=1):
+        for i, off in enumerate((shapes.offsets[s] for s in seq), start=1):
             counts[off] += 1
             for (g, a) in shapes.shapes:
                 assert abs(counts[g] - a * i) <= 1.0 + 1e-9

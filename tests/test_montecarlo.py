@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lyaprod.ensembles import (FactorStream, GaussianInverseMixture,
+from lyaprod.ensembles import (ENSEMBLES, FactorStream, GaussianInverseMixture,
                                GeneralSigmaGaussian, InverseGaussian,
                                RectangularGaussian, StandardGaussian,
                                TruncatedUnitary, chain_rng)
 from lyaprod import montecarlo
-from lyaprod.montecarlo import (estimate, run_chain, spectral_ratio,
-                                spectral_ratio_samples, stability_exponents)
+from lyaprod.montecarlo import (estimate, run_chain, spectral_ratio_samples,
+                                stability_exponents)
 from lyaprod.sigma import SigmaSpec
 from lyaprod.theory import (RectangularSpec, gaussian_spectrum,
                             truncated_unitary_spectrum)
@@ -35,6 +35,82 @@ def direct_log_volume(spec, k, n, rng):
     gram = b.transpose_conj() * b
     value = 0.5 * float(mpmath.log(mpmath.fabs(mpmath.det(gram))))
     return 0.5 * value if spec.beta == 4 else value
+
+
+def reference_qr_chains(spec, k_max, N, rngs, block):
+    """Oracle for the multi-column step kernel: the chains stepped together
+    with np.linalg.qr, phases fixed by rdiag / |rdiag|.  Returns the
+    increments as (chains, N, k_max)."""
+    streams = [FactorStream(spec, rng, block=block) for rng in rngs]
+    frames = np.repeat(montecarlo._identity_frame(spec, k_max)[None], len(rngs), axis=0)
+    out = []
+    for step in zip(*(stream.factors(N) for stream in streams)):
+        q, r = np.linalg.qr(np.stack(step) @ frames)
+        rdiag = r.diagonal(axis1=1, axis2=2)
+        rabs = np.abs(rdiag)
+        logs = np.log(rabs)
+        out.append(0.5 * (logs[:, 0::2] + logs[:, 1::2]) if spec.beta == 4 else logs)
+        q *= (rdiag / rabs)[:, None]
+        frames = q
+    return np.stack(out, axis=1)
+
+
+#: (spec, k_max, chains) covering every kind, each beta, k < d and k = d,
+#: non-square rectangular factors and quaternion single-column frames.
+KERNEL_CASES = [
+    (StandardGaussian(1, 3), 2, 3),
+    (StandardGaussian(2, 2), 2, 1),
+    (GeneralSigmaGaussian(2, SigmaSpec((0.5, 1.0, 2.0))), 3, 3),
+    (GeneralSigmaGaussian(1, SigmaSpec((0.5, 2.0))), 2, 1),
+    (InverseGaussian(4, 2), 1, 3),
+    (GaussianInverseMixture(2, 3, 0.4), 3, 3),
+    (GaussianInverseMixture(1, 2, 0.5), 2, 1),
+    (RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5)))), 2, 3),
+    (RectangularGaussian(4, 2, RectangularSpec(((0, 0.25), (2, 0.75)))), 1, 1),
+    (RectangularGaussian(1, 3, RectangularSpec(((0, 1.0),))), 2, 3),
+    (TruncatedUnitary(4, 3, 2), 3, 1),
+    (TruncatedUnitary(2, 3, 1), 2, 3),
+]
+
+
+class PoisonedStream(FactorStream):
+    """Factor stream whose factor at step ``poison_step`` (from 1) is NaN."""
+
+    poison_step = None
+
+    def blocks(self, n):
+        done = 0
+        for block in super().blocks(n):
+            if done < self.poison_step <= done + len(block):
+                block[self.poison_step - done - 1] = np.nan
+            done += len(block)
+            yield block
+
+
+class TestStepKernel:
+    def test_cases_cover_every_kind(self):
+        assert {spec.kind for spec, _, _ in KERNEL_CASES} == set(ENSEMBLES)
+
+    @pytest.mark.parametrize("spec,k,chains", KERNEL_CASES,
+                             ids=lambda v: getattr(v, "kind", str(v)))
+    def test_matches_np_linalg_qr_reference(self, spec, k, chains):
+        # 250 steps in blocks of 64: the last block is short
+        rngs = [chain_rng(60, c) for c in range(chains)]
+        got = np.stack([res.increments
+                        for res in run_chain(spec, k, 250, rngs, block=64)])
+        want = reference_qr_chains(spec, k, 250, [chain_rng(60, c) for c in range(chains)], 64)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [2, 1], ids=["qr", "scalar"])
+    @pytest.mark.parametrize("step", [4, 5, 7], ids=["block-end", "block-start", "inside"])
+    def test_nan_factor_names_its_step(self, k, step, monkeypatch):
+        # blocks of 4 steps: step 4 ends the first block, step 5 starts the second
+        monkeypatch.setattr(PoisonedStream, "poison_step", step)
+        monkeypatch.setattr(montecarlo, "FactorStream", PoisonedStream)
+        rngs = [chain_rng(61, c) for c in range(3)]
+        with pytest.raises(ArithmeticError, match=f"non-finite increment at step {step}$"):
+            run_chain(StandardGaussian(2, 2), k, 12, rngs, block=4)
 
 
 class TestRunChain:
@@ -249,9 +325,9 @@ class TestSpectralRatio:
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_all_fields_supported(self, beta):
         rng = chain_rng(41, beta)
-        r = spectral_ratio(beta, 20, 5, rng)
+        r = spectral_ratio_samples(beta, 20, 5, rng).mean()
         assert r >= 1.0
 
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):
-            spectral_ratio(2, 1, 5, chain_rng(42, 0))
+            spectral_ratio_samples(2, 1, 5, chain_rng(42, 0)).mean()
