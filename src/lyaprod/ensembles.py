@@ -271,17 +271,24 @@ def _quota_schedule(proportions, counts, steps):
 
     Each step takes the type whose quota is most overdue (Sainte-Lague
     priority, ties by position), so prefix frequencies track the proportions
-    to within one occurrence.  ``counts`` holds how often each type was
-    picked so far and is advanced in place.
+    to within one occurrence.  The j-th pick of type s (from 0) falls due at
+    (j + 0.5)/p_s, so the next ``steps`` picks are the ``steps`` smallest of
+    the due times still ahead, ties by position; a type with p_s = 0 is never
+    picked.  ``counts`` holds how often each type was picked so far and is
+    advanced in place.
     """
-    out = []
-    for _ in range(steps):
-        priorities = [(c + 0.5) / p if p > 0 else math.inf
-                      for c, p in zip(counts, proportions)]
-        s = priorities.index(min(priorities))
-        counts[s] += 1
-        out.append(s)
-    return out
+    due, types = [], []
+    for s, (c, p) in enumerate(zip(counts, proportions)):
+        if p > 0:
+            # at most ``steps`` picks of one type fit in the window
+            due.append((np.arange(c, c + steps) + 0.5) / p)
+            types.append(np.full(steps, s))
+    # a stable sort keeps equal due times in type order
+    order = np.argsort(np.concatenate(due), kind="stable")[:steps]
+    out = np.concatenate(types)[order]
+    for s, n in enumerate(np.bincount(out, minlength=len(counts))):
+        counts[s] += int(n)
+    return out.tolist()
 
 
 def _sigma_scale(spec, g):

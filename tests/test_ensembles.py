@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -303,6 +304,20 @@ class TestMixtureSchedule:
             assert np.array_equal(f, np.linalg.inv(x) if t == 1 else x)
 
 
+def step_by_step_schedule(proportions, steps):
+    """The quota round-robin one step at a time: the most overdue type,
+    priority (c + 0.5)/p, ties by position; p = 0 is never due."""
+    counts = [0] * len(proportions)
+    priorities = [0.5 / p if p > 0 else math.inf for p in proportions]
+    out = []
+    for _ in range(steps):
+        s = priorities.index(min(priorities))
+        counts[s] += 1
+        priorities[s] = (counts[s] + 0.5) / proportions[s]
+        out.append(s)
+    return out
+
+
 class TestRectangularSchedule:
     def test_half_half_alternates(self):
         seq = _quota_schedule(HALF_HALF.proportions, [0, 0], 6)
@@ -320,6 +335,22 @@ class TestRectangularSchedule:
             counts[off] += 1
             for (g, a) in shapes.shapes:
                 assert abs(counts[g] - a * i) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("proportions", [
+        (0.5, 0.5), (1 / 3, 2 / 3), (0.1, 0.9), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75),
+    ])
+    def test_blockwise_matches_step_loop(self, proportions):
+        steps = 1_000_003
+        expected = step_by_step_schedule(proportions, steps)
+        for blocks in ((256,), (97,), (1000, 1, 33, 256)):
+            counts = [0] * len(proportions)
+            seq = []
+            for b in itertools.cycle(blocks):
+                seq += _quota_schedule(proportions, counts, min(b, steps - len(seq)))
+                if len(seq) == steps:
+                    break
+            assert seq == expected
+            assert counts == [expected.count(s) for s in range(len(proportions))]
 
     def test_factor_shapes_follow_schedule(self):
         spec = RectangularGaussian(2, 2, HALF_HALF)

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6, digamma, trigamma
-from lyaprod.sigma import (DistinctnessError, SigmaSpec, j_integrals,
-                           kargin_mu1, kargin_variance1, residue_j_sums,
-                           sigma_spectrum_complex, sigma_variance1_complex)
+import lyaprod
+from lyaprod.sigma import (DistinctnessError, QuadratureError, SigmaSpec,
+                           j_integrals, kargin_mu1, kargin_variance1,
+                           residue_j_sums, sigma_spectrum_complex,
+                           sigma_variance1_complex)
 from lyaprod.theory import gaussian_spectrum
 
 
@@ -16,6 +22,37 @@ def random_distinct_spec(rng, d, lo=0.2, hi=5.0, min_sep=0.05):
         y = np.sort(rng.uniform(lo, hi, size=d))
         if d == 1 or np.all((y[1:] - y[:-1]) / y[1:] > min_sep):
             return SigmaSpec(tuple(y))
+
+
+def mp_j_integrals(beta, y, digits=20):
+    """(J1, J2) from their definitions by mpmath quadrature on the log axis.
+
+    No logistic is subtracted: the integrand is chi_{s<0} - f(s), split at
+    s = 0 and at every log y_i.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        half_beta = mpmath.mpf(beta) / 2
+        logy = [mpmath.log(mpmath.mpf(v)) for v in y]
+
+        def chi_minus_f(s):
+            one_minus_f = -mpmath.expm1(
+                -half_beta * mpmath.fsum(mpmath.log1p(mpmath.exp(s - v)) for v in logy))
+            return one_minus_f if s < 0 else one_minus_f - 1
+
+        cuts = [-mpmath.inf] + sorted(set(logy) | {mpmath.mpf(0)}) + [mpmath.inf]
+        j1 = -mpmath.quad(chi_minus_f, cuts)
+        j2 = 2 * mpmath.quad(lambda s: chi_minus_f(s) * s, cuts) + mpmath.pi ** 2 / 3
+        return float(j1), float(j2)
+
+
+HARD_SPECTRA = {
+    "wide": (1e-6, 1.0, 1e6),
+    "geometric12": tuple(float(v) for v in np.geomspace(1e-4, 1e4, 12)),
+    "large": (1e6,),
+    "small": (1e-6,),
+    "identity16": (1.0,) * 16,
+}
 
 
 class TestSigmaSpec:
@@ -126,6 +163,41 @@ class TestJIntegrals:
         r = residue_j_sums(beta, d)
         assert q.J1 == pytest.approx(r.J1, abs=1e-8)
         assert q.J2 == pytest.approx(r.J2, abs=1e-8)
+
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("name", sorted(HARD_SPECTRA))
+    def test_hard_spectra_match_mpmath(self, name, beta):
+        y = HARD_SPECTRA[name]
+        j1, j2 = mp_j_integrals(beta, y)
+        pair = j_integrals(beta, SigmaSpec(y))
+        assert abs(pair.J1 - j1) <= 1e-12
+        assert abs(pair.J2 - j2) <= 1e-12
+
+    @pytest.mark.parametrize("beta,d", [(1, 2), (1, 10), (1, 16), (2, 1), (2, 7),
+                                        (2, 16), (4, 1), (4, 3), (4, 10), (4, 16)])
+    def test_matches_residue_sums_tightly(self, beta, d):
+        q = j_integrals(beta, SigmaSpec((1.0,) * d))
+        r = residue_j_sums(beta, d)
+        assert abs(q.J1 - r.J1) <= 1e-13
+        assert abs(q.J2 - r.J2) <= 1e-13
+
+    def test_unreachable_target_raises(self):
+        with pytest.raises(QuadratureError) as info:
+            j_integrals(1, SigmaSpec((0.5, 2.0)), target=1e-30)
+        estimate = info.value.estimate
+        assert math.isfinite(estimate) and 1e-30 < estimate <= 1e-10
+        assert f"{estimate:.3e}" in str(info.value)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = str(Path(lyaprod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, lyaprod.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestResidueSums:
