@@ -1,21 +1,26 @@
 """Numerically stable Monte Carlo estimation for random matrix products.
 
-A chain keeps a d x k orthonormal frame, multiplies a fresh factor in each
-step and re-orthonormalizes by QR with the R diagonal forced real positive.
-The log of the i-th diagonal entry is the step's log-volume increment for
-index i; its running mean estimates mu_1..mu_k in one pass and its variance,
-which carries the 1/N factor of the estimator variance, estimates
-N sigma_i^2 directly.  Per-step renormalization keeps every quantity in
-range for arbitrarily long products.
+A chain carries an orthonormal d x k frame Q_{n-1}[:, :k] through the
+product: each step factors A_n Q_{n-1}[:, :k] = Q_n[:, :k] R_n, and the log
+of |(R_n)_ii| is the step's log-volume increment for index i.  Its running
+mean estimates mu_1..mu_k in one pass and its variance, which carries the
+1/N factor of the estimator variance, estimates N sigma_i^2 directly.
+Per-step renormalization keeps every quantity in range for arbitrarily
+long products.
 
-The QR step calls the LAPACK routines geqrf and orgqr (ungqr for complex
-frames) directly, once per chain and step, instead of numpy's batched QR,
-whose Python wrapper costs more than the factorization itself at small d.
-numpy's QR calls the same two routines with the same workspace sizes, and
-tests/test_montecarlo.py holds the kernel bit for bit to a step loop on it.
-LAPACK's Householder reflectors make every R diagonal entry real, for
-complex matrices too, so the phase factor rdiag / |rdiag| is a sign up to
-rounding.
+The frame is never formed.  A chain keeps only the Householder reflectors
+(v, tau) of its last LAPACK geqrf, which define the full unitary Q_{n-1}.
+ormqr (unmqr for complex frames) applies them from the right to the next
+factor, in place, giving A_n Q_{n-1}, whose first k columns are
+A_n Q_{n-1}[:, :k]; geqrf then factors those columns in place, and its R
+diagonal holds the step's increments.  The first step is geqrf on
+A_1[:, :k] alone.
+
+No phase is fixed on the R diagonal, and dropping it is exact: if M = Q' R,
+then M D = (Q' D)(D^* R D) for any diagonal unitary D, D^* R D is upper
+triangular with the diagonal of R, and a QR factorization is unique up to
+such a D, so |diag R| of QR(M D) equals that of QR(M).  Only the rounding
+differs.
 
 For beta = 4 the frame is the complex embedding with 2k columns; the two R
 diagonal entries of a quaternion column pair agree up to rounding and half
@@ -27,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .ensembles import FactorStream, chain_rng, _gaussian_data
 
@@ -90,20 +94,16 @@ class McEstimate:
     redraw_count: int = 0
 
 
-def _identity_frame(spec, k_max):
-    if spec.beta == 4:
-        return np.eye(2 * spec.d, 2 * k_max, dtype=np.complex128)
-    dtype = np.float64 if spec.beta == 1 else np.complex128
-    return np.eye(spec.d, k_max, dtype=dtype)
-
-
 def run_chain(spec, k_max, N, rngs, *, block=256):
     """Run one chain per Generator in ``rngs``, N steps each, all together.
 
     Chain c draws its factors from its own FactorStream on rngs[c].  Each
-    block of the C streams is stacked as (b, C, rows, cols), so a step makes
-    one batched matmul over the C frames and one LAPACK QR per frame.
-    Single-column frames take a scalar update chain by chain instead.  Returns one
+    block of the C streams is copied once into column-major storage per
+    factor, a (b, C, cols, rows) array; non-square rectangular factors
+    change their row count from step to step and are copied one step at a
+    time.  A step is then two LAPACK calls per chain on that storage (see
+    the module docstring), and the logs of the R diagonals, the quaternion
+    pair halving and the finiteness check run once per block.  Returns one
     ChainResult per chain, in the order of ``rngs``.
     """
     d = spec.d
@@ -117,21 +117,25 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
     if not streams:
         raise ValueError("run_chain needs at least one Generator")
 
-    frame = _identity_frame(spec, k_max)
+    quaternion = spec.beta == 4
+    k = 2 * k_max if quaternion else k_max
+    dtype = np.dtype(np.float64 if spec.beta == 1 else np.complex128)
     increments = np.empty((len(streams), N, k_max))
-    if frame.shape[1] == 1:
-        frames = [frame] * len(streams)
-        steps = _scalar_steps
-    else:
-        frames = np.repeat(frame[None], len(streams), axis=0)
-        steps = functools.partial(_qr_steps, lapack=_lapack_qr(frame), quaternion=spec.beta == 4)
+    last = [None] * len(streams)
     done = 0
     for blocks in zip(*(stream.blocks(N) for stream in streams)):
-        # non-square rectangular factors change shape from step to step
-        factors = (np.stack(blocks, axis=1) if spec.square
-                   else [np.stack(step) for step in zip(*blocks)])
-        frames = steps(factors, frames, increments[:, done:done + len(factors)], done)
-        done += len(factors)
+        steps = (_column_major(blocks, dtype) if spec.square
+                 else [_column_major(step, dtype) for step in zip(*blocks)])
+        last = _qr_steps(steps, last, k)
+        rdiag = (np.diagonal(steps, 0, -2, -1)[..., :k] if spec.square
+                 else np.stack([np.diagonal(step, 0, -2, -1)[:, :k] for step in steps]))
+        logs = np.log(np.abs(rdiag))
+        finite = np.isfinite(logs.sum(axis=(1, 2)))
+        if not finite.all():
+            raise ArithmeticError(f"non-finite increment at step {done + int(finite.argmin()) + 1}")
+        increments[:, done:done + len(logs)] = (
+            0.5 * (logs[..., 0::2] + logs[..., 1::2]) if quaternion else logs).swapaxes(0, 1)
+        done += len(logs)
 
     return [ChainResult(k_max=k_max, increments=inc, redraw_count=stream.redraws,
                         type_ids=(np.asarray(stream.type_trace, dtype=np.uint8)
@@ -139,65 +143,50 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
             for inc, stream in zip(increments, streams)]
 
 
-def _scalar_steps(factors, frames, out, done):
-    """Single-column frames, chain by chain: the step is a norm and a log."""
-    for c, frame in enumerate(frames):
-        for i, a in enumerate(factors):
-            y = a[c] @ frame
-            r = math.sqrt(np.vdot(y, y).real)
-            if not (r > 0.0 and math.isfinite(r)):
-                raise ArithmeticError(f"non-finite increment at step {done + i + 1}")
-            out[c, i, 0] = math.log(r)
-            frame = y / r
-        frames[c] = frame
-    return frames
+def _column_major(parts, dtype):
+    """Stack ``parts``, one (..., rows, cols) array per chain, as one C-ordered
+    (..., C, cols, rows) array: the transpose of each trailing matrix is a
+    Fortran-ordered view of one factor."""
+    shape = np.shape(parts[0])
+    out = np.empty(shape[:-2] + (len(parts),) + shape[:-3:-1], dtype)
+    for c, part in enumerate(parts):
+        out[..., c, :, :] = np.swapaxes(part, -1, -2)
+    return out
 
 
-def _lapack_qr(frame):
-    """geqrf and orgqr (ungqr for complex frames) for frames like ``frame``,
-    each with the workspace size LAPACK reports as optimal, as numpy's QR
-    uses: a smaller one changes the blocking of frames over 128 columns."""
-    geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (frame,))
-    k = frame.shape[1]
-    lwork_r = int(geqrf(frame, -1)[2][0].real)
-    lwork_q = int(orgqr(frame, np.zeros(k, frame.dtype), -1)[1][0].real)
-    return geqrf, lwork_r, orgqr, lwork_q
+@functools.cache
+def _lapack(dtype):
+    """geqrf and ormqr (unmqr for complex dtypes).  scipy.linalg is imported
+    here, so commands that never step a chain do not pay for it."""
+    from scipy.linalg.lapack import get_lapack_funcs
+    return get_lapack_funcs(("geqrf", "ormqr"), dtype=dtype)
 
 
-def _qr_steps(factors, frames, out, done, lapack, quaternion=False):
-    """All chains at once: one batched matmul per step, then geqrf and
-    orgqr per chain, phases fixed so that the R diagonal is real positive.
+def _qr_steps(steps, last, k):
+    """Step every chain through ``steps`` (each (C, cols, rows)), in place.
 
-    Each chain's product is copied once into column-major order, where
-    geqrf and then orgqr overwrite it in place (f2py skips its own copy for
-    a Fortran-ordered array when overwrite_a is set).  The Householder
-    reflectors of geqrf leave every R diagonal entry real, so
-    rdiag / |rdiag| is a sign up to rounding; it is computed as that
-    division, in the frame's dtype, so that Q matches numpy's QR-based step
-    bit for bit.  The diagonals of the block are kept in a (b, C, k)
-    buffer, and their logs, the quaternion pair halving and the finiteness
-    check are taken once per block.  The phase-fixed Q overwrites its
-    step's product ``y``, whose row count follows the factor's (non-square
-    rectangular factors change it from step to step).
+    ``last`` holds per chain the reflectors and tau of its last geqrf, or
+    None before its first step; the reflectors of the last step are
+    returned.  ormqr (side='R') and geqrf overwrite the transposed buffer
+    slices themselves: they are Fortran-ordered and of the LAPACK dtype, so
+    f2py passes them on without a copy.  Both get the smallest workspace
+    LAPACK accepts.  Below 32 columns, LAPACK's block size, they take their
+    unblocked path whatever the workspace, and f2py allocates it on every
+    call: the optimal one of ormqr, over 4000 entries, added 30-110% to the
+    time of each call at d <= 10.
     """
-    geqrf, lwork_r, orgqr, lwork_q = lapack
-    rdiag = np.empty((len(factors), len(frames), frames.shape[2]), dtype=frames.dtype)
-    for i, a in enumerate(factors):
-        y = a @ frames
-        yt = y.transpose(0, 2, 1).copy()
-        taus = [geqrf(m.T, lwork_r, 1)[1] for m in yt]
-        rd = rdiag[i]
-        rd[:] = yt.diagonal(0, 1, 2)
-        for m, tau in zip(yt, taus):
-            orgqr(m.T, tau, lwork_q, 1)
-        np.multiply(yt.transpose(0, 2, 1), (rd / np.abs(rd))[:, None], out=y)
-        frames = y
-    logs = np.log(np.abs(rdiag))
-    finite = np.isfinite(logs.sum(axis=(1, 2)))
-    if not finite.all():
-        raise ArithmeticError(f"non-finite increment at step {done + int(finite.argmin()) + 1}")
-    out[:] = (0.5 * (logs[..., 0::2] + logs[..., 1::2]) if quaternion else logs).swapaxes(0, 1)
-    return frames
+    geqrf, ormqr = _lapack(steps[0].dtype)
+    for step in steps:
+        lwork = step.shape[-1]
+        nxt = []
+        for m, prev in zip(step, last):
+            m = m.T
+            if prev is not None:
+                ormqr("R", "N", prev[0], prev[1], m, lwork, 1)
+            frame = m[:, :k]
+            nxt.append((frame, geqrf(frame, k, 1)[1]))
+        last = nxt
+    return last
 
 
 def _chain_moments(result):

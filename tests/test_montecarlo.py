@@ -37,12 +37,20 @@ def direct_log_volume(spec, k, n, rng):
     return 0.5 * value if spec.beta == 4 else value
 
 
+def identity_frame(spec, k_max):
+    if spec.beta == 4:
+        return np.eye(2 * spec.d, 2 * k_max, dtype=np.complex128)
+    dtype = np.float64 if spec.beta == 1 else np.complex128
+    return np.eye(spec.d, k_max, dtype=dtype)
+
+
 def reference_qr_chains(spec, k_max, N, rngs, block):
-    """Oracle for the multi-column step kernel: the chains stepped together
-    with np.linalg.qr, phases fixed by rdiag / |rdiag|.  Returns the
-    increments as (chains, N, k_max)."""
+    """Oracle for the step kernel: the chains stepped together with an
+    explicit orthonormal frame, multiplied by each factor and refactored by
+    np.linalg.qr, phases fixed by rdiag / |rdiag|.  Returns the increments
+    as (chains, N, k_max)."""
     streams = [FactorStream(spec, rng, block=block) for rng in rngs]
-    frames = np.repeat(montecarlo._identity_frame(spec, k_max)[None], len(rngs), axis=0)
+    frames = np.repeat(identity_frame(spec, k_max)[None], len(rngs), axis=0)
     out = []
     for step in zip(*(stream.factors(N) for stream in streams)):
         q, r = np.linalg.qr(np.stack(step) @ frames)
@@ -94,18 +102,53 @@ class TestStepKernel:
     @pytest.mark.parametrize("spec,k,chains", KERNEL_CASES,
                              ids=lambda v: getattr(v, "kind", str(v)))
     def test_matches_np_linalg_qr_reference(self, spec, k, chains):
-        # 250 steps in blocks of 64: the last block is short
+        # 250 steps in blocks of 64: the last block is short.  The kernel
+        # applies the last reflectors instead of an explicit frame, so the
+        # two agree up to rounding, not bit for bit.
         rngs = [chain_rng(60, c) for c in range(chains)]
         got = np.stack([res.increments
                         for res in run_chain(spec, k, 250, rngs, block=64)])
         want = reference_qr_chains(spec, k, 250, [chain_rng(60, c) for c in range(chains)], 64)
-        assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("spec,k,chains", KERNEL_CASES,
+                             ids=lambda v: getattr(v, "kind", str(v)))
+    def test_lapack_calls_work_in_place(self, spec, k, chains, monkeypatch):
+        # f2py copies an argument that is not Fortran-ordered or has another
+        # dtype, even with overwrite set; the kernel would then read stale
+        # reflectors and diagonals without any error
+        lapack = montecarlo._lapack
+        calls = {"geqrf": 0, "ormqr": 0}
+
+        def checked(dtype):
+            geqrf, ormqr = lapack(dtype)
+
+            def geqrf_in_place(a, *args):
+                out = geqrf(a, *args)
+                assert np.shares_memory(out[0], a) and out[0].shape == a.shape
+                calls["geqrf"] += 1
+                return out
+
+            def ormqr_in_place(side, trans, v, tau, c, *args):
+                out = ormqr(side, trans, v, tau, c, *args)
+                assert np.shares_memory(out[0], c) and out[0].shape == c.shape
+                calls["ormqr"] += 1
+                return out
+
+            return geqrf_in_place, ormqr_in_place
+
+        monkeypatch.setattr(montecarlo, "_lapack", checked)
+        rngs = [chain_rng(62, c) for c in range(chains)]
+        run_chain(spec, k, 20, rngs, block=8)
+        assert calls == {"geqrf": 20 * chains, "ormqr": 19 * chains}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("k", [2, 1], ids=["qr", "scalar"])
-    @pytest.mark.parametrize("step", [4, 5, 7], ids=["block-end", "block-start", "inside"])
+    @pytest.mark.parametrize("k", [2, 1], ids=["k2", "k1"])
+    @pytest.mark.parametrize("step", [1, 4, 5, 7],
+                             ids=["first", "block-end", "block-start", "inside"])
     def test_nan_factor_names_its_step(self, k, step, monkeypatch):
-        # blocks of 4 steps: step 4 ends the first block, step 5 starts the second
+        # blocks of 4 steps: step 4 ends the first block, step 5 starts the
+        # second; step 1 has no reflectors to apply yet
         monkeypatch.setattr(PoisonedStream, "poison_step", step)
         monkeypatch.setattr(montecarlo, "FactorStream", PoisonedStream)
         rngs = [chain_rng(61, c) for c in range(3)]
@@ -143,12 +186,19 @@ class TestRunChain:
         assert res.k_max == 2
         assert res.redraw_count == 0
 
-    def test_quaternion_pair_degeneracy(self):
-        # the two R-diagonal entries of a quaternion column pair agree, so
-        # a k_max = d run has increments equal to the half-pair averages
-        spec = StandardGaussian(4, 2)
-        res = run_chain(spec, 2, 30, [chain_rng(12, 0)])[0]
-        assert np.all(np.isfinite(res.increments))
+    @pytest.mark.parametrize("spec", [StandardGaussian(4, 2)]
+                             + [spec for spec, _, _ in KERNEL_CASES if spec.square],
+                             ids=lambda v: f"{v.kind}-beta{v.beta}-d{v.d}")
+    def test_full_frame_increments_sum_to_log_det(self, spec):
+        # with k = d the frame is unitary, so a step's increments sum to
+        # log|det A_n| (half of it for the embedding of a quaternion factor,
+        # whose column pairs are halved), whatever the QR does
+        n = 200
+        res = run_chain(spec, spec.d, n, [chain_rng(12, 0)], block=64)[0]
+        factors = np.stack(list(FactorStream(spec, chain_rng(12, 0), block=64).factors(n)))
+        logdet = np.linalg.slogdet(factors)[1]
+        want = 0.5 * logdet if spec.beta == 4 else logdet
+        assert np.abs(res.increments.sum(axis=1) - want).max() <= 1e-12
 
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
