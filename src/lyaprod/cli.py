@@ -29,8 +29,8 @@ from .ensembles import (ENSEMBLES, GaussianInverseMixture, GeneralSigmaGaussian,
 from .montecarlo import estimate, spectral_ratio_samples
 from .sigma import (DistinctnessError, SigmaSpec, kargin_top,
                     sigma_spectrum_complex, sigma_variance1_complex)
-from .theory import (MixtureSpec, RectangularSpec, gaussian_spectrum,
-                     mixture_spectrum, rectangular_spectrum,
+from .theory import (MixtureSpec, RectangularSpec, _check_beta,
+                     gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
                      truncated_unitary_spectrum)
 
 __all__ = ["RunConfig", "main", "cmd_theory", "cmd_simulate", "cmd_compare", "cmd_ratio"]
@@ -101,6 +101,8 @@ class RunConfig:
                 raise CliError(f"{name} must be an integer, got {value!r}")
         if self.N < 1 or self.chains < 1:
             raise CliError("N and chains must be positive")
+        if self.seed < 0:
+            raise CliError(f"seed must be >= 0, got {self.seed}")
         if self.k_max is None:
             self.k_max = self.ensemble.d
         if not 1 <= self.k_max <= self.ensemble.d:
@@ -109,19 +111,13 @@ class RunConfig:
             raise CliError("output_format must be 'csv' or 'json'")
 
     def to_dict(self):
-        return {
-            "ensemble": ensemble_to_dict(self.ensemble),
-            "N": self.N,
-            "chains": self.chains,
-            "k_max": self.k_max,
-            "seed": self.seed,
-            "output_format": self.output_format,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["ensemble"] = ensemble_to_dict(self.ensemble)
+        return out
 
     @classmethod
     def from_dict(cls, obj):
-        known = {"ensemble", "N", "chains", "k_max", "seed", "output_format"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise CliError(f"unknown config fields: {sorted(unknown)}")
         if "ensemble" not in obj:
@@ -244,8 +240,16 @@ def cmd_compare(config):
 
 
 def cmd_ratio(beta, d, samples, seed):
+    try:
+        beta = _check_beta(beta)
+    except ValueError as exc:
+        raise CliError(str(exc))
     if d < 2:
         raise CliError(f"ratio experiment needs d >= 2, got {d}")
+    if samples < 1:
+        raise CliError(f"ratio experiment needs samples >= 1, got {samples}")
+    if seed < 0:
+        raise CliError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
     t0 = time.perf_counter()
     ratios = spectral_ratio_samples(beta, d, samples, rng)
@@ -346,10 +350,10 @@ def _resolve_config(args):
             obj = json.load(fh)
     if args.ensemble:
         obj["ensemble"] = json.loads(args.ensemble)
-    for field_name in ("N", "chains", "k_max", "seed", "output_format"):
-        value = getattr(args, field_name, None)
-        if value is not None:
-            obj[field_name] = value
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if f.name != "ensemble" and value is not None:
+            obj[f.name] = value
     return RunConfig.from_dict(obj)
 
 

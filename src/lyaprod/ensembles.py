@@ -71,9 +71,10 @@ class Ensemble:
     """A factor ensemble: Dyson index beta plus the fields of its kind.
 
     ``kind`` is the JSON name of the ensemble.  ``square`` tells whether
-    every factor is d x d, and ``proportions`` gives the shares of the
-    factor types of an ensemble that mixes types on the deterministic quota
-    schedule (None when all factors are identically distributed).
+    every factor is d x d (only the explicit product of stability_exponents
+    needs that), and ``proportions`` gives the shares of the factor types of
+    an ensemble that mixes types on the deterministic quota schedule (None
+    when all factors are identically distributed).
     """
 
     beta: int
@@ -183,8 +184,8 @@ def _quaternion_symmetrize(m):
 
 def _embed_quaternion(comps):
     """(..., r, c, 4) real components -> (..., 2r, 2c) complex embedding."""
-    a = (comps[..., 0] + 1j * comps[..., 1]) * 0.5
-    b = (comps[..., 2] + 1j * comps[..., 3]) * 0.5
+    ab = comps.view(np.complex128) * 0.5
+    a, b = ab[..., 0], ab[..., 1]
     r, c = a.shape[-2], a.shape[-1]
     out = np.empty(comps.shape[:-3] + (2 * r, 2 * c), dtype=np.complex128)
     out[..., 0::2, 0::2] = a
@@ -215,7 +216,7 @@ def _to_field(beta, comps):
     if beta == 1:
         return comps[..., 0]
     if beta == 2:
-        return (comps[..., 0] + 1j * comps[..., 1]) * _SQRT_HALF
+        return comps.view(np.complex128)[..., 0] * _SQRT_HALF
     return _embed_quaternion(comps)
 
 
@@ -353,13 +354,13 @@ class FactorStream:
         return types
 
     def blocks(self, n):
-        """Yield n factors in blocks of at most ``block`` steps.
+        """Yield n factors as (b, rows, cols) arrays of at most ``block`` steps.
 
-        A block of square factors is one (b, rows, cols) array; non-square
-        rectangular factors change shape from step to step and come as a
-        list of b arrays.  Either way the generator is consumed exactly as
-        by drawing factor by factor, so block size does not change the
-        stream.
+        Non-square rectangular factors, whose shape changes from step to
+        step, come zero-padded: each fills the top-left corner of a zero
+        D x D square, D = d + max(offsets) (twice that for the quaternion
+        embedding).  The generator is consumed exactly as by drawing factor
+        by factor, so block size does not change the stream.
         """
         left = n
         while left > 0:
@@ -421,22 +422,21 @@ class FactorStream:
         return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
     def _rectangular_block(self, b):
-        """Factors of shape (d + nu_t, d + nu_{t-1}) from one draw (nu_0 = 0)."""
+        """Factors of shape (d + nu_t, d + nu_{t-1}) from one draw (nu_0 = 0),
+        each in the top-left corner of a zero D x D square.  The mask's True
+        entries, in C order, run through each step's corner row by row, so the
+        draw fills the factors as single draws would."""
         spec = self.spec
         offsets = spec.shapes.offsets
         nus = [offsets[self.type_trace[-1]] if self.type_trace else 0]
         nus += [offsets[s] for s in self._schedule(b)]
-        shapes = [(spec.d + nu, spec.d + prev) for prev, nu in zip(nus, nus[1:])]
-        comps = self.rng.standard_normal((sum(r * c for r, c in shapes), spec.beta))
-        # real and complex entries are elementwise in their components
-        entries = comps if spec.beta == 4 else _to_field(spec.beta, comps)
-        out = []
-        start = 0
-        for r, c in shapes:
-            part = entries[start:start + r * c].reshape((r, c) + entries.shape[1:])
-            out.append(_embed_quaternion(part) if spec.beta == 4 else part)
-            start += r * c
-        return out
+        rows = spec.d + np.array(nus[1:])
+        cols = spec.d + np.array(nus[:-1])
+        index = np.arange(spec.d + max(offsets))
+        corner = (index[:, None] < rows[:, None, None]) & (index < cols[:, None, None])
+        comps = np.zeros(corner.shape + (spec.beta,))
+        comps[corner] = self.rng.standard_normal((int(rows @ cols), spec.beta))
+        return _to_field(spec.beta, comps)
 
 
 def chain_rng(master_seed, chain_index):

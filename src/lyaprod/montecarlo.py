@@ -22,6 +22,11 @@ triangular with the diagonal of R, and a QR factorization is unique up to
 such a D, so |diag R| of QR(M D) equals that of QR(M).  Only the rounding
 differs.
 
+Non-square rectangular factors come zero-padded (see FactorStream.blocks)
+and are stepped as they are: a geqrf reflector of a panel with zero trailing
+rows is zero there, so the kept Q is blockdiag(Q_true, I), ormqr gives
+[A_n Q_true, 0], and the R diagonals are those of the true product.
+
 For beta = 4 the frame is the complex embedding with 2k columns; the two R
 diagonal entries of a quaternion column pair agree up to rounding and half
 their summed logs is recorded as the quaternion increment.
@@ -99,12 +104,11 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
 
     Chain c draws its factors from its own FactorStream on rngs[c].  Each
     block of the C streams is copied once into column-major storage per
-    factor, a (b, C, cols, rows) array; non-square rectangular factors
-    change their row count from step to step and are copied one step at a
-    time.  A step is then two LAPACK calls per chain on that storage (see
-    the module docstring), and the logs of the R diagonals, the quaternion
-    pair halving and the finiteness check run once per block.  Returns one
-    ChainResult per chain, in the order of ``rngs``.
+    factor, a (b, C, cols, rows) array, for every kind.  A step is then two
+    LAPACK calls per chain on that storage (see the module docstring), and
+    the logs of the R diagonals, the quaternion pair halving and the
+    finiteness check run once per block.  Returns one ChainResult per chain,
+    in the order of ``rngs``.
     """
     d = spec.d
     k_max = int(k_max)
@@ -124,12 +128,9 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
     last = [None] * len(streams)
     done = 0
     for blocks in zip(*(stream.blocks(N) for stream in streams)):
-        steps = (_column_major(blocks, dtype) if spec.square
-                 else [_column_major(step, dtype) for step in zip(*blocks)])
+        steps = _column_major(blocks, dtype)
         last = _qr_steps(steps, last, k)
-        rdiag = (np.diagonal(steps, 0, -2, -1)[..., :k] if spec.square
-                 else np.stack([np.diagonal(step, 0, -2, -1)[:, :k] for step in steps]))
-        logs = np.log(np.abs(rdiag))
+        logs = np.log(np.abs(np.diagonal(steps, 0, -2, -1)[..., :k]))
         finite = np.isfinite(logs.sum(axis=(1, 2)))
         if not finite.all():
             raise ArithmeticError(f"non-finite increment at step {done + int(finite.argmin()) + 1}")
@@ -143,14 +144,14 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
             for inc, stream in zip(increments, streams)]
 
 
-def _column_major(parts, dtype):
-    """Stack ``parts``, one (..., rows, cols) array per chain, as one C-ordered
-    (..., C, cols, rows) array: the transpose of each trailing matrix is a
+def _column_major(blocks, dtype):
+    """Stack ``blocks``, one (b, rows, cols) array per chain, as one C-ordered
+    (b, C, cols, rows) array: the transpose of each trailing matrix is a
     Fortran-ordered view of one factor."""
-    shape = np.shape(parts[0])
-    out = np.empty(shape[:-2] + (len(parts),) + shape[:-3:-1], dtype)
-    for c, part in enumerate(parts):
-        out[..., c, :, :] = np.swapaxes(part, -1, -2)
+    b, rows, cols = blocks[0].shape
+    out = np.empty((b, len(blocks), cols, rows), dtype)
+    for c, block in enumerate(blocks):
+        out[:, c] = np.swapaxes(block, 1, 2)
     return out
 
 

@@ -343,6 +343,18 @@ class TestMainEndToEnd:
         out = capsys.readouterr().out
         assert out.startswith("beta,d,samples,ratio,min_ratio,limit")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--ensemble", GAUSS_21, "--N", "10", "--seed", "-1"],
+        ["compare", "--ensemble", GAUSS_21, "--N", "10", "--seed", "-1"],
+        ["ratio", "--d", "4", "--samples", "0"],
+        ["ratio", "--d", "4", "--beta", "3"],
+        ["ratio", "--d", "4", "--seed", "-5"],
+    ], ids=["simulate-seed", "compare-seed", "ratio-samples", "ratio-beta", "ratio-seed"])
+    def test_bad_run_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_k_max_exits_2(self):
         assert main(["simulate", "--ensemble", GAUSS_21, "--k-max", "5",
                      "--N", "10"]) == 2

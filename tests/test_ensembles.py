@@ -355,8 +355,49 @@ class TestRectangularSchedule:
     def test_factor_shapes_follow_schedule(self):
         spec = RectangularGaussian(2, 2, HALF_HALF)
         factors = collect(spec, 5, chain_rng(46, 0))
-        # schedule 0,1,0,1,0 with nu_0 = 0: shapes (2,2),(3,2),(2,3),(3,2),(2,3)
-        assert [f.shape for f in factors] == [(2, 2), (3, 2), (2, 3), (3, 2), (2, 3)]
+        # every factor is padded to 3 x 3; schedule 0,1,0,1,0 with nu_0 = 0
+        # puts the nonzero corners at (2,2),(3,2),(2,3),(3,2),(2,3)
+        assert [f.shape for f in factors] == [(3, 3)] * 5
+        for f, (r, c) in zip(factors, [(2, 2), (3, 2), (2, 3), (3, 2), (2, 3)]):
+            assert np.all(f[:r, :c] != 0)
+            padding = f.copy()
+            padding[:r, :c] = 0
+            assert np.all(padding == 0)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_corners_take_successive_draws(self, beta):
+        # the padded block consumes the generator exactly as drawing each
+        # factor's r x c entries in turn would
+        spec = RectangularGaussian(beta, 2, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5))))
+        stream = FactorStream(spec, chain_rng(55, beta), block=4)
+        factors = list(stream.factors(10))
+        rng = chain_rng(55, beta)
+        nus = [0] + [spec.shapes.offsets[s] for s in stream.type_trace]
+        scale = 2 if beta == 4 else 1
+        for f, prev, nu in zip(factors, nus, nus[1:]):
+            r, c = spec.d + nu, spec.d + prev
+            want = ens._to_field(beta, rng.standard_normal((r * c, beta)).reshape(r, c, beta))
+            assert np.array_equal(f[:scale * r, :scale * c], want)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestFieldMap:
+    @pytest.mark.parametrize("shape", [(256, 10, 10), (64, 3, 3)])
+    def test_matches_component_formulas(self, shape):
+        rng = chain_rng(56, 0)
+        comps = rng.standard_normal(shape + (2,))
+        want = (comps[..., 0] + 1j * comps[..., 1]) * (1.0 / math.sqrt(2.0))
+        assert np.array_equal(bits(ens._to_field(2, comps)), bits(want))
+        comps = rng.standard_normal(shape + (4,))
+        a = (comps[..., 0] + 1j * comps[..., 1]) * 0.5
+        b = (comps[..., 2] + 1j * comps[..., 3]) * 0.5
+        q = ens._to_field(4, comps)
+        for got, want in [(q[..., 0::2, 0::2], a), (q[..., 0::2, 1::2], b),
+                          (q[..., 1::2, 0::2], -np.conj(b)), (q[..., 1::2, 1::2], np.conj(a))]:
+            assert np.array_equal(bits(got), bits(want))
 
 
 class TestQuaternionHelpers:

@@ -38,10 +38,12 @@ def direct_log_volume(spec, k, n, rng):
 
 
 def identity_frame(spec, k_max):
+    # rectangular factors come zero-padded to D = d + max(offsets)
+    size = spec.d + (max(spec.shapes.offsets) if isinstance(spec, RectangularGaussian) else 0)
     if spec.beta == 4:
-        return np.eye(2 * spec.d, 2 * k_max, dtype=np.complex128)
+        return np.eye(2 * size, 2 * k_max, dtype=np.complex128)
     dtype = np.float64 if spec.beta == 1 else np.complex128
-    return np.eye(spec.d, k_max, dtype=dtype)
+    return np.eye(size, k_max, dtype=dtype)
 
 
 def reference_qr_chains(spec, k_max, N, rngs, block):
@@ -64,7 +66,10 @@ def reference_qr_chains(spec, k_max, N, rngs, block):
 
 
 #: (spec, k_max, chains) covering every kind, each beta, k < d and k = d,
-#: non-square rectangular factors and quaternion single-column frames.
+#: non-square rectangular factors (one with offsets wider than d) and
+#: quaternion single-column frames.  Real d = 3 cases stop at k = 2: at
+#: k = d a near-singular real step makes the rounding of log|r_33| itself
+#: reach 1e-12, in this kernel and in the oracle alike.
 KERNEL_CASES = [
     (StandardGaussian(1, 3), 2, 3),
     (StandardGaussian(2, 2), 2, 1),
@@ -76,6 +81,7 @@ KERNEL_CASES = [
     (RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5)))), 2, 3),
     (RectangularGaussian(4, 2, RectangularSpec(((0, 0.25), (2, 0.75)))), 1, 1),
     (RectangularGaussian(1, 3, RectangularSpec(((0, 1.0),))), 2, 3),
+    (RectangularGaussian(1, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5)))), 2, 3),
     (TruncatedUnitary(4, 3, 2), 3, 1),
     (TruncatedUnitary(2, 3, 1), 2, 3),
 ]
