@@ -346,10 +346,18 @@ def build_parser():
 def _resolve_config(args):
     obj = {}
     if args.config:
-        with open(args.config) as fh:
-            obj = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+            raise CliError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(obj, dict):
+            raise CliError(f"config {args.config} must hold a JSON object")
     if args.ensemble:
-        obj["ensemble"] = json.loads(args.ensemble)
+        try:
+            obj["ensemble"] = json.loads(args.ensemble)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"--ensemble is not valid JSON: {exc}")
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if f.name != "ensemble" and value is not None:

@@ -49,22 +49,25 @@ __all__ = [
     "spectral_ratio_samples",
 ]
 
-#: Default cap on product length for stability_exponents; beyond a few
-#: thousand steps the final matrix is numerically rank deficient because the
+#: Cap on product length for stability_exponents; beyond a few thousand
+#: steps the final matrix is numerically rank deficient because the
 #: eigenvalue gaps close like exp(-N * (mu_k - mu_{k+1})).
 STABILITY_STEP_CAP = 2000
 
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Per-step log-volume increments of one chain (shape N x k_max).
+    """Per-step log-volume increments of the C chains of one run.
 
-    type_ids flags the factor type of each step for ensembles that mix
-    factor distributions (rectangular offset classes, Gaussian vs inverse
-    factors); it is None when all factors are identically distributed.
+    increments has shape (C, N, k_max), chain c in the order of the
+    Generators passed to run_chain.  type_ids is the (N,) factor type of each
+    step for ensembles that mix factor distributions (rectangular offset
+    classes, Gaussian vs inverse factors), or None when all factors are
+    identically distributed; every chain follows the same deterministic
+    quota schedule, so one trace serves them all.  redraw_count sums the
+    redraws of all chains.
     """
 
-    k_max: int
     increments: np.ndarray
     redraw_count: int = 0
     type_ids: np.ndarray | None = None
@@ -72,21 +75,22 @@ class ChainResult:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Aggregated Monte Carlo estimates across chains.
+    """Monte Carlo estimates pooled over all chains of a run.
 
-    mu_hat[i] is the grand mean of the pooled per-step increments for index
-    i+1, n_sigma2_hat[i] their pooled sample variance (divisor count-1,
-    which is N times the variance of mu_hat for one chain), and se_mu[i] the
-    standard error sqrt(n_sigma2_hat / total steps).  The partial-sum fields
-    are the analogous statistics of the per-step log-determinant increments
-    sum_{i<=k} xi^(i).
+    mu_hat[i] is the grand mean of the per-step increments for index i+1
+    over every chain and step, n_sigma2_hat[i] their sample variance
+    (divisor count-1, which is N times the variance of mu_hat for one
+    chain), and se_mu[i] the standard error sqrt(n_sigma2_hat / total
+    steps).  The partial-sum fields are the analogous statistics of the
+    per-step log-determinant increments sum_{i<=k} xi^(i).
 
     For ensembles that mix factor types on a deterministic schedule
-    (rectangular offsets, Gaussian/inverse mixtures) the variances are pooled
-    within each type and combined with the realized frequencies.  The
-    increment mean shifts with the type, and that deterministic alternation
-    contributes nothing to the variance of mu_hat, so a naive pool across
-    types would overstate N sigma^2 by the between-type mean spread.
+    (rectangular offsets, Gaussian/inverse mixtures) the variance is that of
+    each type's steps, pooled over the chains, weighted by the type's share
+    of all steps.  The increment mean shifts with the type, and that
+    deterministic alternation contributes nothing to the variance of mu_hat,
+    so a naive pool across types would overstate N sigma^2 by the
+    between-type mean spread.
     """
 
     mu_hat: np.ndarray
@@ -94,8 +98,6 @@ class McEstimate:
     n_sigma2_hat: np.ndarray
     partial_sum_mu: np.ndarray
     partial_sum_n_sigma2: np.ndarray
-    N: int
-    chains: int
     redraw_count: int = 0
 
 
@@ -107,8 +109,11 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
     factor, a (b, C, cols, rows) array, for every kind.  A step is then two
     LAPACK calls per chain on that storage (see the module docstring), and
     the logs of the R diagonals, the quaternion pair halving and the
-    finiteness check run once per block.  Returns one ChainResult per chain,
-    in the order of ``rngs``.
+    finiteness check run once per block.  Returns one ChainResult holding
+    the (C, N, k_max) increments of all chains, in the order of ``rngs``,
+    the type trace of the first stream and the summed redraws.  The
+    increments are a view of a C-ordered (k_max, C, N) array, the layout
+    estimate reduces.
     """
     d = spec.d
     k_max = int(k_max)
@@ -124,7 +129,7 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
     quaternion = spec.beta == 4
     k = 2 * k_max if quaternion else k_max
     dtype = np.dtype(np.float64 if spec.beta == 1 else np.complex128)
-    increments = np.empty((len(streams), N, k_max))
+    by_index = np.empty((k_max, len(streams), N))
     last = [None] * len(streams)
     done = 0
     for blocks in zip(*(stream.blocks(N) for stream in streams)):
@@ -134,14 +139,14 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
         finite = np.isfinite(logs.sum(axis=(1, 2)))
         if not finite.all():
             raise ArithmeticError(f"non-finite increment at step {done + int(finite.argmin()) + 1}")
-        increments[:, done:done + len(logs)] = (
-            0.5 * (logs[..., 0::2] + logs[..., 1::2]) if quaternion else logs).swapaxes(0, 1)
+        by_index[..., done:done + len(logs)] = (
+            0.5 * (logs[..., 0::2] + logs[..., 1::2]) if quaternion else logs).T
         done += len(logs)
 
-    return [ChainResult(k_max=k_max, increments=inc, redraw_count=stream.redraws,
-                        type_ids=(np.asarray(stream.type_trace, dtype=np.uint8)
-                                  if stream.type_trace is not None else None))
-            for inc, stream in zip(increments, streams)]
+    trace = streams[0].type_trace
+    return ChainResult(increments=by_index.transpose(1, 2, 0),
+                       redraw_count=sum(stream.redraws for stream in streams),
+                       type_ids=None if trace is None else np.asarray(trace, dtype=np.uint8))
 
 
 def _column_major(blocks, dtype):
@@ -190,92 +195,56 @@ def _qr_steps(steps, last, k):
     return last
 
 
-def _chain_moments(result):
-    """Per-type (n, mean, M2) accumulators for increments and partial sums."""
-    xi = result.increments
-    eta = np.cumsum(xi, axis=1)
-    if result.type_ids is None:
-        groups = {0: slice(None)}
-    else:
-        groups = {int(t): result.type_ids == t for t in np.unique(result.type_ids)}
-    out = {}
-    for t, sel in groups.items():
-        x, e = xi[sel], eta[sel]
-        n = x.shape[0]
-        out[t] = ((n, x.mean(axis=0), x.var(axis=0) * n),
-                  (n, e.mean(axis=0), e.var(axis=0) * n))
-    return out, result.redraw_count
+def _within_type_variance(x, steps):
+    """Share-weighted var(ddof=1) of each type's samples of x, pooled over chains.
 
-
-def _merge_moments(acc, nxt):
-    """Chan et al. pairwise merge of (n, mean, M2) accumulators."""
-    n_a, mean_a, m2_a = acc
-    n_b, mean_b, m2_b = nxt
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / n)
-    m2 = m2_a + m2_b + delta * delta * (n_a * n_b / n)
-    return n, mean, m2
-
-
-def _combine_types(per_type):
-    """Grand mean plus frequency-weighted within-type variance.
-
-    The mean merges across types as usual; the variance is the
-    realized-frequency average of the per-type sample variances, matching
-    the type-averaged closed forms.
+    x is a C-ordered (k, C, N) array and ``steps`` selects each type's steps
+    on its last axis.  A type with a single sample adds 0.
     """
-    total = sum(acc[0] for acc in per_type.values())
-    mean_acc = None
-    var = None
-    for t in sorted(per_type):
-        acc = per_type[t]
-        mean_acc = acc if mean_acc is None else _merge_moments(mean_acc, acc)
-        n_t, _, m2_t = acc
-        v_t = m2_t / (n_t - 1) if n_t > 1 else np.zeros_like(m2_t)
-        contrib = (n_t / total) * v_t
-        var = contrib if var is None else var + contrib
-    return total, mean_acc[1], var
+    k, chains, n = x.shape
+    var = np.zeros(k)
+    for sel in steps:
+        samples = x[..., sel]
+        count = samples[0].size
+        if count > 1:
+            var += (count / (chains * n)) * samples.var(axis=(1, 2), ddof=1)
+    return var
 
 
 def estimate(spec, k_max, N, chains, master_seed, *, block=256):
     """Estimate the top k_max exponents and variances from seeded chains.
 
-    Chain c draws from chain_rng(master_seed, c); all chains are stepped
-    together by one run_chain call and merged by a deterministic reduction
-    in chain order.
+    Chain c draws from chain_rng(master_seed, c).  One run_chain call steps
+    all chains together, and its (C, N, k_max) increments are reduced in one
+    pass: the grand mean, and the within-type variances of the increments
+    and of their partial sums over the index (see McEstimate).
     """
     chains = int(chains)
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
 
     rngs = [chain_rng(master_seed, c) for c in range(chains)]
-    redraws = 0
-    acc_xi = {}
-    acc_eta = {}
-    for result in run_chain(spec, k_max, N, rngs, block=block):
-        per_type, rd = _chain_moments(result)
-        redraws += rd
-        for t, (mom_xi, mom_eta) in per_type.items():
-            acc_xi[t] = mom_xi if t not in acc_xi else _merge_moments(acc_xi[t], mom_xi)
-            acc_eta[t] = mom_eta if t not in acc_eta else _merge_moments(acc_eta[t], mom_eta)
-
-    total, mu_hat, n_sigma2 = _combine_types(acc_xi)
-    _, _, ps_sigma2 = _combine_types(acc_eta)
-    se = np.sqrt(n_sigma2 / total)
+    result = run_chain(spec, k_max, N, rngs, block=block)
+    # index-major, so every sum below runs over contiguous memory and numpy
+    # sums it pairwise; no copy for the layout run_chain returns
+    xi = np.ascontiguousarray(result.increments.transpose(2, 0, 1))
+    if result.type_ids is None:
+        steps = [slice(None)]
+    else:
+        steps = [result.type_ids == t for t in np.unique(result.type_ids)]
+    mu_hat = xi.mean(axis=(1, 2))
+    n_sigma2 = _within_type_variance(xi, steps)
     return McEstimate(
         mu_hat=mu_hat,
-        se_mu=se,
+        se_mu=np.sqrt(n_sigma2 / xi[0].size),
         n_sigma2_hat=n_sigma2,
         partial_sum_mu=np.cumsum(mu_hat),
-        partial_sum_n_sigma2=ps_sigma2,
-        N=int(N),
-        chains=chains,
-        redraw_count=redraws,
+        partial_sum_n_sigma2=_within_type_variance(np.cumsum(xi, axis=0), steps),
+        redraw_count=result.redraw_count,
     )
 
 
-def stability_exponents(spec, N, rng, *, step_cap=STABILITY_STEP_CAP):
+def stability_exponents(spec, N, rng):
     """Growth rates and phases of the eigenvalues of the product itself.
 
     The product is accumulated with a per-step rescaling by its largest
@@ -293,10 +262,10 @@ def stability_exponents(spec, N, rng, *, step_cap=STABILITY_STEP_CAP):
     products are only meaningful while N stays below ~36 / gap.
     """
     N = int(N)
-    if N > step_cap:
+    if N > STABILITY_STEP_CAP:
         raise ValueError(
-            f"N = {N} exceeds the stability step cap {step_cap}; the product "
-            "becomes numerically rank deficient (override with step_cap=...)")
+            f"N = {N} exceeds the stability step cap {STABILITY_STEP_CAP}; the "
+            "product becomes numerically rank deficient")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not spec.square:

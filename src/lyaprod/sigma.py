@@ -99,12 +99,12 @@ class SigmaSpec:
     def d(self):
         return len(self.y)
 
-    def require_distinct(self, tol=DISTINCTNESS_TOL):
+    def require_distinct(self):
         y = self.y
         for a, b in zip(y, y[1:]):
-            if (b - a) / b <= tol:
-                raise DistinctnessError(
-                    f"eigenvalues {a!r} and {b!r} closer than relative tolerance {tol}")
+            if (b - a) / b <= DISTINCTNESS_TOL:
+                raise DistinctnessError(f"eigenvalues {a!r} and {b!r} closer than "
+                                        f"relative tolerance {DISTINCTNESS_TOL}")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ def test_tracer_records_every_layer(layers, capsys):
     assert {"montecarlo.estimate", "cli.theory_rows", "theory.closed_form",
             "sigma.spectrum_complex", "sigma.j_integrals"} <= names
     assert [s.tag for s in spans if s.name == "montecarlo.run_chain"] == [300]
+    assert "montecarlo.reduce_ms" in layers.span_metrics(spans)
 
 
 def test_factor_stream_yields_n_factors():

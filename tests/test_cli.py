@@ -280,7 +280,10 @@ class TestMainEndToEnd:
         run_chain = montecarlo.run_chain
 
         def one_at_a_time(spec, k_max, N, rngs, **kwargs):
-            return [run_chain(spec, k_max, N, [rng], **kwargs)[0] for rng in rngs]
+            alone = [run_chain(spec, k_max, N, [rng], **kwargs) for rng in rngs]
+            return montecarlo.ChainResult(
+                increments=np.concatenate([r.increments for r in alone]),
+                redraw_count=sum(r.redraw_count for r in alone), type_ids=alone[0].type_ids)
 
         monkeypatch.setattr(montecarlo, "run_chain", one_at_a_time)
         assert main(base + ["--out", str(out_alone)]) == 0
@@ -352,6 +355,21 @@ class TestMainEndToEnd:
     ], ids=["simulate-seed", "compare-seed", "ratio-samples", "ratio-beta", "ratio-seed"])
     def test_bad_run_input_exits_2(self, argv, capsys):
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text,argv", [
+        (None, ["--ensemble", "{bad"]),
+        (None, ["--config", "missing.json"]),
+        ('{"ensemble": ', ["--config", "c.json"]),
+        ("[1, 2]", ["--config", "c.json"]),
+    ], ids=["malformed-ensemble", "missing-config", "malformed-config", "list-config"])
+    def test_unreadable_input_exits_2(self, text, argv, tmp_path, monkeypatch, capsys):
+        # exit 1 is compare's regression signal; a typo must not look like one
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / "c.json").write_text(text)
+        assert main(["compare", "--N", "10"] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 

@@ -8,8 +8,8 @@ from lyaprod.ensembles import (ENSEMBLES, FactorStream, GaussianInverseMixture,
                                RectangularGaussian, StandardGaussian,
                                TruncatedUnitary, chain_rng)
 from lyaprod import montecarlo
-from lyaprod.montecarlo import (estimate, run_chain, spectral_ratio_samples,
-                                stability_exponents)
+from lyaprod.montecarlo import (ChainResult, estimate, run_chain,
+                                spectral_ratio_samples, stability_exponents)
 from lyaprod.sigma import SigmaSpec
 from lyaprod.theory import (RectangularSpec, gaussian_spectrum,
                             truncated_unitary_spectrum)
@@ -65,6 +65,13 @@ def reference_qr_chains(spec, k_max, N, rngs, block):
     return np.stack(out, axis=1)
 
 
+def concatenated(results):
+    """One ChainResult of the chains of ``results``, stepped apart, in order."""
+    return ChainResult(increments=np.concatenate([r.increments for r in results]),
+                       redraw_count=sum(r.redraw_count for r in results),
+                       type_ids=results[0].type_ids)
+
+
 #: (spec, k_max, chains) covering every kind, each beta, k < d and k = d,
 #: non-square rectangular factors (one with offsets wider than d) and
 #: quaternion single-column frames.  Real d = 3 cases stop at k = 2: at
@@ -84,6 +91,14 @@ KERNEL_CASES = [
     (RectangularGaussian(1, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5)))), 2, 3),
     (TruncatedUnitary(4, 3, 2), 3, 1),
     (TruncatedUnitary(2, 3, 1), 2, 3),
+]
+
+
+#: Ensembles whose factor type follows the quota schedule: a
+#: Gaussian/inverse mixture and three rectangular offset classes.
+SCHEDULED_SPECS = [
+    GaussianInverseMixture(2, 2, 0.4),
+    RectangularGaussian(1, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5)))),
 ]
 
 
@@ -112,8 +127,7 @@ class TestStepKernel:
         # applies the last reflectors instead of an explicit frame, so the
         # two agree up to rounding, not bit for bit.
         rngs = [chain_rng(60, c) for c in range(chains)]
-        got = np.stack([res.increments
-                        for res in run_chain(spec, k, 250, rngs, block=64)])
+        got = run_chain(spec, k, 250, rngs, block=64).increments
         want = reference_qr_chains(spec, k, 250, [chain_rng(60, c) for c in range(chains)], 64)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -164,7 +178,7 @@ class TestStepKernel:
 
 class TestRunChain:
     def test_unitary_factors_zero_increments(self):
-        res = run_chain(TruncatedUnitary(2, 2, 0), 2, 40, [chain_rng(1, 0)])[0]
+        res = run_chain(TruncatedUnitary(2, 2, 0), 2, 40, [chain_rng(1, 0)])
         assert np.abs(res.increments).max() <= 1e-12
 
     @pytest.mark.parametrize("beta,d,k", [
@@ -175,22 +189,22 @@ class TestRunChain:
         # log-volume of the propagated frame
         spec = StandardGaussian(beta, d)
         n = 18
-        res = run_chain(spec, k, n, [chain_rng(9, beta)])[0]
+        increments = run_chain(spec, k, n, [chain_rng(9, beta)]).increments[0]
         direct = direct_log_volume(spec, k, n, chain_rng(9, beta))
-        assert math.fsum(res.increments.sum(axis=1)) == pytest.approx(direct, abs=1e-8)
+        assert math.fsum(increments.sum(axis=1)) == pytest.approx(direct, abs=1e-8)
 
     def test_volume_telescoping_general_sigma(self):
         spec = GeneralSigmaGaussian(2, SigmaSpec((0.5, 2.0, 3.0)))
-        res = run_chain(spec, 2, 15, [chain_rng(10, 0)])[0]
+        increments = run_chain(spec, 2, 15, [chain_rng(10, 0)]).increments[0]
         direct = direct_log_volume(spec, 2, 15, chain_rng(10, 0))
-        assert res.increments.sum() == pytest.approx(direct, abs=1e-8)
+        assert increments.sum() == pytest.approx(direct, abs=1e-8)
 
     def test_increments_shape_and_finiteness(self):
-        res = run_chain(StandardGaussian(2, 3), 2, 25, [chain_rng(11, 0)])[0]
-        assert res.increments.shape == (25, 2)
+        res = run_chain(StandardGaussian(2, 3), 2, 25, [chain_rng(11, 0), chain_rng(11, 1)])
+        assert res.increments.shape == (2, 25, 2)
         assert np.all(np.isfinite(res.increments))
-        assert res.k_max == 2
         assert res.redraw_count == 0
+        assert res.type_ids is None
 
     @pytest.mark.parametrize("spec", [StandardGaussian(4, 2)]
                              + [spec for spec, _, _ in KERNEL_CASES if spec.square],
@@ -200,19 +214,19 @@ class TestRunChain:
         # log|det A_n| (half of it for the embedding of a quaternion factor,
         # whose column pairs are halved), whatever the QR does
         n = 200
-        res = run_chain(spec, spec.d, n, [chain_rng(12, 0)], block=64)[0]
+        increments = run_chain(spec, spec.d, n, [chain_rng(12, 0)], block=64).increments[0]
         factors = np.stack(list(FactorStream(spec, chain_rng(12, 0), block=64).factors(n)))
         logdet = np.linalg.slogdet(factors)[1]
         want = 0.5 * logdet if spec.beta == 4 else logdet
-        assert np.abs(res.increments.sum(axis=1) - want).max() <= 1e-12
+        assert np.abs(increments.sum(axis=1) - want).max() <= 1e-12
 
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
-            run_chain(StandardGaussian(2, 2), 3, 5, [chain_rng(13, 0)])[0]
+            run_chain(StandardGaussian(2, 2), 3, 5, [chain_rng(13, 0)])
         with pytest.raises(ValueError):
-            run_chain(StandardGaussian(2, 2), 0, 5, [chain_rng(13, 0)])[0]
+            run_chain(StandardGaussian(2, 2), 0, 5, [chain_rng(13, 0)])
         with pytest.raises(ValueError):
-            run_chain(StandardGaussian(2, 2), 1, 0, [chain_rng(13, 0)])[0]
+            run_chain(StandardGaussian(2, 2), 1, 0, [chain_rng(13, 0)])
 
 
 class TestEstimate:
@@ -238,7 +252,7 @@ class TestEstimate:
         together = estimate(spec, k, 3000, 4, 19)
 
         def one_at_a_time(spec, k_max, N, rngs, **kwargs):
-            return [run_chain(spec, k_max, N, [rng], **kwargs)[0] for rng in rngs]
+            return concatenated([run_chain(spec, k_max, N, [rng], **kwargs) for rng in rngs])
 
         monkeypatch.setattr(montecarlo, "run_chain", one_at_a_time)
         alone = estimate(spec, k, 3000, 4, 19)
@@ -255,8 +269,8 @@ class TestEstimate:
 
         def in_groups(spec, k_max, N, rngs, **kwargs):
             groups = [rngs[:2], rngs[2:3], rngs[3:]]
-            return [res for group in groups
-                    for res in run_chain(spec, k_max, N, group, **kwargs)]
+            return concatenated([run_chain(spec, k_max, N, group, **kwargs)
+                                 for group in groups])
 
         monkeypatch.setattr(montecarlo, "run_chain", in_groups)
         grouped = estimate(spec, 2, 4000, 4, 19)
@@ -264,6 +278,40 @@ class TestEstimate:
         assert np.array_equal(together.n_sigma2_hat, grouped.n_sigma2_hat)
         assert np.array_equal(together.partial_sum_n_sigma2, grouped.partial_sum_n_sigma2)
         assert together.redraw_count == grouped.redraw_count
+
+    @pytest.mark.parametrize("spec", SCHEDULED_SPECS, ids=["mixture", "rectangular-3"])
+    def test_streams_share_one_type_trace(self, spec):
+        # run_chain keeps the first stream's trace for all chains: the quota
+        # schedule must not depend on the Generator
+        traces = []
+        for c in range(5):
+            stream = FactorStream(spec, chain_rng(70, c), block=64)
+            for _ in stream.blocks(300):
+                pass
+            traces.append(stream.type_trace)
+        assert len(traces[0]) == 300
+        assert len(set(traces[0])) == len(spec.proportions)
+        assert all(trace == traces[0] for trace in traces[1:])
+        res = run_chain(spec, 1, 300, [chain_rng(70, c) for c in range(5)], block=64)
+        assert np.array_equal(res.type_ids, traces[0])
+
+    @pytest.mark.parametrize("spec", SCHEDULED_SPECS, ids=["mixture", "rectangular-3"])
+    def test_reduction_matches_direct_computation(self, spec):
+        # per type, the two-pass sample variance of the rows of all chains,
+        # weighted by the type's share of the C x N steps
+        N, chains, k = 500, 3, spec.d
+        est = estimate(spec, k, N, chains, 71)
+        res = run_chain(spec, k, N, [chain_rng(71, c) for c in range(chains)])
+        types = np.asarray(res.type_ids)
+        for field, x in (("n_sigma2_hat", res.increments),
+                         ("partial_sum_n_sigma2", np.cumsum(res.increments, axis=2))):
+            want = np.zeros(k)
+            for t in set(types.tolist()):
+                rows = np.concatenate([chain[types == t] for chain in x])
+                dev = rows - rows.mean(axis=0)
+                want += len(rows) / (chains * N) * (dev * dev).sum(axis=0) / (len(rows) - 1)
+            assert np.abs(getattr(est, field) - want).max() <= 1e-13, field
+        assert np.abs(est.mu_hat - res.increments.mean(axis=(0, 1))).max() <= 1e-13
 
     def test_block_size_invariance(self):
         a = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20, block=64)
@@ -335,8 +383,8 @@ class TestStabilityExponents:
     def test_scalar_equals_mean_increment(self):
         spec = StandardGaussian(2, 1)
         lams = stability_exponents(spec, 800, chain_rng(31, 0))
-        res = run_chain(spec, 1, 800, [chain_rng(31, 0)])[0]
-        assert abs(lams[0][0] - res.increments.mean()) <= 1e-12
+        increments = run_chain(spec, 1, 800, [chain_rng(31, 0)]).increments[0]
+        assert abs(lams[0][0] - increments.mean()) <= 1e-12
 
     def test_complex_pair_matches_theory(self):
         # average over repetitions; combined SE from the theory variances
@@ -357,10 +405,8 @@ class TestStabilityExponents:
         assert all(t >= 0.0 for _, t in lams)
 
     def test_step_cap_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="step cap 2000"):
             stability_exponents(StandardGaussian(2, 2), 5000, chain_rng(34, 0))
-        # explicit override allows longer runs
-        stability_exponents(StandardGaussian(2, 2), 2500, chain_rng(34, 0), step_cap=3000)
 
     def test_rectangular_factors_rejected(self):
         spec = RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5))))
