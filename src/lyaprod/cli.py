@@ -131,8 +131,17 @@ class RunConfig:
 # Theory dispatch
 # ---------------------------------------------------------------------------
 
+class TheoryRows(list):
+    """(i, mu_i, N sigma_i^2 or None) rows, and the closed form's warning
+    (TheorySpectrum.warning; None when it has none)."""
+
+    def __init__(self, rows, warning=None):
+        super().__init__(rows)
+        self.warning = warning
+
+
 def theory_rows(spec):
-    """(i, mu_i, N sigma_i^2 or None) rows for every index the theory covers."""
+    """TheoryRows for every index the theory covers."""
     if isinstance(spec, StandardGaussian):
         th = gaussian_spectrum(spec.beta, spec.d)
     elif isinstance(spec, InverseGaussian):
@@ -147,7 +156,7 @@ def theory_rows(spec):
         return _general_sigma_rows(spec)
     else:
         raise CliError(f"no closed form registered for {spec!r}")
-    return [(i + 1, th.mu[i], th.n_sigma2[i]) for i in range(spec.d)]
+    return TheoryRows([(i + 1, th.mu[i], th.n_sigma2[i]) for i in range(spec.d)], th.warning)
 
 
 def _general_sigma_rows(spec):
@@ -159,11 +168,11 @@ def _general_sigma_rows(spec):
         except DistinctnessError as exc:
             raise CliError(f"the beta=2 general-covariance formulas need distinct "
                            f"Sigma^-1 eigenvalues: {exc}")
-        return [(k + 1, mu[k], var1 if k == 0 else None) for k in range(spec.d)]
+        return TheoryRows([(k + 1, mu[k], var1 if k == 0 else None) for k in range(spec.d)])
     # Real and quaternion entries: the unitary-group integral behind the
     # full-spectrum determinant formula has no orthogonal/symplectic
     # analogue, so only the largest exponent is available (contour route).
-    return [(1, *kargin_top(spec.beta, y))]
+    return TheoryRows([(1, *kargin_top(spec.beta, y))])
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +181,11 @@ def _general_sigma_rows(spec):
 
 def cmd_theory(config):
     t0 = time.perf_counter()
-    rows = [dict(zip(THEORY_HEADER, r)) for r in theory_rows(config.ensemble)]
+    theory = theory_rows(config.ensemble)
+    rows = [dict(zip(THEORY_HEADER, r)) for r in theory]
     wall_ms = (time.perf_counter() - t0) * 1e3
     meta = {"seed": config.seed, "wall_ms": wall_ms, "redraws": 0, "version": __version__}
-    return rows, meta
+    return rows, _warned(meta, theory)
 
 
 def _run_estimate(config):
@@ -236,7 +246,7 @@ def cmd_compare(config):
     rows = comparison_rows(theory, est, config.k_max)
     status = 1 if any(abs(r["z"]) > Z_GATE for r in rows) else 0
     meta = _meta(config, wall_ms, est.redraw_count)
-    return rows, meta, status
+    return rows, _warned(meta, theory), status
 
 
 def cmd_ratio(beta, d, samples, seed):
@@ -264,6 +274,11 @@ def cmd_ratio(beta, d, samples, seed):
     }
     meta = {"seed": int(seed), "wall_ms": wall_ms, "redraws": 0, "version": __version__}
     return row, meta
+
+
+def _warned(meta, theory):
+    """``meta`` with the theory's warning, when it has one."""
+    return meta if theory.warning is None else {**meta, "warning": theory.warning}
 
 
 def _meta(config, wall_ms, redraws):
@@ -409,11 +424,12 @@ def main(argv=None):
 
 
 def _log_lines(command, config, meta):
+    lines = [] if "warning" not in meta else [f"warning: {meta['warning']}"]
     if command == "theory":
-        return []
-    return [f"{command}: N={config.N} chains={config.chains} seed={config.seed} "
-            f"redraws={meta['redraws']} wall={meta['wall_ms']:.0f}ms "
-            f"steps_per_s={meta['steps_per_s']:.0f}"]
+        return lines
+    return lines + [f"{command}: N={config.N} chains={config.chains} seed={config.seed} "
+                    f"redraws={meta['redraws']} wall={meta['wall_ms']:.0f}ms "
+                    f"steps_per_s={meta['steps_per_s']:.0f}"]
 
 
 if __name__ == "__main__":

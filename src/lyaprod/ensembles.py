@@ -87,12 +87,31 @@ class Ensemble:
         for f in fields(self):
             object.__setattr__(self, f.name, _NORMALIZE[f.name](getattr(self, f.name)))
 
+    def factors(self, stream, b):
+        """The next b factors of ``stream``, a (b, rows, cols) array."""
+        raise NotImplementedError
+
+    def panel(self, stream, b, k):
+        """The panels of the next b steps of ``stream``, a (b, rows, k) array
+        (2k columns for the quaternion embedding): draws with the law of the
+        first k columns of a factor.  Every kind here is right-unitarily
+        invariant, so a panel stands for A_n Q_{n-1}[:, :k] (see the
+        montecarlo module).  Unless a kind draws its panels more cheaply, a
+        panel is the first columns of a whole factor."""
+        return self.factors(stream, b)[..., :2 * k if self.beta == 4 else k]
+
 
 @dataclass(frozen=True)
 class StandardGaussian(Ensemble):
     d: int
 
     kind = "standard_gaussian"
+
+    def factors(self, stream, b):
+        return self.panel(stream, b, self.d)
+
+    def panel(self, stream, b, k):
+        return _gaussian_data(self.beta, self.d, k, stream.rng, size=b)
 
 
 @dataclass(frozen=True)
@@ -105,12 +124,21 @@ class GeneralSigmaGaussian(Ensemble):
     def d(self):
         return self.sigma_inv_eigenvalues.d
 
+    def factors(self, stream, b):
+        return self.panel(stream, b, self.d)
+
+    def panel(self, stream, b, k):
+        return _sigma_scale(self, _gaussian_data(self.beta, self.d, k, stream.rng, size=b))
+
 
 @dataclass(frozen=True)
 class InverseGaussian(Ensemble):
     d: int
 
     kind = "inverse_gaussian"
+
+    def factors(self, stream, b):
+        return _invert(self.beta, stream.guarded_draws(np.ones(b, dtype=bool)))
 
 
 @dataclass(frozen=True)
@@ -123,6 +151,12 @@ class GaussianInverseMixture(Ensemble):
     @property
     def proportions(self):
         return (self.alpha_plus, 1.0 - self.alpha_plus)
+
+    def factors(self, stream, b):
+        inverse = np.array(stream.schedule(b)) == 1
+        g = stream.guarded_draws(inverse)
+        g[inverse] = _invert(self.beta, g[inverse])
+        return g
 
 
 @dataclass(frozen=True)
@@ -140,6 +174,34 @@ class RectangularGaussian(Ensemble):
     def proportions(self):
         return self.shapes.proportions
 
+    def factors(self, stream, b):
+        """Factors of shape (d + nu_t, d + nu_{t-1}) from one draw (nu_0 = 0),
+        each in the top-left corner of a zero D x D square.  The mask's True
+        entries, in C order, run through each step's corner row by row, so the
+        draw fills the factors as single draws would."""
+        offsets = self.shapes.offsets
+        nus = [offsets[stream.type_trace[-1]] if stream.type_trace else 0]
+        nus += [offsets[s] for s in stream.schedule(b)]
+        rows = self.d + np.array(nus[1:])
+        cols = self.d + np.array(nus[:-1])
+        index = np.arange(self.d + max(offsets))
+        corner = (index[:, None] < rows[:, None, None]) & (index < cols[:, None, None])
+        return self._fill(stream.rng, corner)
+
+    def panel(self, stream, b, k):
+        """(d + nu_t) x k Gaussians in the top rows of zero D x k panels."""
+        offsets = self.shapes.offsets
+        rows = self.d + np.array([offsets[s] for s in stream.schedule(b)])
+        top = np.arange(self.d + max(offsets))[:, None] < rows[:, None, None]
+        return self._fill(stream.rng, np.repeat(top, k, axis=2))
+
+    def _fill(self, rng, mask):
+        """Zeros of the mask's shape with Gaussian entries where it is True,
+        drawn in C order."""
+        comps = np.zeros(mask.shape + (self.beta,))
+        comps[mask] = rng.standard_normal((int(np.count_nonzero(mask)), self.beta))
+        return _to_field(self.beta, comps)
+
 
 @dataclass(frozen=True)
 class TruncatedUnitary(Ensemble):
@@ -147,6 +209,19 @@ class TruncatedUnitary(Ensemble):
     n: int
 
     kind = "truncated_unitary"
+
+    def factors(self, stream, b):
+        k = self.d if self.beta != 4 else 2 * self.d
+        z = _haar_data(self.beta, self.d + self.n, stream.rng, size=b)
+        return np.ascontiguousarray(z[:, :k, :k])
+
+    def panel(self, stream, b, k):
+        """The top rows of k orthonormal columns: Q of a (d + n) x k Gaussian.
+        Q is Haar up to a diagonal unitary on the right, for beta = 4 too
+        (complex QR of a quaternion matrix), and that leaves |diag R| of the
+        step unchanged."""
+        q = np.linalg.qr(_gaussian_data(self.beta, self.d + self.n, k, stream.rng, size=b))[0]
+        return q[:, :2 * self.d if self.beta == 4 else self.d]
 
 
 #: Ensemble classes by their JSON ``kind``.
@@ -332,10 +407,12 @@ class FactorStream:
     """Sequential factor source for one Monte Carlo chain.
 
     Yields raw matrix data (the complex embedding for beta = 4), drawn a
-    block at a time.  Tracks the number of redraws triggered by the
-    near-singular guard on factors that get inverted, and, for ensembles
-    mixing factor types (rectangular offset classes, Gaussian vs inverse),
-    the per-step type trace of the deterministic type schedule.
+    block at a time by the ensemble's ``factors`` or ``panel``.  Tracks the
+    number of redraws triggered by the near-singular guard on factors that
+    get inverted, and, for ensembles mixing factor types (rectangular offset
+    classes, Gaussian vs inverse), the per-step type trace of the
+    deterministic type schedule.  A stream yields either factors or panels,
+    not both.
     """
 
     def __init__(self, spec, rng, block=256):
@@ -347,11 +424,16 @@ class FactorStream:
         self._counts = [0] * len(self._proportions) if self._proportions else None
         self.type_trace = [] if self._proportions else None
 
-    def _schedule(self, b):
+    def schedule(self, b):
         """Type indices of the next b steps; extends ``type_trace``."""
         types = _quota_schedule(self._proportions, self._counts, b)
         self.type_trace.extend(types)
         return types
+
+    def _sizes(self, n):
+        """Sizes of the blocks of n steps: ``block`` each, the last one short."""
+        for done in range(0, n, self.block):
+            yield min(self.block, n - done)
 
     def blocks(self, n):
         """Yield n factors as (b, rows, cols) arrays of at most ``block`` steps.
@@ -362,40 +444,22 @@ class FactorStream:
         embedding).  The generator is consumed exactly as by drawing factor
         by factor, so block size does not change the stream.
         """
-        left = n
-        while left > 0:
-            b = min(self.block, left)
-            yield self._block(b)
-            left -= b
+        for b in self._sizes(n):
+            yield self.spec.factors(self, b)
+
+    def panels(self, n, k):
+        """Yield the panels of n steps (see Ensemble.panel) as (b, rows, k)
+        arrays of at most ``block`` steps.  Like the factors, they do not
+        depend on the block size."""
+        for b in self._sizes(n):
+            yield self.spec.panel(self, b, k)
 
     def factors(self, n):
         """Yield n factors one by one."""
         for block in self.blocks(n):
             yield from block
 
-    def _block(self, b):
-        spec = self.spec
-        beta, d = spec.beta, spec.d
-        if isinstance(spec, StandardGaussian):
-            return _gaussian_data(beta, d, d, self.rng, size=b)
-        if isinstance(spec, GeneralSigmaGaussian):
-            return _sigma_scale(spec, _gaussian_data(beta, d, d, self.rng, size=b))
-        if isinstance(spec, TruncatedUnitary):
-            k = d if beta != 4 else 2 * d
-            z = _haar_data(beta, d + spec.n, self.rng, size=b)
-            return np.ascontiguousarray(z[:, :k, :k])
-        if isinstance(spec, RectangularGaussian):
-            return self._rectangular_block(b)
-        if isinstance(spec, InverseGaussian):
-            return _invert(beta, self._guarded_draws(np.ones(b, dtype=bool)))
-        if isinstance(spec, GaussianInverseMixture):
-            inverse = np.array(self._schedule(b)) == 1
-            g = self._guarded_draws(inverse)
-            g[inverse] = _invert(beta, g[inverse])
-            return g
-        raise TypeError(f"unknown ensemble spec {spec!r}")
-
-    def _guarded_draws(self, inverse):
+    def guarded_draws(self, inverse):
         """Gaussian draws for one block; ``inverse`` flags the steps to be inverted.
 
         A step to be inverted skips every draw whose condition number exceeds
@@ -420,23 +484,6 @@ class FactorStream:
             filled += len(g) - skipped
             self.redraws += skipped
         return kept[0] if len(kept) == 1 else np.concatenate(kept)
-
-    def _rectangular_block(self, b):
-        """Factors of shape (d + nu_t, d + nu_{t-1}) from one draw (nu_0 = 0),
-        each in the top-left corner of a zero D x D square.  The mask's True
-        entries, in C order, run through each step's corner row by row, so the
-        draw fills the factors as single draws would."""
-        spec = self.spec
-        offsets = spec.shapes.offsets
-        nus = [offsets[self.type_trace[-1]] if self.type_trace else 0]
-        nus += [offsets[s] for s in self._schedule(b)]
-        rows = spec.d + np.array(nus[1:])
-        cols = spec.d + np.array(nus[:-1])
-        index = np.arange(spec.d + max(offsets))
-        corner = (index[:, None] < rows[:, None, None]) & (index < cols[:, None, None])
-        comps = np.zeros(corner.shape + (spec.beta,))
-        comps[corner] = self.rng.standard_normal((int(rows @ cols), spec.beta))
-        return _to_field(spec.beta, comps)
 
 
 def chain_rng(master_seed, chain_index):

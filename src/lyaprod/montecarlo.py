@@ -5,27 +5,32 @@ product: each step factors A_n Q_{n-1}[:, :k] = Q_n[:, :k] R_n, and the log
 of |(R_n)_ii| is the step's log-volume increment for index i.  Its running
 mean estimates mu_1..mu_k in one pass and its variance, which carries the
 1/N factor of the estimator variance, estimates N sigma_i^2 directly.
-Per-step renormalization keeps every quantity in range for arbitrarily
-long products.
 
-The frame is never formed.  A chain keeps only the Householder reflectors
-(v, tau) of its last LAPACK geqrf, which define the full unitary Q_{n-1}.
-ormqr (unmqr for complex frames) applies them from the right to the next
-factor, in place, giving A_n Q_{n-1}, whose first k columns are
-A_n Q_{n-1}[:, :k]; geqrf then factors those columns in place, and its R
-diagonal holds the step's increments.  The first step is geqrf on
-A_1[:, :k] alone.
+Every ensemble here is right-unitarily invariant, A U ~ A for each fixed
+unitary U: Gaussian and Sigma^{1/2} G factors, their inverses (by the left
+invariance of G), rectangular Gaussians and corners of Haar unitaries.
+Q_{n-1} depends on the past only and A_n is independent of it, so given the
+past A_n Q_{n-1}[:, :k] has the law of A_n[:, :k].  The increments of step n
+are therefore independent draws of log|diag R| of QR(A_n[:, :k]) (Newman,
+Commun. Math. Phys. 103 (1986) 121), and run_chain draws them that way: no
+frame, no product, one batched QR per block of steps.  A kind draws its
+panel, the law of A[:, :k], more cheaply than a whole factor where it can
+(see Ensemble.panel).  A rectangular panel is a (d + nu_t) x k Gaussian
+padded with zero rows, which leave |diag R| unchanged.  Ensembles that mix
+factor types keep their quota schedule; the law of a step's increments
+depends on its own type only, so they are independent, not identically
+distributed, and estimate reduces them type by type.
+
+product_chain steps the product itself and stays the reference oracle: its
+increments telescope to the log-volumes of one seeded product, and on
+independent seeds they have run_chain's law (tests/test_montecarlo.py
+checks both).
 
 No phase is fixed on the R diagonal, and dropping it is exact: if M = Q' R,
 then M D = (Q' D)(D^* R D) for any diagonal unitary D, D^* R D is upper
 triangular with the diagonal of R, and a QR factorization is unique up to
 such a D, so |diag R| of QR(M D) equals that of QR(M).  Only the rounding
 differs.
-
-Non-square rectangular factors come zero-padded (see FactorStream.blocks)
-and are stepped as they are: a geqrf reflector of a panel with zero trailing
-rows is zero there, so the kept Q is blockdiag(Q_true, I), ormqr gives
-[A_n Q_true, 0], and the R diagonals are those of the true product.
 
 For beta = 4 the frame is the complex embedding with 2k columns; the two R
 diagonal entries of a quaternion column pair agree up to rounding and half
@@ -44,6 +49,7 @@ __all__ = [
     "ChainResult",
     "McEstimate",
     "run_chain",
+    "product_chain",
     "estimate",
     "stability_exponents",
     "spectral_ratio_samples",
@@ -104,17 +110,66 @@ class McEstimate:
 def run_chain(spec, k_max, N, rngs, *, block=256):
     """Run one chain per Generator in ``rngs``, N steps each, all together.
 
-    Chain c draws its factors from its own FactorStream on rngs[c].  Each
-    block of the C streams is copied once into column-major storage per
-    factor, a (b, C, cols, rows) array, for every kind.  A step is then two
-    LAPACK calls per chain on that storage (see the module docstring), and
+    Chain c draws its panels (see Ensemble.panel) from its own FactorStream
+    on rngs[c].  Each block of the C streams is stacked into one
+    (b, C, rows, k) array, and one np.linalg.qr(mode="r") factors all of it;
     the logs of the R diagonals, the quaternion pair halving and the
-    finiteness check run once per block.  Returns one ChainResult holding
-    the (C, N, k_max) increments of all chains, in the order of ``rngs``,
-    the type trace of the first stream and the summed redraws.  The
-    increments are a view of a C-ordered (k_max, C, N) array, the layout
-    estimate reduces.
+    finiteness check run once per block.  Returns one ChainResult holding the
+    (C, N, k_max) increments of all chains, in the order of ``rngs``, the
+    type trace of the first stream and the summed redraws.  The increments
+    are a view of a C-ordered (k_max, C, N) array, the layout estimate
+    reduces.  The increments have the law of product_chain's (see the module
+    docstring), not its values.
     """
+    k_max, N, streams = _start(spec, k_max, N, rngs, block)
+    by_index = np.empty((k_max, len(streams), N))
+    done = 0
+    for panels in zip(*(stream.panels(N, k_max) for stream in streams)):
+        r = np.linalg.qr(np.stack(panels, axis=1), mode="r")
+        done = _record(by_index, done, np.log(np.abs(np.diagonal(r, 0, -2, -1))), spec.beta)
+    return _result(by_index, streams)
+
+
+def product_chain(spec, k_max, N, rngs, *, block=256):
+    """run_chain on the product itself: the reference oracle of the panel kernel.
+
+    Chain c multiplies the factors of its own FactorStream on rngs[c], and
+    its increments telescope to the log-volumes of that product.  Returns a
+    ChainResult like run_chain's.  Steps run one at a time, so this is
+    several times slower than run_chain.
+
+    The frame is never formed.  A chain keeps only the Householder
+    reflectors (v, tau) of its last LAPACK geqrf, which define the full
+    unitary Q_{n-1}.  ormqr (unmqr for complex frames) applies them from the
+    right to the next factor, in place, giving A_n Q_{n-1}, whose first k
+    columns are A_n Q_{n-1}[:, :k]; geqrf then factors those columns in
+    place, and its R diagonal holds the step's increments.  The first step is
+    geqrf on A_1[:, :k] alone.  Each block of the C streams is copied once
+    into column-major storage per factor, a (b, C, cols, rows) array, and a
+    step is two LAPACK calls per chain on that storage (see _qr_steps).
+
+    Non-square rectangular factors come zero-padded (see FactorStream.blocks)
+    and are stepped as they are: a geqrf reflector of a panel with zero
+    trailing rows is zero there, so the kept Q is blockdiag(Q_true, I),
+    ormqr gives [A_n Q_true, 0], and the R diagonals are those of the true
+    product.
+    """
+    k_max, N, streams = _start(spec, k_max, N, rngs, block)
+    by_index = np.empty((k_max, len(streams), N))
+    k = 2 * k_max if spec.beta == 4 else k_max
+    dtype = np.dtype(np.float64 if spec.beta == 1 else np.complex128)
+    last = [None] * len(streams)
+    done = 0
+    for blocks in zip(*(stream.blocks(N) for stream in streams)):
+        steps = _column_major(blocks, dtype)
+        last = _qr_steps(steps, last, k)
+        done = _record(by_index, done, np.log(np.abs(np.diagonal(steps, 0, -2, -1)[..., :k])),
+                       spec.beta)
+    return _result(by_index, streams)
+
+
+def _start(spec, k_max, N, rngs, block):
+    """k_max and N as ints, checked, and the streams of a run."""
     d = spec.d
     k_max = int(k_max)
     N = int(N)
@@ -124,25 +179,23 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
         raise ValueError(f"N must be >= 1, got {N}")
     streams = [FactorStream(spec, rng, block=block) for rng in rngs]
     if not streams:
-        raise ValueError("run_chain needs at least one Generator")
+        raise ValueError("a run needs at least one Generator")
+    return k_max, N, streams
 
-    quaternion = spec.beta == 4
-    k = 2 * k_max if quaternion else k_max
-    dtype = np.dtype(np.float64 if spec.beta == 1 else np.complex128)
-    by_index = np.empty((k_max, len(streams), N))
-    last = [None] * len(streams)
-    done = 0
-    for blocks in zip(*(stream.blocks(N) for stream in streams)):
-        steps = _column_major(blocks, dtype)
-        last = _qr_steps(steps, last, k)
-        logs = np.log(np.abs(np.diagonal(steps, 0, -2, -1)[..., :k]))
-        finite = np.isfinite(logs.sum(axis=(1, 2)))
-        if not finite.all():
-            raise ArithmeticError(f"non-finite increment at step {done + int(finite.argmin()) + 1}")
-        by_index[..., done:done + len(logs)] = (
-            0.5 * (logs[..., 0::2] + logs[..., 1::2]) if quaternion else logs).T
-        done += len(logs)
 
+def _record(by_index, done, logs, beta):
+    """Store a block's (b, C, k) R-diagonal logs from step ``done`` on (half
+    the summed logs of each quaternion column pair for beta = 4); returns the
+    steps done.  A non-finite increment names its step."""
+    finite = np.isfinite(logs.sum(axis=(1, 2)))
+    if not finite.all():
+        raise ArithmeticError(f"non-finite increment at step {done + int(finite.argmin()) + 1}")
+    by_index[..., done:done + len(logs)] = (
+        0.5 * (logs[..., 0::2] + logs[..., 1::2]) if beta == 4 else logs).T
+    return done + len(logs)
+
+
+def _result(by_index, streams):
     trace = streams[0].type_trace
     return ChainResult(increments=by_index.transpose(1, 2, 0),
                        redraw_count=sum(stream.redraws for stream in streams),

@@ -13,6 +13,7 @@ from lyaprod.ensembles import (ENSEMBLES, FactorStream, StandardGaussian,
                                TruncatedUnitary, chain_rng)
 from lyaprod.montecarlo import estimate
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6
+from lyaprod.theory import truncated_unitary_spectrum
 
 TRUNC = '{"kind":"truncated_unitary","beta":2,"d":2,"n":2}'
 GAUSS_21 = '{"kind":"standard_gaussian","beta":2,"d":1}'
@@ -308,6 +309,18 @@ class TestMainEndToEnd:
         meta = json.loads(out.read_text())["meta"]
         assert set(meta) == {"seed", "wall_ms", "redraws", "version"}
         assert meta["wall_ms"] > 0
+
+    @pytest.mark.parametrize("command", ["theory", "compare"])
+    def test_truncation_below_proved_regime_warns(self, command, tmp_path, capsys):
+        # n < d: the closed form's warning goes into meta and onto stderr
+        out = tmp_path / "out.json"
+        main([command, "--ensemble", '{"kind":"truncated_unitary","beta":2,"d":3,"n":1}',
+              "--N", "500", "--chains", "2", "--seed", "3", "--format", "json",
+              "--out", str(out)])
+        warning = truncated_unitary_spectrum(2, 3, 1).warning
+        assert warning is not None
+        assert json.loads(out.read_text())["meta"]["warning"] == warning
+        assert f"warning: {warning}" in capsys.readouterr().err.splitlines()
 
     def test_repeated_sigma_eigenvalue_theory_exits_2(self, capsys):
         repeated = ('{"kind":"general_sigma_gaussian","beta":%d,'

@@ -8,7 +8,7 @@ from lyaprod.ensembles import (ENSEMBLES, FactorStream, GaussianInverseMixture,
                                RectangularGaussian, StandardGaussian,
                                TruncatedUnitary, chain_rng)
 from lyaprod import montecarlo
-from lyaprod.montecarlo import (ChainResult, estimate, run_chain,
+from lyaprod.montecarlo import (ChainResult, estimate, product_chain, run_chain,
                                 spectral_ratio_samples, stability_exponents)
 from lyaprod.sigma import SigmaSpec
 from lyaprod.theory import (RectangularSpec, gaussian_spectrum,
@@ -103,13 +103,19 @@ SCHEDULED_SPECS = [
 
 
 class PoisonedStream(FactorStream):
-    """Factor stream whose factor at step ``poison_step`` (from 1) is NaN."""
+    """Factor stream whose factor or panel at step ``poison_step`` (from 1) is NaN."""
 
     poison_step = None
 
     def blocks(self, n):
+        return self._poisoned(super().blocks(n))
+
+    def panels(self, n, k):
+        return self._poisoned(super().panels(n, k))
+
+    def _poisoned(self, blocks):
         done = 0
-        for block in super().blocks(n):
+        for block in blocks:
             if done < self.poison_step <= done + len(block):
                 block[self.poison_step - done - 1] = np.nan
             done += len(block)
@@ -127,7 +133,7 @@ class TestStepKernel:
         # applies the last reflectors instead of an explicit frame, so the
         # two agree up to rounding, not bit for bit.
         rngs = [chain_rng(60, c) for c in range(chains)]
-        got = run_chain(spec, k, 250, rngs, block=64).increments
+        got = product_chain(spec, k, 250, rngs, block=64).increments
         want = reference_qr_chains(spec, k, 250, [chain_rng(60, c) for c in range(chains)], 64)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -159,7 +165,7 @@ class TestStepKernel:
 
         monkeypatch.setattr(montecarlo, "_lapack", checked)
         rngs = [chain_rng(62, c) for c in range(chains)]
-        run_chain(spec, k, 20, rngs, block=8)
+        product_chain(spec, k, 20, rngs, block=8)
         assert calls == {"geqrf": 20 * chains, "ormqr": 19 * chains}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -173,7 +179,78 @@ class TestStepKernel:
         monkeypatch.setattr(montecarlo, "FactorStream", PoisonedStream)
         rngs = [chain_rng(61, c) for c in range(3)]
         with pytest.raises(ArithmeticError, match=f"non-finite increment at step {step}$"):
+            product_chain(StandardGaussian(2, 2), k, 12, rngs, block=4)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [2, 1], ids=["k2", "k1"])
+    @pytest.mark.parametrize("step", [1, 4, 5, 7],
+                             ids=["first", "block-end", "block-start", "inside"])
+    def test_nan_panel_names_its_step(self, k, step, monkeypatch):
+        monkeypatch.setattr(PoisonedStream, "poison_step", step)
+        monkeypatch.setattr(montecarlo, "FactorStream", PoisonedStream)
+        rngs = [chain_rng(61, c) for c in range(3)]
+        with pytest.raises(ArithmeticError, match=f"non-finite increment at step {step}$"):
             run_chain(StandardGaussian(2, 2), k, 12, rngs, block=4)
+
+
+def pooled_moments(result):
+    """mu_hat, N sigma^2 and the standard error of each, per index, from the
+    increments of a ChainResult.  As in estimate, the variance is that of
+    each type's steps weighted by the type's share; the standard error of a
+    type's sample variance is sqrt((m4 - var^2) / count)."""
+    x = result.increments
+    chains, n, k = x.shape
+    types = np.zeros(n) if result.type_ids is None else result.type_ids
+    ns2, var_ns2 = np.zeros(k), np.zeros(k)
+    for t in np.unique(types):
+        rows = x[:, types == t].reshape(-1, k)
+        share = len(rows) / (chains * n)
+        var = rows.var(axis=0, ddof=1)
+        m4 = ((rows - rows.mean(axis=0)) ** 4).mean(axis=0)
+        ns2 += share * var
+        var_ns2 += share ** 2 * (m4 - var ** 2) / len(rows)
+    return x.mean(axis=(0, 1)), np.sqrt(ns2 / (chains * n)), ns2, np.sqrt(var_ns2)
+
+
+#: (spec, k_max): every kind at beta = 1, 2 and 4, truncations n < d and
+#: n > d, rectangular offsets wider than d, the mixture, k < d and k = d.
+EQUIVALENCE_CASES = [case for beta in (1, 2, 4) for case in (
+    (StandardGaussian(beta, 3), 2),
+    (GeneralSigmaGaussian(beta, SigmaSpec((0.5, 1.0, 2.0))), 3),
+    (InverseGaussian(beta, 2), 2),
+    (GaussianInverseMixture(beta, 3, 0.4), 2),
+    (RectangularGaussian(beta, 2, RectangularSpec(((0, 0.5), (3, 0.5)))), 2),
+    (TruncatedUnitary(beta, 3, 1), 3),
+    (TruncatedUnitary(beta, 2, 3), 1),
+)] + [(RectangularGaussian(1, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5)))), 3)]
+
+
+class TestKernelEquivalence:
+    """run_chain draws panels, product_chain multiplies whole factors: on
+    independent seeds their increments must have the same law."""
+
+    #: Gate on |z| of each index's mu_hat and N sigma^2 difference, fixed
+    #: before the first run: 96 z-scores, P(|z| > 4.5) = 6.8e-6 each.
+    Z_GATE = 4.5
+
+    def test_cases_cover_every_kind_and_beta(self):
+        assert {(spec.kind, spec.beta) for spec, _ in EQUIVALENCE_CASES} == {
+            (kind, beta) for kind in ENSEMBLES for beta in (1, 2, 4)}
+
+    @pytest.mark.parametrize("spec,k", EQUIVALENCE_CASES,
+                             ids=lambda v: f"{v.kind}-beta{v.beta}" if hasattr(v, "kind") else str(v))
+    def test_panel_kernel_matches_product_law(self, spec, k):
+        N, chains = 5000, 2
+        panel = run_chain(spec, k, N, [chain_rng(80, c) for c in range(chains)])
+        product = product_chain(spec, k, N, [chain_rng(81, c) for c in range(chains)])
+        if spec.proportions is not None:
+            assert np.array_equal(panel.type_ids, product.type_ids)
+        mu_a, se_mu_a, ns2_a, se_ns2_a = pooled_moments(panel)
+        mu_b, se_mu_b, ns2_b, se_ns2_b = pooled_moments(product)
+        z_mu = (mu_a - mu_b) / np.hypot(se_mu_a, se_mu_b)
+        z_ns2 = (ns2_a - ns2_b) / np.hypot(se_ns2_a, se_ns2_b)
+        assert np.abs(z_mu).max() <= self.Z_GATE, z_mu
+        assert np.abs(z_ns2).max() <= self.Z_GATE, z_ns2
 
 
 class TestRunChain:
@@ -189,13 +266,13 @@ class TestRunChain:
         # log-volume of the propagated frame
         spec = StandardGaussian(beta, d)
         n = 18
-        increments = run_chain(spec, k, n, [chain_rng(9, beta)]).increments[0]
+        increments = product_chain(spec, k, n, [chain_rng(9, beta)]).increments[0]
         direct = direct_log_volume(spec, k, n, chain_rng(9, beta))
         assert math.fsum(increments.sum(axis=1)) == pytest.approx(direct, abs=1e-8)
 
     def test_volume_telescoping_general_sigma(self):
         spec = GeneralSigmaGaussian(2, SigmaSpec((0.5, 2.0, 3.0)))
-        increments = run_chain(spec, 2, 15, [chain_rng(10, 0)]).increments[0]
+        increments = product_chain(spec, 2, 15, [chain_rng(10, 0)]).increments[0]
         direct = direct_log_volume(spec, 2, 15, chain_rng(10, 0))
         assert increments.sum() == pytest.approx(direct, abs=1e-8)
 
@@ -214,7 +291,7 @@ class TestRunChain:
         # log|det A_n| (half of it for the embedding of a quaternion factor,
         # whose column pairs are halved), whatever the QR does
         n = 200
-        increments = run_chain(spec, spec.d, n, [chain_rng(12, 0)], block=64).increments[0]
+        increments = product_chain(spec, spec.d, n, [chain_rng(12, 0)], block=64).increments[0]
         factors = np.stack(list(FactorStream(spec, chain_rng(12, 0), block=64).factors(n)))
         logdet = np.linalg.slogdet(factors)[1]
         want = 0.5 * logdet if spec.beta == 4 else logdet

@@ -202,6 +202,25 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert out.stdout.strip() == "[]"
 
 
+def test_compare_leaves_out_scipy_linalg_and_integrate():
+    # the panel kernel steps chains with numpy alone; only the reference
+    # kernel product_chain loads scipy.linalg
+    src = str(Path(lyaprod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import os, sys; from lyaprod.cli import main\n"
+            "for spec in sys.argv[1:]:\n"
+            "    main(['compare', '--ensemble', spec, '--N', '300', '--chains', '2',"
+            " '--seed', '5', '--out', os.devnull])\n"
+            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    specs = ['{"kind":"standard_gaussian","beta":2,"d":2}',
+             '{"kind":"truncated_unitary","beta":1,"d":2,"n":2}']
+    out = subprocess.run([sys.executable, "-c", code, *specs], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert out.stderr.count("compare: N=300 chains=2") == 2
+
+
 class TestResidueSums:
     def test_examples(self):
         assert residue_j_sums(2, 2) == residue_j_sums(2, 2)
