@@ -21,12 +21,13 @@ factor types keep their quota schedule; the law of a step's increments
 depends on its own type only, so they are independent, not identically
 distributed, and estimate reduces them type by type.
 
-product_chain steps the product itself and stays the reference oracle: its
-increments telescope to the log-volumes of one seeded product, and on
-independent seeds they have run_chain's law (tests/test_montecarlo.py
-checks both).
+product_chain steps the product itself with that explicit frame, one
+np.linalg.qr per step, and stays the reference oracle: its increments
+telescope to the log-volumes of one seeded product, and on independent
+seeds they have run_chain's law (tests/test_montecarlo.py checks both).
 
-No phase is fixed on the R diagonal, and dropping it is exact: if M = Q' R,
+No phase is fixed on the R diagonal, so product_chain's frame is Q_n times
+a diagonal unitary, and dropping the phase is exact: if M = Q' R,
 then M D = (Q' D)(D^* R D) for any diagonal unitary D, D^* R D is upper
 triangular with the diagonal of R, and a QR factorization is unique up to
 such a D, so |diag R| of QR(M D) equals that of QR(M).  Only the rounding
@@ -37,7 +38,6 @@ diagonal entries of a quaternion column pair agree up to rounding and half
 their summed logs is recorded as the quaternion increment.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -112,7 +112,7 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
 
     Chain c draws its panels (see Ensemble.panel) from its own FactorStream
     on rngs[c].  Each block of the C streams is stacked into one
-    (b, C, rows, k) array, and one np.linalg.qr(mode="r") factors all of it;
+    (b, C, rows, k) array, and one np.linalg.qr(mode="raw") factors all of it;
     the logs of the R diagonals, the quaternion pair halving and the
     finiteness check run once per block.  Returns one ChainResult holding the
     (C, N, k_max) increments of all chains, in the order of ``rngs``, the
@@ -125,8 +125,10 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
     by_index = np.empty((k_max, len(streams), N))
     done = 0
     for panels in zip(*(stream.panels(N, k_max) for stream in streams)):
-        r = np.linalg.qr(np.stack(panels, axis=1), mode="r")
-        done = _record(by_index, done, np.log(np.abs(np.diagonal(r, 0, -2, -1))), spec.beta)
+        # mode="raw" returns the factored panels transposed, R's diagonal on
+        # theirs, without mode="r"'s triu copy
+        raw = np.linalg.qr(np.stack(panels, axis=1), mode="raw")[0]
+        done = _record(by_index, done, np.log(np.abs(np.diagonal(raw, 0, -2, -1))), spec.beta)
     return _result(by_index, streams)
 
 
@@ -138,33 +140,27 @@ def product_chain(spec, k_max, N, rngs, *, block=256):
     ChainResult like run_chain's.  Steps run one at a time, so this is
     several times slower than run_chain.
 
-    The frame is never formed.  A chain keeps only the Householder
-    reflectors (v, tau) of its last LAPACK geqrf, which define the full
-    unitary Q_{n-1}.  ormqr (unmqr for complex frames) applies them from the
-    right to the next factor, in place, giving A_n Q_{n-1}, whose first k
-    columns are A_n Q_{n-1}[:, :k]; geqrf then factors those columns in
-    place, and its R diagonal holds the step's increments.  The first step is
-    geqrf on A_1[:, :k] alone.  Each block of the C streams is copied once
-    into column-major storage per factor, a (b, C, cols, rows) array, and a
-    step is two LAPACK calls per chain on that storage (see _qr_steps).
-
-    Non-square rectangular factors come zero-padded (see FactorStream.blocks)
-    and are stepped as they are: a geqrf reflector of a panel with zero
-    trailing rows is zero there, so the kept Q is blockdiag(Q_true, I),
-    ormqr gives [A_n Q_true, 0], and the R diagonals are those of the true
-    product.
+    Each chain carries an explicit orthonormal frame, reorthonormalised at
+    every step (Benettin, Galgani, Giorgilli & Strelcyn, Meccanica 15 (1980)
+    9).  The first step factors A_1[:, :k]; each later one factors
+    A_n Q_{n-1}[:, :k] with np.linalg.qr, stacked over the chains, and keeps
+    its Q as the next frame.  Non-square rectangular factors come zero-padded
+    (see FactorStream.blocks): the frame then has zero trailing rows, so the
+    padding never enters the product and the R diagonals are those of the
+    true product.
     """
     k_max, N, streams = _start(spec, k_max, N, rngs, block)
     by_index = np.empty((k_max, len(streams), N))
     k = 2 * k_max if spec.beta == 4 else k_max
-    dtype = np.dtype(np.float64 if spec.beta == 1 else np.complex128)
-    last = [None] * len(streams)
+    frames = None
     done = 0
     for blocks in zip(*(stream.blocks(N) for stream in streams)):
-        steps = _column_major(blocks, dtype)
-        last = _qr_steps(steps, last, k)
-        done = _record(by_index, done, np.log(np.abs(np.diagonal(steps, 0, -2, -1)[..., :k])),
-                       spec.beta)
+        steps = np.stack(blocks, axis=1)
+        rdiag = np.empty(steps.shape[:2] + (k,))
+        for step, out in zip(steps, rdiag):
+            frames, r = np.linalg.qr(step[..., :k] if frames is None else step @ frames)
+            np.abs(np.diagonal(r, 0, -2, -1), out=out)
+        done = _record(by_index, done, np.log(rdiag), spec.beta)
     return _result(by_index, streams)
 
 
@@ -200,52 +196,6 @@ def _result(by_index, streams):
     return ChainResult(increments=by_index.transpose(1, 2, 0),
                        redraw_count=sum(stream.redraws for stream in streams),
                        type_ids=None if trace is None else np.asarray(trace, dtype=np.uint8))
-
-
-def _column_major(blocks, dtype):
-    """Stack ``blocks``, one (b, rows, cols) array per chain, as one C-ordered
-    (b, C, cols, rows) array: the transpose of each trailing matrix is a
-    Fortran-ordered view of one factor."""
-    b, rows, cols = blocks[0].shape
-    out = np.empty((b, len(blocks), cols, rows), dtype)
-    for c, block in enumerate(blocks):
-        out[:, c] = np.swapaxes(block, 1, 2)
-    return out
-
-
-@functools.cache
-def _lapack(dtype):
-    """geqrf and ormqr (unmqr for complex dtypes).  scipy.linalg is imported
-    here, so commands that never step a chain do not pay for it."""
-    from scipy.linalg.lapack import get_lapack_funcs
-    return get_lapack_funcs(("geqrf", "ormqr"), dtype=dtype)
-
-
-def _qr_steps(steps, last, k):
-    """Step every chain through ``steps`` (each (C, cols, rows)), in place.
-
-    ``last`` holds per chain the reflectors and tau of its last geqrf, or
-    None before its first step; the reflectors of the last step are
-    returned.  ormqr (side='R') and geqrf overwrite the transposed buffer
-    slices themselves: they are Fortran-ordered and of the LAPACK dtype, so
-    f2py passes them on without a copy.  Both get the smallest workspace
-    LAPACK accepts.  Below 32 columns, LAPACK's block size, they take their
-    unblocked path whatever the workspace, and f2py allocates it on every
-    call: the optimal one of ormqr, over 4000 entries, added 30-110% to the
-    time of each call at d <= 10.
-    """
-    geqrf, ormqr = _lapack(steps[0].dtype)
-    for step in steps:
-        lwork = step.shape[-1]
-        nxt = []
-        for m, prev in zip(step, last):
-            m = m.T
-            if prev is not None:
-                ormqr("R", "N", prev[0], prev[1], m, lwork, 1)
-            frame = m[:, :k]
-            nxt.append((frame, geqrf(frame, k, 1)[1]))
-        last = nxt
-    return last
 
 
 def _within_type_variance(x, steps):

@@ -111,7 +111,6 @@ class SigmaSpec:
 class JPair:
     J1: float
     J2: float
-    method: str  # "quadrature" or "residue"
 
 
 def _inverse_cofactor_weights(y):
@@ -232,7 +231,7 @@ def j_integrals(beta, spec, target=QUADRATURE_TARGET):
     worst = max(abs(j1 - j1_coarse), abs(j2 - j2_coarse))
     if worst > target:
         raise QuadratureError("J integrals did not converge to the target accuracy", worst)
-    return JPair(J1=j1, J2=j2, method="quadrature")
+    return JPair(J1=j1, J2=j2)
 
 
 def residue_j_sums(beta, d):
@@ -248,7 +247,7 @@ def residue_j_sums(beta, d):
         raise ValueError(f"beta*d/2 must be a positive integer, got {m!r}")
     j1 = -harmonic(m_int - 1, 1)
     j2 = -math.fsum((2.0 / s) * harmonic(s - 1, 1) for s in range(2, m_int))
-    return JPair(J1=j1, J2=j2, method="residue")
+    return JPair(J1=j1, J2=j2)
 
 
 def kargin_top(beta, spec):

@@ -83,14 +83,6 @@ class TheorySpectrum:
         if len(self.mu) != self.d or len(self.n_sigma2) != self.d:
             raise ValueError("mu and n_sigma2 must both have length d")
 
-    @property
-    def mu_partial_sums(self):
-        out, acc = [], 0.0
-        for m in self.mu:
-            acc += m
-            out.append(acc)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class RectangularSpec:

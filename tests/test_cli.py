@@ -101,6 +101,9 @@ class TestRegistry:
 
 
 class TestTheoryRows:
+    def test_table_covers_every_kind(self):
+        assert set(cli._THEORY) == set(ENSEMBLES)
+
     def test_truncated_exact_values(self):
         rows = theory_rows(ensemble_from_dict(json.loads(TRUNC)))
         assert rows[0][0] == 1

@@ -24,11 +24,11 @@ def direct_log_volume(spec, k, n, rng):
     """
     import mpmath
     mpmath.mp.dps = 60
-    d = spec.d
-    size = 2 * d if spec.beta == 4 else d
+    factors = list(FactorStream(spec, rng).factors(n))
     cols = 2 * k if spec.beta == 4 else k
-    prod = mpmath.eye(size)
-    for a in FactorStream(spec, rng).factors(n):
+    # zero-padded rectangular factors are D x D, the embedding 2D x 2D
+    prod = mpmath.eye(np.atleast_2d(factors[0]).shape[1])
+    for a in factors:
         step = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in np.atleast_2d(a)])
         prod = step * prod
     b = prod[:, :cols]
@@ -130,43 +130,12 @@ class TestStepKernel:
                              ids=lambda v: getattr(v, "kind", str(v)))
     def test_matches_np_linalg_qr_reference(self, spec, k, chains):
         # 250 steps in blocks of 64: the last block is short.  The kernel
-        # applies the last reflectors instead of an explicit frame, so the
-        # two agree up to rounding, not bit for bit.
+        # fixes no phase on its frame and the reference does; dropping the
+        # phase is exact, so the two agree up to rounding.
         rngs = [chain_rng(60, c) for c in range(chains)]
         got = product_chain(spec, k, 250, rngs, block=64).increments
         want = reference_qr_chains(spec, k, 250, [chain_rng(60, c) for c in range(chains)], 64)
         assert np.abs(got - want).max() <= 1e-12
-
-    @pytest.mark.parametrize("spec,k,chains", KERNEL_CASES,
-                             ids=lambda v: getattr(v, "kind", str(v)))
-    def test_lapack_calls_work_in_place(self, spec, k, chains, monkeypatch):
-        # f2py copies an argument that is not Fortran-ordered or has another
-        # dtype, even with overwrite set; the kernel would then read stale
-        # reflectors and diagonals without any error
-        lapack = montecarlo._lapack
-        calls = {"geqrf": 0, "ormqr": 0}
-
-        def checked(dtype):
-            geqrf, ormqr = lapack(dtype)
-
-            def geqrf_in_place(a, *args):
-                out = geqrf(a, *args)
-                assert np.shares_memory(out[0], a) and out[0].shape == a.shape
-                calls["geqrf"] += 1
-                return out
-
-            def ormqr_in_place(side, trans, v, tau, c, *args):
-                out = ormqr(side, trans, v, tau, c, *args)
-                assert np.shares_memory(out[0], c) and out[0].shape == c.shape
-                calls["ormqr"] += 1
-                return out
-
-            return geqrf_in_place, ormqr_in_place
-
-        monkeypatch.setattr(montecarlo, "_lapack", checked)
-        rngs = [chain_rng(62, c) for c in range(chains)]
-        product_chain(spec, k, 20, rngs, block=8)
-        assert calls == {"geqrf": 20 * chains, "ormqr": 19 * chains}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k", [2, 1], ids=["k2", "k1"])
@@ -174,7 +143,7 @@ class TestStepKernel:
                              ids=["first", "block-end", "block-start", "inside"])
     def test_nan_factor_names_its_step(self, k, step, monkeypatch):
         # blocks of 4 steps: step 4 ends the first block, step 5 starts the
-        # second; step 1 has no reflectors to apply yet
+        # second; step 1 has no frame to multiply yet
         monkeypatch.setattr(PoisonedStream, "poison_step", step)
         monkeypatch.setattr(montecarlo, "FactorStream", PoisonedStream)
         rngs = [chain_rng(61, c) for c in range(3)]
@@ -253,21 +222,34 @@ class TestKernelEquivalence:
         assert np.abs(z_ns2).max() <= self.Z_GATE, z_ns2
 
 
+#: (spec, k) for the extended-precision oracle: Gaussian factors of each
+#: beta, and every kind whose factors are not plain Gaussians (general
+#: covariance has its own test): non-square rectangular factors, inverses,
+#: the mixture and a truncated unitary.
+TELESCOPING_CASES = [
+    pytest.param(StandardGaussian(beta, d), k, id=f"{beta}-{d}-{k}")
+    for beta, d, k in ((1, 2, 1), (1, 3, 2), (2, 2, 2), (2, 3, 3), (4, 2, 2), (4, 3, 1))
+] + [pytest.param(spec, k, id=f"{spec.kind}-beta{spec.beta}-k{k}") for spec, k in (
+    (RectangularGaussian(1, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5)))), 2),
+    (RectangularGaussian(4, 2, RectangularSpec(((0, 0.25), (2, 0.75)))), 1),
+    (GaussianInverseMixture(2, 3, 0.4), 2),
+    (TruncatedUnitary(4, 3, 2), 3),
+    (InverseGaussian(1, 2), 2),
+)]
+
+
 class TestRunChain:
     def test_unitary_factors_zero_increments(self):
         res = run_chain(TruncatedUnitary(2, 2, 0), 2, 40, [chain_rng(1, 0)])
         assert np.abs(res.increments).max() <= 1e-12
 
-    @pytest.mark.parametrize("beta,d,k", [
-        (1, 2, 1), (1, 3, 2), (2, 2, 2), (2, 3, 3), (4, 2, 2), (4, 3, 1),
-    ])
-    def test_volume_telescoping(self, beta, d, k):
+    @pytest.mark.parametrize("spec,k", TELESCOPING_CASES)
+    def test_volume_telescoping(self, spec, k):
         # summed per-step increments must equal the directly computed
         # log-volume of the propagated frame
-        spec = StandardGaussian(beta, d)
         n = 18
-        increments = product_chain(spec, k, n, [chain_rng(9, beta)]).increments[0]
-        direct = direct_log_volume(spec, k, n, chain_rng(9, beta))
+        increments = product_chain(spec, k, n, [chain_rng(9, spec.beta)]).increments[0]
+        direct = direct_log_volume(spec, k, n, chain_rng(9, spec.beta))
         assert math.fsum(increments.sum(axis=1)) == pytest.approx(direct, abs=1e-8)
 
     def test_volume_telescoping_general_sigma(self):

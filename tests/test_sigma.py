@@ -135,7 +135,6 @@ class TestJIntegrals:
         pair = j_integrals(2, SigmaSpec((1.0, 1.0)))
         assert pair.J1 == pytest.approx(-1.0, abs=1e-10)
         assert pair.J2 == pytest.approx(0.0, abs=1e-10)
-        assert pair.method == "quadrature"
 
     def test_identity_covariance_d3(self):
         pair = j_integrals(2, SigmaSpec((1.0, 1.0, 1.0)))
@@ -194,7 +193,7 @@ def test_cli_import_leaves_out_scipy_integrate():
     src = str(Path(lyaprod.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    # scipy.linalg is imported by the first chain step, not by the import
+    # no module of the package imports scipy (see also the test below)
     code = ("import sys, lyaprod.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -203,16 +202,22 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 
 def test_compare_leaves_out_scipy_linalg_and_integrate():
-    # the panel kernel steps chains with numpy alone; only the reference
-    # kernel product_chain loads scipy.linalg
+    # both kernels, the stability run and the theory step with numpy alone:
+    # no module under scipy is loaded
     src = str(Path(lyaprod.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import os, sys; from lyaprod.cli import main\n"
+            "from lyaprod.ensembles import StandardGaussian, TruncatedUnitary, chain_rng\n"
+            "from lyaprod.montecarlo import product_chain, stability_exponents\n"
             "for spec in sys.argv[1:]:\n"
             "    main(['compare', '--ensemble', spec, '--N', '300', '--chains', '2',"
             " '--seed', '5', '--out', os.devnull])\n"
-            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+            "product_chain(TruncatedUnitary(4, 2, 1), 2, 50, [chain_rng(5, 0)])\n"
+            "stability_exponents(StandardGaussian(2, 2), 50, chain_rng(5, 1))\n"
+            "main(['theory', '--ensemble', '{\"kind\":\"general_sigma_gaussian\",\"beta\":1,"
+            "\"sigma_inv_eigenvalues\":[0.5,2.0]}', '--out', os.devnull])\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     specs = ['{"kind":"standard_gaussian","beta":2,"d":2}',
              '{"kind":"truncated_unitary","beta":1,"d":2,"n":2}']
     out = subprocess.run([sys.executable, "-c", code, *specs], env=env,
@@ -231,7 +236,6 @@ class TestResidueSums:
         assert p.J2 == pytest.approx(-1.0, abs=1e-15)
         p = residue_j_sums(4, 1)
         assert (p.J1, p.J2) == (-1.0, 0.0)
-        assert p.method == "residue"
 
     def test_rejects_non_integer_half_beta_d(self):
         with pytest.raises(ValueError):
