@@ -137,6 +137,19 @@ class TestStepKernel:
         want = reference_qr_chains(spec, k, 250, [chain_rng(60, c) for c in range(chains)], 64)
         assert np.abs(got - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("spec,k,chains", KERNEL_CASES,
+                             ids=lambda v: getattr(v, "kind", str(v)))
+    def test_chains_stepped_together_match_stepped_apart(self, spec, k, chains):
+        # the chains' factors and frames are stacked at every step; no chain
+        # may see another's, so each one alone gives the same increments
+        seeds = [chain_rng(62, c) for c in range(chains)]
+        together = product_chain(spec, k, 20, seeds, block=8)
+        apart = concatenated([product_chain(spec, k, 20, [chain_rng(62, c)], block=8)
+                              for c in range(chains)])
+        np.testing.assert_array_equal(together.increments, apart.increments)
+        assert together.redraw_count == apart.redraw_count
+        np.testing.assert_array_equal(together.type_ids, apart.type_ids)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k", [2, 1], ids=["k2", "k1"])
     @pytest.mark.parametrize("step", [1, 4, 5, 7],
