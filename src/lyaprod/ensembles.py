@@ -11,10 +11,12 @@ Conventions
   beta = c + d i.  A quaternion r x c matrix is therefore a 2r x 2c
   complex array satisfying M = J conj(M) J^{-1} exactly, where J is
   block-diagonal in [[0, 1], [-1, 0]].
-* Haar unitaries come from QR of a Gaussian matrix with the diagonal phase
-  correction Q -> Q diag(r_jj / |r_jj|) (plain QR is not Haar).  For
-  beta = 4 a structure-exact Gram-Schmidt over quaternion column pairs is
-  used instead, so the embedding symmetry holds bit-for-bit.
+* Haar columns come from QR of a Gaussian matrix with the diagonal phase
+  correction Q -> Q diag(r_jj / |r_jj|) (plain QR is not Haar; Mezzadri,
+  Notices AMS 54 (2007) 592).  For beta = 4 the phase-fixed complex QR of
+  the embedding is the quaternion QR up to rounding (both have a positive
+  R diagonal, which makes the factorization unique); projecting Q onto the
+  structured subspace makes the embedding symmetry hold bit-for-bit.
 * All randomness flows through numpy Generators.  Batched draws consume the
   underlying bit stream exactly like repeated single draws, so block size is
   a pure performance knob and identical seeds give identical factor streams
@@ -28,7 +30,7 @@ import numpy as np
 
 from .sigma import SigmaSpec
 from .theory import (MixtureSpec, RectangularSpec, _check_beta, _check_dim,
-                     _check_truncation)
+                     _check_int, _check_truncation)
 
 __all__ = [
     "Ensemble",
@@ -70,35 +72,40 @@ _NORMALIZE = {
 class Ensemble:
     """A factor ensemble: Dyson index beta plus the fields of its kind.
 
-    ``kind`` is the JSON name of the ensemble.  ``square`` tells whether
-    every factor is d x d (only the explicit product of stability_exponents
-    needs that), and ``proportions`` gives the shares of the factor types of
-    an ensemble that mixes types on the deterministic quota schedule (None
-    when all factors are identically distributed).
+    ``kind`` is the JSON name of the ensemble.  ``width`` is the column count
+    of a whole factor: d, or D = d + max(offsets) for rectangular factors,
+    which come zero-padded to D x D (only the explicit product of
+    stability_exponents needs width == d).  ``proportions`` gives the shares
+    of the factor types of an ensemble that mixes types on the deterministic
+    quota schedule (None when all factors are identically distributed).
+    Every kind draws through ``panel``.
     """
 
     beta: int
 
     kind = None
-    square = True
     proportions = None
 
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _NORMALIZE[f.name](getattr(self, f.name)))
 
-    def factors(self, stream, b):
-        """The next b factors of ``stream``, a (b, rows, cols) array."""
-        raise NotImplementedError
+    @property
+    def width(self):
+        return self.d
 
     def panel(self, stream, b, k):
         """The panels of the next b steps of ``stream``, a (b, rows, k) array
         (2k columns for the quaternion embedding): draws with the law of the
         first k columns of a factor.  Every kind here is right-unitarily
         invariant, so a panel stands for A_n Q_{n-1}[:, :k] (see the
-        montecarlo module).  Unless a kind draws its panels more cheaply, a
-        panel is the first columns of a whole factor."""
-        return self.factors(stream, b)[..., :2 * k if self.beta == 4 else k]
+        montecarlo module)."""
+        raise NotImplementedError
+
+    def factors(self, stream, b):
+        """The next b factors of ``stream``, a (b, rows, cols) array: the
+        panels as wide as a factor."""
+        return self.panel(stream, b, self.width)
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,6 @@ class StandardGaussian(Ensemble):
     d: int
 
     kind = "standard_gaussian"
-
-    def factors(self, stream, b):
-        return self.panel(stream, b, self.d)
 
     def panel(self, stream, b, k):
         return _gaussian_data(self.beta, self.d, k, stream.rng, size=b)
@@ -124,9 +128,6 @@ class GeneralSigmaGaussian(Ensemble):
     def d(self):
         return self.sigma_inv_eigenvalues.d
 
-    def factors(self, stream, b):
-        return self.panel(stream, b, self.d)
-
     def panel(self, stream, b, k):
         return _sigma_scale(self, _gaussian_data(self.beta, self.d, k, stream.rng, size=b))
 
@@ -137,8 +138,9 @@ class InverseGaussian(Ensemble):
 
     kind = "inverse_gaussian"
 
-    def factors(self, stream, b):
-        return _invert(self.beta, stream.guarded_draws(np.ones(b, dtype=bool)))
+    def panel(self, stream, b, k):
+        g = _invert(self.beta, stream.guarded_draws(np.ones(b, dtype=bool)))
+        return g[..., :2 * k if self.beta == 4 else k]
 
 
 @dataclass(frozen=True)
@@ -152,11 +154,11 @@ class GaussianInverseMixture(Ensemble):
     def proportions(self):
         return (self.alpha_plus, 1.0 - self.alpha_plus)
 
-    def factors(self, stream, b):
-        inverse = np.array(stream.schedule(b)) == 1
+    def panel(self, stream, b, k):
+        inverse = stream.schedule(b) == 1
         g = stream.guarded_draws(inverse)
         g[inverse] = _invert(self.beta, g[inverse])
-        return g
+        return g[..., :2 * k if self.beta == 4 else k]
 
 
 @dataclass(frozen=True)
@@ -167,39 +169,29 @@ class RectangularGaussian(Ensemble):
     kind = "rectangular_gaussian"
 
     @property
-    def square(self):
-        return self.shapes.offsets == (0,)
+    def width(self):
+        return self.d + max(self.shapes.offsets)
 
     @property
     def proportions(self):
         return self.shapes.proportions
 
-    def factors(self, stream, b):
-        """Factors of shape (d + nu_t, d + nu_{t-1}) from one draw (nu_0 = 0),
-        each in the top-left corner of a zero D x D square.  The mask's True
-        entries, in C order, run through each step's corner row by row, so the
-        draw fills the factors as single draws would."""
-        offsets = self.shapes.offsets
-        nus = [offsets[stream.type_trace[-1]] if stream.type_trace else 0]
-        nus += [offsets[s] for s in stream.schedule(b)]
-        rows = self.d + np.array(nus[1:])
-        cols = self.d + np.array(nus[:-1])
-        index = np.arange(self.d + max(offsets))
-        corner = (index[:, None] < rows[:, None, None]) & (index < cols[:, None, None])
-        return self._fill(stream.rng, corner)
-
     def panel(self, stream, b, k):
-        """(d + nu_t) x k Gaussians in the top rows of zero D x k panels."""
-        offsets = self.shapes.offsets
-        rows = self.d + np.array([offsets[s] for s in stream.schedule(b)])
-        top = np.arange(self.d + max(offsets))[:, None] < rows[:, None, None]
-        return self._fill(stream.rng, np.repeat(top, k, axis=2))
-
-    def _fill(self, rng, mask):
-        """Zeros of the mask's shape with Gaussian entries where it is True,
-        drawn in C order."""
+        """Gaussians of shape (d + nu_t, min(k, d + nu_{t-1})) from one draw
+        (nu_0 = 0), each in the top-left corner of a zero D x k panel.  For
+        k <= d a panel is a (d + nu_t) x k Gaussian padded with zero rows; for
+        k = D it is the whole factor.  The mask's True entries, in C order,
+        run through each step's corner row by row, so the draw fills the
+        panels as single draws would."""
+        offsets = np.array(self.shapes.offsets)
+        trace = stream.type_trace
+        first = offsets[trace[-1]] if len(trace) else 0
+        nus = np.concatenate(([first], offsets[stream.schedule(b)]))
+        index = np.arange(self.width)
+        mask = ((index[:, None] < self.d + nus[1:, None, None])
+                & (index[:k] < self.d + nus[:-1, None, None]))
         comps = np.zeros(mask.shape + (self.beta,))
-        comps[mask] = rng.standard_normal((int(np.count_nonzero(mask)), self.beta))
+        comps[mask] = stream.rng.standard_normal((int(np.count_nonzero(mask)), self.beta))
         return _to_field(self.beta, comps)
 
 
@@ -210,17 +202,19 @@ class TruncatedUnitary(Ensemble):
 
     kind = "truncated_unitary"
 
-    def factors(self, stream, b):
-        k = self.d if self.beta != 4 else 2 * self.d
-        z = _haar_data(self.beta, self.d + self.n, stream.rng, size=b)
-        return np.ascontiguousarray(z[:, :k, :k])
-
     def panel(self, stream, b, k):
         """The top rows of k orthonormal columns: Q of a (d + n) x k Gaussian.
         Q is Haar up to a diagonal unitary on the right, for beta = 4 too
         (complex QR of a quaternion matrix), and that leaves |diag R| of the
         step unchanged."""
         q = np.linalg.qr(_gaussian_data(self.beta, self.d + self.n, k, stream.rng, size=b))[0]
+        return q[:, :2 * self.d if self.beta == 4 else self.d]
+
+    def factors(self, stream, b):
+        """The top d rows of d Haar columns in dimension d + n.  Unlike a
+        panel, a whole factor must have the factor's law, so it keeps the
+        phase fix."""
+        q = _haar_columns(self.beta, self.d + self.n, self.d, stream.rng, size=b)
         return q[:, :2 * self.d if self.beta == 4 else self.d]
 
 
@@ -253,7 +247,7 @@ def is_quaternion_structured(m):
 
 
 def _quaternion_symmetrize(m):
-    """Exact projection onto the structured subspace (used after inversion)."""
+    """Exact projection onto the structured subspace (used after inversion and QR)."""
     return 0.5 * (m + quaternion_dual(m))
 
 
@@ -267,14 +261,6 @@ def _embed_quaternion(comps):
     out[..., 0::2, 1::2] = b
     out[..., 1::2, 0::2] = -np.conj(b)
     out[..., 1::2, 1::2] = np.conj(a)
-    return out
-
-
-def _mate_columns(v):
-    """Structure mate -J conj(v) of embedded column vectors (last axis 2m)."""
-    out = np.empty_like(v)
-    out[..., 0::2] = -np.conj(v[..., 1::2])
-    out[..., 1::2] = np.conj(v[..., 0::2])
     return out
 
 
@@ -300,42 +286,14 @@ def _gaussian_data(beta, rows, cols, rng, size=None):
     return _to_field(beta, rng.standard_normal(shape + (beta,)))
 
 
-def _haar_data(beta, m, rng, size=None):
-    g = _gaussian_data(beta, m, m, rng, size=size)
-    if beta in (1, 2):
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        q = q * (diag / np.abs(diag))[..., None, :]
-        return q
-    return _quaternion_gram_schmidt(g)
-
-
-def _quaternion_gram_schmidt(g):
-    """Orthonormalize quaternion columns of embedded matrices (batched).
-
-    Works on the first complex column of each quaternion pair; the second is
-    the explicitly constructed structure mate, which keeps the embedding
-    symmetry exact.  Two projection passes keep orthogonality near machine
-    precision.
-    """
-    squeeze = g.ndim == 2
-    if squeeze:
-        g = g[None]
-    b, two_m, _ = g.shape
-    m = two_m // 2
-    q = np.empty_like(g)
-    for i in range(m):
-        v = g[:, :, 2 * i].copy()
-        for _ in range(2):
-            for j in range(2 * i):
-                u = q[:, :, j]
-                coef = np.einsum("bi,bi->b", np.conj(u), v)
-                v -= coef[:, None] * u
-        norm = np.sqrt(np.einsum("bi,bi->b", np.conj(v), v).real)
-        v /= norm[:, None]
-        q[:, :, 2 * i] = v
-        q[:, :, 2 * i + 1] = _mate_columns(v)
-    return q[0] if squeeze else q
+def _haar_columns(beta, rows, k, rng, size=None):
+    """k orthonormal columns with the law of the first k of a rows x rows
+    Haar unitary: the Q of a rows x k Gaussian times the phases of R's
+    diagonal (see the module docstring)."""
+    q, r = np.linalg.qr(_gaussian_data(beta, rows, k, rng, size=size))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
+    return _quaternion_symmetrize(q) if beta == 4 else q
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +301,7 @@ def _quaternion_gram_schmidt(g):
 # ---------------------------------------------------------------------------
 
 def _quota_schedule(proportions, counts, steps):
-    """The next ``steps`` type indices of the quota round-robin.
+    """The next ``steps`` type indices of the quota round-robin, a uint8 array.
 
     Each step takes the type whose quota is most overdue (Sainte-Lague
     priority, ties by position), so prefix frequencies track the proportions
@@ -358,13 +316,13 @@ def _quota_schedule(proportions, counts, steps):
         if p > 0:
             # at most ``steps`` picks of one type fit in the window
             due.append((np.arange(c, c + steps) + 0.5) / p)
-            types.append(np.full(steps, s))
+            types.append(np.full(steps, s, dtype=np.uint8))
     # a stable sort keeps equal due times in type order
     order = np.argsort(np.concatenate(due), kind="stable")[:steps]
     out = np.concatenate(types)[order]
     for s, n in enumerate(np.bincount(out, minlength=len(counts))):
         counts[s] += int(n)
-    return out.tolist()
+    return out
 
 
 def _sigma_scale(spec, g):
@@ -407,38 +365,52 @@ class FactorStream:
     """Sequential factor source for one Monte Carlo chain.
 
     Yields raw matrix data (the complex embedding for beta = 4), drawn a
-    block at a time by the ensemble's ``factors`` or ``panel``.  Tracks the
-    number of redraws triggered by the near-singular guard on factors that
-    get inverted, and, for ensembles mixing factor types (rectangular offset
-    classes, Gaussian vs inverse), the per-step type trace of the
-    deterministic type schedule.  A stream yields either factors or panels,
-    not both.
+    block at a time by the ensemble's ``panel``, or ``factors`` for whole
+    factors.  Tracks the number of redraws triggered by the near-singular
+    guard on factors that get inverted, and, for ensembles mixing factor
+    types (rectangular offset classes, Gaussian vs inverse), the per-step
+    type trace of the deterministic type schedule, one uint8 per step.  A
+    stream yields either factors or panels, not both.  ``block`` must be an
+    integer >= 1.
     """
 
     def __init__(self, spec, rng, block=256):
         self.spec = spec
         self.rng = rng
-        self.block = max(1, int(block))
+        self.block = _check_int("block", block)
+        if self.block < 1:
+            raise ValueError(f"block must be >= 1, got {block}")
         self.redraws = 0
         self._proportions = spec.proportions
         self._counts = [0] * len(self._proportions) if self._proportions else None
-        self.type_trace = [] if self._proportions else None
+        self._trace = np.empty(0, dtype=np.uint8) if self._proportions else None
+
+    @property
+    def type_trace(self):
+        """The uint8 types of the steps drawn so far, or None for an ensemble
+        with one factor type."""
+        return None if self._trace is None else self._trace[:sum(self._counts)]
 
     def schedule(self, b):
-        """Type indices of the next b steps; extends ``type_trace``."""
+        """Type indices of the next b steps, a uint8 array; extends ``type_trace``."""
+        done = sum(self._counts)
         types = _quota_schedule(self._proportions, self._counts, b)
-        self.type_trace.extend(types)
+        self._trace[done:done + b] = types
         return types
 
     def _sizes(self, n):
         """Sizes of the blocks of n steps: ``block`` each, the last one short."""
+        if self._trace is not None:
+            # room for the types of the n steps
+            self._trace = np.concatenate((self.type_trace, np.empty(n, dtype=np.uint8)))
         for done in range(0, n, self.block):
             yield min(self.block, n - done)
 
     def blocks(self, n):
         """Yield n factors as (b, rows, cols) arrays of at most ``block`` steps.
 
-        Non-square rectangular factors, whose shape changes from step to
+        A factor is the panel as wide as the factor (see Ensemble.width), so
+        non-square rectangular factors, whose shape changes from step to
         step, come zero-padded: each fills the top-left corner of a zero
         D x D square, D = d + max(offsets) (twice that for the quaternion
         embedding).  The generator is consumed exactly as by drawing factor

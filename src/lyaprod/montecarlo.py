@@ -13,13 +13,13 @@ Q_{n-1} depends on the past only and A_n is independent of it, so given the
 past A_n Q_{n-1}[:, :k] has the law of A_n[:, :k].  The increments of step n
 are therefore independent draws of log|diag R| of QR(A_n[:, :k]) (Newman,
 Commun. Math. Phys. 103 (1986) 121), and run_chain draws them that way: no
-frame, no product, one batched QR per block of steps.  A kind draws its
-panel, the law of A[:, :k], more cheaply than a whole factor where it can
-(see Ensemble.panel).  A rectangular panel is a (d + nu_t) x k Gaussian
-padded with zero rows, which leave |diag R| unchanged.  Ensembles that mix
-factor types keep their quota schedule; the law of a step's increments
-depends on its own type only, so they are independent, not identically
-distributed, and estimate reduces them type by type.
+frame, no product, one batched QR per block of steps.  Each kind draws its
+panel, the law of A[:, :k] (see Ensemble.panel); a whole factor is the
+panel as wide as the factor.  A rectangular panel is a (d + nu_t) x k
+Gaussian padded with zero rows, which leave |diag R| unchanged.  Ensembles
+that mix factor types keep their quota schedule; the law of a step's
+increments depends on its own type only, so they are independent, not
+identically distributed, and estimate reduces them type by type.
 
 product_chain steps the product itself with that explicit frame, one
 np.linalg.qr per step, and stays the reference oracle: its increments
@@ -144,10 +144,10 @@ def product_chain(spec, k_max, N, rngs, *, block=256):
     every step (Benettin, Galgani, Giorgilli & Strelcyn, Meccanica 15 (1980)
     9).  The first step factors A_1[:, :k]; each later one factors
     A_n Q_{n-1}[:, :k] with np.linalg.qr, stacked over the chains, and keeps
-    its Q as the next frame.  Non-square rectangular factors come zero-padded
-    (see FactorStream.blocks): the frame then has zero trailing rows, so the
-    padding never enters the product and the R diagonals are those of the
-    true product.
+    its Q as the next frame.  The factors are the streams' full-width panels
+    (see FactorStream.blocks), so non-square rectangular factors come
+    zero-padded: the frame then has zero trailing rows, so the padding never
+    enters the product and the R diagonals are those of the true product.
     """
     k_max, N, streams = _start(spec, k_max, N, rngs, block)
     by_index = np.empty((k_max, len(streams), N))
@@ -192,10 +192,9 @@ def _record(by_index, done, logs, beta):
 
 
 def _result(by_index, streams):
-    trace = streams[0].type_trace
     return ChainResult(increments=by_index.transpose(1, 2, 0),
                        redraw_count=sum(stream.redraws for stream in streams),
-                       type_ids=None if trace is None else np.asarray(trace, dtype=np.uint8))
+                       type_ids=streams[0].type_trace)
 
 
 def _within_type_variance(x, steps):
@@ -271,7 +270,7 @@ def stability_exponents(spec, N, rng):
             "product becomes numerically rank deficient")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if not spec.square:
+    if spec.width != spec.d:
         raise ValueError("stability exponents require square factors")
 
     d = spec.d

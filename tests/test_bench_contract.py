@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import lyaprod.cli
-from lyaprod.ensembles import FactorStream, RectangularGaussian, chain_rng
+from lyaprod.ensembles import (ENSEMBLES, FactorStream, GaussianInverseMixture,
+                               GeneralSigmaGaussian, InverseGaussian, RectangularGaussian,
+                               StandardGaussian, TruncatedUnitary, chain_rng)
 from lyaprod.theory import RectangularSpec
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -45,6 +47,18 @@ def test_tracer_records_every_layer(layers, capsys):
     assert "montecarlo.reduce_ms" in layers.span_metrics(spans)
 
 
-def test_factor_stream_yields_n_factors():
-    spec = RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5))))
-    assert len(list(FactorStream(spec, chain_rng(1, 0)).factors(7))) == 7
+#: One spec of every ensemble kind, by kind.
+SPECS = {spec.kind: spec for spec in (
+    StandardGaussian(2, 2), GeneralSigmaGaussian(1, (0.5, 2.0)), InverseGaussian(4, 2),
+    GaussianInverseMixture(2, 2, 0.5),
+    RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5)))), TruncatedUnitary(4, 2, 1))}
+
+
+@pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+def test_factor_stream_yields_n_factors(kind):
+    # draw_alone times sampling through FactorStream.factors for every kind
+    spec = SPECS[kind]
+    width = 2 * spec.width if spec.beta == 4 else spec.width
+    factors = list(FactorStream(spec, chain_rng(1, 0)).factors(7))
+    assert len(factors) == 7
+    assert all(f.shape == (width, width) for f in factors)

@@ -69,38 +69,42 @@ class TestHaarSampling:
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_unitarity(self, beta):
         rng = chain_rng(200, beta)
-        u = ens._haar_data(beta, 3, rng)
+        u = ens._haar_columns(beta, 3, 3, rng)
         dev = np.abs(np.conj(u.T) @ u - np.eye(u.shape[0])).max()
         assert dev <= 1e-12
 
     def test_real_determinant_is_sign(self):
         rng = chain_rng(201, 0)
         for _ in range(20):
-            u = ens._haar_data(1, 2, rng)
+            u = ens._haar_columns(1, 2, 2, rng)
             assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
 
     def test_quaternion_structure_exact(self):
         rng = chain_rng(202, 0)
         for m in (1, 2, 4):
-            u = ens._haar_data(4, m, rng)
+            u = ens._haar_columns(4, m, m, rng)
             assert is_quaternion_structured(u)
 
     def test_first_entry_phase_uniform(self):
         # Haar measure makes the phase of U_11 uniform on the circle; without
-        # the diagonal phase correction this test fails
+        # the diagonal phase correction this test fails, for the Haar columns
+        # and for the truncated factors drawn from them
         rng = chain_rng(203, 0)
-        u = ens._haar_data(2, 2, rng, size=100_000)
-        phases = np.angle(u[:, 0, 0])
-        p = stats.kstest(phases, stats.uniform(loc=-math.pi, scale=2 * math.pi).cdf).pvalue
-        assert p > 0.001
+        haar = ens._haar_columns(2, 2, 2, rng, size=100_000)
+        stream = FactorStream(TruncatedUnitary(2, 2, 2), rng, block=100_000)
+        truncated = next(stream.blocks(100_000))
+        for u in (haar, truncated):
+            phases = np.angle(u[:, 0, 0])
+            p = stats.kstest(phases, stats.uniform(loc=-math.pi, scale=2 * math.pi).cdf).pvalue
+            assert p > 0.001
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_left_invariance_chi_square(self, beta):
         # statistics of V U match U for a fixed unitary V
         rng = chain_rng(204, beta)
-        v = ens._haar_data(beta, 2, rng)
-        u_plain = ens._haar_data(beta, 2, rng, size=100_000)
-        u_mult = v @ ens._haar_data(beta, 2, rng, size=100_000)
+        v = ens._haar_columns(beta, 2, 2, rng)
+        u_plain = ens._haar_columns(beta, 2, 2, rng, size=100_000)
+        u_mult = v @ ens._haar_columns(beta, 2, 2, rng, size=100_000)
         a = np.abs(u_plain[:, 0, 0])
         b = np.abs(u_mult[:, 0, 0])
         edges = np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 21))
@@ -112,9 +116,9 @@ class TestHaarSampling:
     def test_quaternion_haar_invariance(self):
         # same check through the embedding for the symplectic case
         rng = chain_rng(205, 0)
-        v = ens._haar_data(4, 2, rng)
-        u_plain = ens._haar_data(4, 2, rng, size=30_000)
-        u_mult = v @ ens._haar_data(4, 2, rng, size=30_000)
+        v = ens._haar_columns(4, 2, 2, rng)
+        u_plain = ens._haar_columns(4, 2, 2, rng, size=30_000)
+        u_mult = v @ ens._haar_columns(4, 2, 2, rng, size=30_000)
         a = np.abs(u_plain[:, 0, 0])
         b = np.abs(u_mult[:, 0, 0])
         edges = np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 16))
@@ -255,7 +259,7 @@ class TestRedrawPath:
         streams = [FactorStream(spec, chain_rng(50, 1), block=block) for block in (1, 257)]
         a, b = (list(s.factors(40)) for s in streams)
         assert streams[0].redraws == streams[1].redraws > 0
-        assert streams[0].type_trace == streams[1].type_trace
+        assert np.array_equal(streams[0].type_trace, streams[1].type_trace)
         reference, redraws = one_at_a_time(spec, 40, chain_rng(50, 1))
         assert streams[0].redraws == redraws
         for x, y, r in zip(a, b, reference):
@@ -291,7 +295,7 @@ class TestMixtureSchedule:
     def test_pure_proportions_use_one_type(self, alpha, kind):
         stream = FactorStream(GaussianInverseMixture(2, 2, alpha), chain_rng(53, 0))
         list(stream.factors(50))
-        assert stream.type_trace == [kind] * 50
+        assert list(stream.type_trace) == [kind] * 50
 
     def test_factors_follow_the_type_trace(self):
         # without redraws step t takes the t-th Gaussian draw, inverted at type 1
@@ -346,7 +350,7 @@ class TestRectangularSchedule:
             counts = [0] * len(proportions)
             seq = []
             for b in itertools.cycle(blocks):
-                seq += _quota_schedule(proportions, counts, min(b, steps - len(seq)))
+                seq += list(_quota_schedule(proportions, counts, min(b, steps - len(seq))))
                 if len(seq) == steps:
                     break
             assert seq == expected
@@ -378,6 +382,23 @@ class TestRectangularSchedule:
             r, c = spec.d + nu, spec.d + prev
             want = ens._to_field(beta, rng.standard_normal((r * c, beta)).reshape(r, c, beta))
             assert np.array_equal(f[:scale * r, :scale * c], want)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_panels_take_successive_draws(self, beta):
+        # a block of panels consumes the generator exactly as drawing each
+        # step's (d + nu_t) x k entries in turn would, below zero rows
+        spec = RectangularGaussian(beta, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5))))
+        k = 2
+        stream = FactorStream(spec, chain_rng(57, beta), block=4)
+        panels = np.concatenate(list(stream.panels(10, k)))
+        rng = chain_rng(57, beta)
+        scale = 2 if beta == 4 else 1
+        assert panels.shape == (10, scale * spec.width, scale * k)
+        for p, s in zip(panels, stream.type_trace):
+            r = spec.d + spec.shapes.offsets[s]
+            want = ens._to_field(beta, rng.standard_normal((r * k, beta)).reshape(r, k, beta))
+            assert np.array_equal(p[:scale * r], want)
+            assert not p[scale * r:].any()
 
 
 def bits(x):

@@ -279,7 +279,7 @@ class TestRunChain:
         assert res.type_ids is None
 
     @pytest.mark.parametrize("spec", [StandardGaussian(4, 2)]
-                             + [spec for spec, _, _ in KERNEL_CASES if spec.square],
+                             + [spec for spec, _, _ in KERNEL_CASES if spec.width == spec.d],
                              ids=lambda v: f"{v.kind}-beta{v.beta}-d{v.d}")
     def test_full_frame_increments_sum_to_log_det(self, spec):
         # with k = d the frame is unitary, so a step's increments sum to
@@ -299,6 +299,19 @@ class TestRunChain:
             run_chain(StandardGaussian(2, 2), 0, 5, [chain_rng(13, 0)])
         with pytest.raises(ValueError):
             run_chain(StandardGaussian(2, 2), 1, 0, [chain_rng(13, 0)])
+
+    @pytest.mark.parametrize("block", [0, -5, 2.7, "64", True])
+    def test_rejects_bad_block(self, block):
+        # a block that is not an integer >= 1 is an error, not rounded or clamped
+        spec = StandardGaussian(2, 2)
+        with pytest.raises(ValueError, match="block"):
+            FactorStream(spec, chain_rng(13, 0), block=block)
+        with pytest.raises(ValueError, match="block"):
+            run_chain(spec, 1, 5, [chain_rng(13, 0)], block=block)
+        with pytest.raises(ValueError, match="block"):
+            product_chain(spec, 1, 5, [chain_rng(13, 0)], block=block)
+        with pytest.raises(ValueError, match="block"):
+            estimate(spec, 1, 5, 1, 13, block=block)
 
 
 class TestEstimate:
@@ -363,7 +376,7 @@ class TestEstimate:
             traces.append(stream.type_trace)
         assert len(traces[0]) == 300
         assert len(set(traces[0])) == len(spec.proportions)
-        assert all(trace == traces[0] for trace in traces[1:])
+        assert all(np.array_equal(trace, traces[0]) for trace in traces[1:])
         res = run_chain(spec, 1, 300, [chain_rng(70, c) for c in range(5)], block=64)
         assert np.array_equal(res.type_ids, traces[0])
 
