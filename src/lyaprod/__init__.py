@@ -8,7 +8,7 @@ Monte Carlo verification of every formula.
 __version__ = "0.1.0"
 
 from .specfun import EULER_GAMMA, PI2_OVER_6, digamma, harmonic, trigamma
-from .theory import (MixtureSpec, RectangularSpec, TheorySpectrum,
+from .theory import (RectangularSpec, TheorySpectrum,
                      gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
                      truncated_unitary_spectrum)
 from .sigma import (JPair, SigmaSpec, j_integrals, kargin_mu1, kargin_top,
@@ -24,7 +24,7 @@ from .montecarlo import (ChainResult, McEstimate, estimate, run_chain,
 __all__ = [
     "__version__",
     "EULER_GAMMA", "PI2_OVER_6", "digamma", "trigamma", "harmonic",
-    "TheorySpectrum", "RectangularSpec", "MixtureSpec",
+    "TheorySpectrum", "RectangularSpec",
     "gaussian_spectrum", "rectangular_spectrum", "mixture_spectrum",
     "truncated_unitary_spectrum",
     "SigmaSpec", "JPair", "sigma_spectrum_complex", "sigma_variance1_complex",

@@ -27,7 +27,7 @@ from .ensembles import ENSEMBLES
 from .montecarlo import estimate, spectral_ratio_samples
 from .sigma import (DistinctnessError, SigmaSpec, kargin_top,
                     sigma_spectrum_complex, sigma_variance1_complex)
-from .theory import (MixtureSpec, RectangularSpec, _check_beta,
+from .theory import (RectangularSpec, _check_beta,
                      gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
                      truncated_unitary_spectrum)
 
@@ -173,9 +173,9 @@ def _general_sigma_rows(spec):
 _THEORY = {
     "standard_gaussian": lambda s: _spectrum_rows(gaussian_spectrum(s.beta, s.d)),
     "inverse_gaussian": lambda s: _spectrum_rows(
-        mixture_spectrum(s.beta, s.d, MixtureSpec(0.0))),
+        mixture_spectrum(s.beta, s.d, 0.0)),
     "gaussian_inverse_mixture": lambda s: _spectrum_rows(
-        mixture_spectrum(s.beta, s.d, MixtureSpec(s.alpha_plus))),
+        mixture_spectrum(s.beta, s.d, s.alpha_plus)),
     "rectangular_gaussian": lambda s: _spectrum_rows(
         rectangular_spectrum(s.beta, s.d, s.shapes)),
     "truncated_unitary": lambda s: _spectrum_rows(

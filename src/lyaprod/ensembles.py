@@ -17,10 +17,10 @@ Conventions
   the embedding is the quaternion QR up to rounding (both have a positive
   R diagonal, which makes the factorization unique); projecting Q onto the
   structured subspace makes the embedding symmetry hold bit-for-bit.
-* All randomness flows through numpy Generators.  Batched draws consume the
-  underlying bit stream exactly like repeated single draws, so block size is
-  a pure performance knob and identical seeds give identical factor streams
-  regardless of batching.
+* All randomness flows through numpy Generators.  Streams draw BLOCK steps
+  at a time, and batched draws consume the underlying bit stream exactly
+  like repeated single draws, so identical seeds give identical factor
+  streams whatever BLOCK is.
 """
 
 import math
@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .sigma import SigmaSpec
-from .theory import (MixtureSpec, RectangularSpec, _check_beta, _check_dim,
-                     _check_int, _check_truncation)
+from .theory import (RectangularSpec, _check_beta, _check_dim, _check_int,
+                     _check_share, _check_truncation)
 
 __all__ = [
     "Ensemble",
@@ -50,6 +50,10 @@ __all__ = [
 #: Redraw threshold for the condition number of a factor about to be inverted.
 CONDITION_LIMIT = 1e12
 
+#: Steps a FactorStream draws at once.  The stream does not depend on it;
+#: 256 is the fastest size, or within 3% of it, on every benchmark shape.
+BLOCK = 256
+
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -57,14 +61,23 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Ensemble descriptions
 # ---------------------------------------------------------------------------
 
+def _check_shapes(shapes):
+    """``shapes`` as a RectangularSpec whose offset classes fit the uint8
+    type indices of the quota schedule."""
+    shapes = shapes if isinstance(shapes, RectangularSpec) else RectangularSpec(tuple(shapes))
+    if len(shapes.shapes) > 256:
+        raise ValueError(f"at most 256 offset classes are supported, got {len(shapes.shapes)}")
+    return shapes
+
+
 #: Validation and normalization of every ensemble field, keyed by field name.
 _NORMALIZE = {
     "beta": _check_beta,
     "d": _check_dim,
     "n": _check_truncation,
-    "alpha_plus": lambda a: MixtureSpec(a).alpha_plus,
+    "alpha_plus": _check_share,
     "sigma_inv_eigenvalues": lambda y: y if isinstance(y, SigmaSpec) else SigmaSpec(tuple(y)),
-    "shapes": lambda s: s if isinstance(s, RectangularSpec) else RectangularSpec(tuple(s)),
+    "shapes": _check_shapes,
 }
 
 
@@ -184,8 +197,7 @@ class RectangularGaussian(Ensemble):
         run through each step's corner row by row, so the draw fills the
         panels as single draws would."""
         offsets = np.array(self.shapes.offsets)
-        trace = stream.type_trace
-        first = offsets[trace[-1]] if len(trace) else 0
+        first = 0 if stream.last_type is None else offsets[stream.last_type]
         nus = np.concatenate(([first], offsets[stream.schedule(b)]))
         index = np.arange(self.width)
         mask = ((index[:, None] < self.d + nus[1:, None, None])
@@ -364,67 +376,49 @@ def _invert(beta, g):
 class FactorStream:
     """Sequential factor source for one Monte Carlo chain.
 
-    Yields raw matrix data (the complex embedding for beta = 4), drawn a
-    block at a time by the ensemble's ``panel``, or ``factors`` for whole
+    Yields raw matrix data (the complex embedding for beta = 4), drawn BLOCK
+    steps at a time by the ensemble's ``panel``, or ``factors`` for whole
     factors.  Tracks the number of redraws triggered by the near-singular
-    guard on factors that get inverted, and, for ensembles mixing factor
-    types (rectangular offset classes, Gaussian vs inverse), the per-step
-    type trace of the deterministic type schedule, one uint8 per step.  A
-    stream yields either factors or panels, not both.  ``block`` must be an
-    integer >= 1.
+    guard on factors that get inverted.  For ensembles mixing factor types
+    (rectangular offset classes, Gaussian vs inverse) it keeps the counts of
+    the deterministic type schedule and ``last_type``, the type of the last
+    step drawn (None before the first); step t's type is entry t of
+    _quota_schedule(spec.proportions, [0] * S, N) for every stream.  A
+    stream yields either factors or panels, not both.
     """
 
-    def __init__(self, spec, rng, block=256):
+    def __init__(self, spec, rng):
         self.spec = spec
         self.rng = rng
-        self.block = _check_int("block", block)
-        if self.block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
         self.redraws = 0
-        self._proportions = spec.proportions
-        self._counts = [0] * len(self._proportions) if self._proportions else None
-        self._trace = np.empty(0, dtype=np.uint8) if self._proportions else None
-
-    @property
-    def type_trace(self):
-        """The uint8 types of the steps drawn so far, or None for an ensemble
-        with one factor type."""
-        return None if self._trace is None else self._trace[:sum(self._counts)]
+        self.last_type = None
+        self._counts = [0] * len(spec.proportions) if spec.proportions else None
 
     def schedule(self, b):
-        """Type indices of the next b steps, a uint8 array; extends ``type_trace``."""
-        done = sum(self._counts)
-        types = _quota_schedule(self._proportions, self._counts, b)
-        self._trace[done:done + b] = types
+        """Type indices of the next b steps, a uint8 array; moves ``last_type``."""
+        types = _quota_schedule(self.spec.proportions, self._counts, b)
+        self.last_type = types[-1]
         return types
 
-    def _sizes(self, n):
-        """Sizes of the blocks of n steps: ``block`` each, the last one short."""
-        if self._trace is not None:
-            # room for the types of the n steps
-            self._trace = np.concatenate((self.type_trace, np.empty(n, dtype=np.uint8)))
-        for done in range(0, n, self.block):
-            yield min(self.block, n - done)
-
     def blocks(self, n):
-        """Yield n factors as (b, rows, cols) arrays of at most ``block`` steps.
+        """Yield n factors as (b, rows, cols) arrays of at most BLOCK steps.
 
         A factor is the panel as wide as the factor (see Ensemble.width), so
         non-square rectangular factors, whose shape changes from step to
         step, come zero-padded: each fills the top-left corner of a zero
         D x D square, D = d + max(offsets) (twice that for the quaternion
         embedding).  The generator is consumed exactly as by drawing factor
-        by factor, so block size does not change the stream.
+        by factor, so BLOCK does not change the stream.
         """
-        for b in self._sizes(n):
-            yield self.spec.factors(self, b)
+        for done in range(0, n, BLOCK):
+            yield self.spec.factors(self, min(BLOCK, n - done))
 
     def panels(self, n, k):
         """Yield the panels of n steps (see Ensemble.panel) as (b, rows, k)
-        arrays of at most ``block`` steps.  Like the factors, they do not
-        depend on the block size."""
-        for b in self._sizes(n):
-            yield self.spec.panel(self, b, k)
+        arrays of at most BLOCK steps.  Like the factors, they do not
+        depend on BLOCK."""
+        for done in range(0, n, BLOCK):
+            yield self.spec.panel(self, min(BLOCK, n - done), k)
 
     def factors(self, n):
         """Yield n factors one by one."""
@@ -460,5 +454,6 @@ class FactorStream:
 
 def chain_rng(master_seed, chain_index):
     """Generator for one chain: PCG64 seeded by SeedSequence(master_seed, spawn_key=(chain_index,))."""
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(chain_index),))
+    ss = np.random.SeedSequence(_check_int("master_seed", master_seed),
+                                spawn_key=(_check_int("chain_index", chain_index),))
     return np.random.default_rng(ss)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import FactorStream, chain_rng, _gaussian_data
+from .ensembles import FactorStream, chain_rng, _check_int, _gaussian_data, _quota_schedule
 
 __all__ = [
     "ChainResult",
@@ -66,17 +66,14 @@ class ChainResult:
     """Per-step log-volume increments of the C chains of one run.
 
     increments has shape (C, N, k_max), chain c in the order of the
-    Generators passed to run_chain.  type_ids is the (N,) factor type of each
-    step for ensembles that mix factor distributions (rectangular offset
-    classes, Gaussian vs inverse factors), or None when all factors are
-    identically distributed; every chain follows the same deterministic
-    quota schedule, so one trace serves them all.  redraw_count sums the
-    redraws of all chains.
+    Generators passed to run_chain.  redraw_count sums the redraws of all
+    chains.  For ensembles that mix factor types, every chain follows the
+    same deterministic quota schedule, so step t's type is entry t of
+    _quota_schedule(spec.proportions, [0] * S, N) (see FactorStream).
     """
 
     increments: np.ndarray
     redraw_count: int = 0
-    type_ids: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -107,21 +104,20 @@ class McEstimate:
     redraw_count: int = 0
 
 
-def run_chain(spec, k_max, N, rngs, *, block=256):
+def run_chain(spec, k_max, N, rngs):
     """Run one chain per Generator in ``rngs``, N steps each, all together.
 
     Chain c draws its panels (see Ensemble.panel) from its own FactorStream
-    on rngs[c].  Each block of the C streams is stacked into one
-    (b, C, rows, k) array, and one np.linalg.qr(mode="raw") factors all of it;
-    the logs of the R diagonals, the quaternion pair halving and the
+    on rngs[c].  Each block of BLOCK steps of the C streams is stacked into
+    one (b, C, rows, k) array, and one np.linalg.qr(mode="raw") factors all
+    of it; the logs of the R diagonals, the quaternion pair halving and the
     finiteness check run once per block.  Returns one ChainResult holding the
-    (C, N, k_max) increments of all chains, in the order of ``rngs``, the
-    type trace of the first stream and the summed redraws.  The increments
-    are a view of a C-ordered (k_max, C, N) array, the layout estimate
-    reduces.  The increments have the law of product_chain's (see the module
-    docstring), not its values.
+    (C, N, k_max) increments of all chains, in the order of ``rngs``, and
+    the summed redraws.  The increments are a view of a C-ordered
+    (k_max, C, N) array, the layout estimate reduces.  They have the law of
+    product_chain's (see the module docstring), not its values.
     """
-    k_max, N, streams = _start(spec, k_max, N, rngs, block)
+    k_max, N, streams = _start(spec, k_max, N, rngs)
     by_index = np.empty((k_max, len(streams), N))
     done = 0
     for panels in zip(*(stream.panels(N, k_max) for stream in streams)):
@@ -132,7 +128,7 @@ def run_chain(spec, k_max, N, rngs, *, block=256):
     return _result(by_index, streams)
 
 
-def product_chain(spec, k_max, N, rngs, *, block=256):
+def product_chain(spec, k_max, N, rngs):
     """run_chain on the product itself: the reference oracle of the panel kernel.
 
     Chain c multiplies the factors of its own FactorStream on rngs[c], and
@@ -149,7 +145,7 @@ def product_chain(spec, k_max, N, rngs, *, block=256):
     zero-padded: the frame then has zero trailing rows, so the padding never
     enters the product and the R diagonals are those of the true product.
     """
-    k_max, N, streams = _start(spec, k_max, N, rngs, block)
+    k_max, N, streams = _start(spec, k_max, N, rngs)
     by_index = np.empty((k_max, len(streams), N))
     k = 2 * k_max if spec.beta == 4 else k_max
     frames = None
@@ -164,16 +160,16 @@ def product_chain(spec, k_max, N, rngs, *, block=256):
     return _result(by_index, streams)
 
 
-def _start(spec, k_max, N, rngs, block):
+def _start(spec, k_max, N, rngs):
     """k_max and N as ints, checked, and the streams of a run."""
     d = spec.d
-    k_max = int(k_max)
-    N = int(N)
+    k_max = _check_int("k_max", k_max)
+    N = _check_int("N", N)
     if not 1 <= k_max <= d:
         raise ValueError(f"k_max must satisfy 1 <= k_max <= d = {d}, got {k_max}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    streams = [FactorStream(spec, rng, block=block) for rng in rngs]
+    streams = [FactorStream(spec, rng) for rng in rngs]
     if not streams:
         raise ValueError("a run needs at least one Generator")
     return k_max, N, streams
@@ -193,8 +189,7 @@ def _record(by_index, done, logs, beta):
 
 def _result(by_index, streams):
     return ChainResult(increments=by_index.transpose(1, 2, 0),
-                       redraw_count=sum(stream.redraws for stream in streams),
-                       type_ids=streams[0].type_trace)
+                       redraw_count=sum(stream.redraws for stream in streams))
 
 
 def _within_type_variance(x, steps):
@@ -213,27 +208,29 @@ def _within_type_variance(x, steps):
     return var
 
 
-def estimate(spec, k_max, N, chains, master_seed, *, block=256):
+def estimate(spec, k_max, N, chains, master_seed):
     """Estimate the top k_max exponents and variances from seeded chains.
 
     Chain c draws from chain_rng(master_seed, c).  One run_chain call steps
     all chains together, and its (C, N, k_max) increments are reduced in one
     pass: the grand mean, and the within-type variances of the increments
-    and of their partial sums over the index (see McEstimate).
+    and of their partial sums over the index (see McEstimate), with the step
+    types taken from the quota schedule.
     """
-    chains = int(chains)
+    chains = _check_int("chains", chains)
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
 
     rngs = [chain_rng(master_seed, c) for c in range(chains)]
-    result = run_chain(spec, k_max, N, rngs, block=block)
+    result = run_chain(spec, k_max, N, rngs)
     # index-major, so every sum below runs over contiguous memory and numpy
     # sums it pairwise; no copy for the layout run_chain returns
     xi = np.ascontiguousarray(result.increments.transpose(2, 0, 1))
-    if result.type_ids is None:
+    if spec.proportions is None:
         steps = [slice(None)]
     else:
-        steps = [result.type_ids == t for t in np.unique(result.type_ids)]
+        types = _quota_schedule(spec.proportions, [0] * len(spec.proportions), xi.shape[2])
+        steps = [types == t for t in np.unique(types)]
     mu_hat = xi.mean(axis=(1, 2))
     n_sigma2 = _within_type_variance(xi, steps)
     return McEstimate(
@@ -263,7 +260,7 @@ def stability_exponents(spec, N, rng):
     exact and repairs d = 2 for any N.  Intermediate exponents of d >= 3
     products are only meaningful while N stays below ~36 / gap.
     """
-    N = int(N)
+    N = _check_int("N", N)
     if N > STABILITY_STEP_CAP:
         raise ValueError(
             f"N = {N} exceeds the stability step cap {STABILITY_STEP_CAP}; the "
@@ -337,8 +334,9 @@ def spectral_ratio_samples(beta, d, samples, rng):
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    out = np.empty(int(samples))
-    for i in range(int(samples)):
+    samples = _check_int("samples", samples)
+    out = np.empty(samples)
+    for i in range(samples):
         x = _gaussian_data(beta, d, d, rng) / math.sqrt(d)
         smax = np.linalg.svd(x, compute_uv=False)[0]
         emax = np.abs(np.linalg.eigvals(x)).max()

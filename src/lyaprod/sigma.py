@@ -191,7 +191,7 @@ def _high_cut(s0, q):
     return b
 
 
-def j_integrals(beta, spec, target=QUADRATURE_TARGET):
+def j_integrals(beta, spec):
     """Evaluate (J1, J2) by one trapezoid sum on the log axis.
 
     With x = e^s and the logistic g(s) = 1/(1 + e^s) subtracted (module
@@ -229,7 +229,7 @@ def j_integrals(beta, spec, target=QUADRATURE_TARGET):
     j2_coarse = 4.0 * LOG_STEP * float(np.sum(weighted[even]))
 
     worst = max(abs(j1 - j1_coarse), abs(j2 - j2_coarse))
-    if worst > target:
+    if worst > QUADRATURE_TARGET:
         raise QuadratureError("J integrals did not converge to the target accuracy", worst)
     return JPair(J1=j1, J2=j2)
 

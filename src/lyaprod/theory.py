@@ -12,8 +12,8 @@ number of product steps themselves:
       mu_i = (1/2) log(2/beta) + (1/2) sum_s alpha_s psi(beta (gamma_s + d - i + 1) / 2)
   and likewise with psi' for the variances;
 * mixtures of Gaussian and inverse-Gaussian factors in proportions
-  (alpha_plus, alpha_minus): a plus/minus-weighted combination of the pure
-  Gaussian spectrum with the index reversed on the minus part;
+  (alpha_plus, 1 - alpha_plus): a weighted combination of the pure Gaussian
+  spectrum with the index reversed on the inverse part;
 * truncated Haar unitary (top d x d block of a (d+n) x (d+n) unitary):
       mu_i       = (1/2) (psi(beta (d - i + 1) / 2) - psi(beta (n + d - i + 1) / 2))
       N sigma_i2 = (1/4) (psi'(beta (d - i + 1) / 2) - psi'(beta (n + d - i + 1) / 2))
@@ -21,7 +21,7 @@ number of product steps themselves:
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .specfun import digamma, trigamma
 
@@ -29,7 +29,6 @@ __all__ = [
     "VALID_BETA",
     "TheorySpectrum",
     "RectangularSpec",
-    "MixtureSpec",
     "gaussian_spectrum",
     "rectangular_spectrum",
     "mixture_spectrum",
@@ -60,6 +59,14 @@ def _check_dim(d):
     if d < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {d}")
     return d
+
+
+def _check_share(alpha_plus):
+    """The Gaussian share of a Gaussian / inverse-Gaussian mixture, a float in [0, 1]."""
+    alpha_plus = float(alpha_plus)
+    if not 0.0 <= alpha_plus <= 1.0:
+        raise ValueError(f"alpha_plus must lie in [0, 1], got {alpha_plus!r}")
+    return alpha_plus
 
 
 def _check_truncation(n):
@@ -115,32 +122,10 @@ class RectangularSpec:
         return tuple(a for _, a in self.shapes)
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Proportions of Gaussian (alpha_plus) and inverse-Gaussian factors."""
-
-    alpha_plus: float
-    alpha_minus: float = field(default=None)
-
-    def __post_init__(self):
-        ap = float(self.alpha_plus)
-        am = 1.0 - ap if self.alpha_minus is None else float(self.alpha_minus)
-        object.__setattr__(self, "alpha_plus", ap)
-        object.__setattr__(self, "alpha_minus", am)
-        if not (0.0 <= ap <= 1.0 and 0.0 <= am <= 1.0):
-            raise ValueError("proportions must lie in [0, 1]")
-        if abs(ap + am - 1.0) > _PROPORTION_TOL:
-            raise ValueError("alpha_plus + alpha_minus must equal 1")
-
-
 def gaussian_spectrum(beta, d):
-    """Spectrum for products of square standard Gaussian matrices."""
-    beta = _check_beta(beta)
-    d = _check_dim(d)
-    half_log = 0.5 * math.log(2.0 / beta)
-    mu = tuple(half_log + 0.5 * digamma(beta * (d - i + 1) / 2.0) for i in range(1, d + 1))
-    ns2 = tuple(0.25 * trigamma(beta * (d - i + 1) / 2.0) for i in range(1, d + 1))
-    return TheorySpectrum(beta=beta, d=d, mu=mu, n_sigma2=ns2)
+    """Spectrum for products of square standard Gaussian matrices: the
+    rectangular spectrum of the single offset 0."""
+    return rectangular_spectrum(beta, d, ((0, 1.0),))
 
 
 def rectangular_spectrum(beta, d, spec):
@@ -160,18 +145,17 @@ def rectangular_spectrum(beta, d, spec):
     return TheorySpectrum(beta=beta, d=d, mu=tuple(mu), n_sigma2=tuple(ns2))
 
 
-def mixture_spectrum(beta, d, mix):
+def mixture_spectrum(beta, d, alpha_plus):
     """Spectrum for a Gaussian / inverse-Gaussian factor mixture.
 
     With (mu+, s+) the pure Gaussian spectrum, the exponents of the pure
     inverse ensemble are the reversed negations mu-_i = -mu+_{d+1-i} and the
-    variances the reversals s-_i = s+_{d+1-i}; a proportion-(alpha_plus,
-    alpha_minus) mixture combines them linearly.
+    variances the reversals s-_i = s+_{d+1-i}; a mixture with Gaussian share
+    alpha_plus and inverse share 1 - alpha_plus combines them linearly.
     """
-    if not isinstance(mix, MixtureSpec):
-        mix = MixtureSpec(float(mix))
+    ap = _check_share(alpha_plus)
+    am = 1.0 - ap
     base = gaussian_spectrum(beta, d)
-    ap, am = mix.alpha_plus, mix.alpha_minus
     mu = tuple(ap * base.mu[i] - am * base.mu[d - 1 - i] for i in range(d))
     ns2 = tuple(ap * base.n_sigma2[i] + am * base.n_sigma2[d - 1 - i] for i in range(d))
     return TheorySpectrum(beta=base.beta, d=d, mu=mu, n_sigma2=ns2)

@@ -19,7 +19,7 @@ from lyaprod.montecarlo import (estimate, spectral_ratio_samples,
 from lyaprod.sigma import (SigmaSpec, j_integrals, kargin_mu1,
                            kargin_variance1, residue_j_sums,
                            sigma_spectrum_complex, sigma_variance1_complex)
-from lyaprod.theory import (MixtureSpec, RectangularSpec, gaussian_spectrum,
+from lyaprod.theory import (RectangularSpec, gaussian_spectrum,
                             mixture_spectrum, rectangular_spectrum,
                             truncated_unitary_spectrum)
 
@@ -53,7 +53,7 @@ def test_criterion_2_general_sigma_variance():
 
 def test_criterion_3a_monte_carlo_general_sigma_variance():
     spec = GeneralSigmaGaussian(2, SigmaSpec((1.0, 0.25)))
-    est = estimate(spec, 1, 1_000_000, 1, 20_250_101, block=2048)
+    est = estimate(spec, 1, 1_000_000, 1, 20_250_101)
     target = 0.197699
     assert abs(est.n_sigma2_hat[0] - target) <= 0.01, est.n_sigma2_hat
     report("criterion 3a", f"N=1e6 chain gives N*s2_1 = {est.n_sigma2_hat[0]:.5f} "
@@ -61,7 +61,7 @@ def test_criterion_3a_monte_carlo_general_sigma_variance():
 
 
 def test_criterion_3b_monte_carlo_truncated_unitary():
-    est = estimate(TruncatedUnitary(2, 2, 2), 2, 100_000, 1, 20_250_102, block=2048)
+    est = estimate(TruncatedUnitary(2, 2, 2), 2, 100_000, 1, 20_250_102)
     assert abs(est.mu_hat[0] - (-5.0 / 12.0)) <= 0.01, est.mu_hat
     assert abs(est.partial_sum_mu[1] - (-7.0 / 6.0)) <= 0.02, est.partial_sum_mu
     assert abs(est.n_sigma2_hat[0] - 13.0 / 144.0) <= 0.02, est.n_sigma2_hat
@@ -108,7 +108,7 @@ _HALF = RectangularSpec(((0, 0.5), (1, 0.5)))
 REGRESSION_CASES.append((RectangularGaussian(2, 2, _HALF),
                          rectangular_spectrum(2, 2, _HALF)))
 REGRESSION_CASES.append((GaussianInverseMixture(2, 2, 0.5),
-                         mixture_spectrum(2, 2, MixtureSpec(0.5))))
+                         mixture_spectrum(2, 2, 0.5)))
 for _beta in (1, 2, 4):
     REGRESSION_CASES.append((TruncatedUnitary(_beta, 2, 2),
                              truncated_unitary_spectrum(_beta, 2, 2)))
@@ -118,7 +118,7 @@ for _beta in (1, 2, 4):
     "spec,th", REGRESSION_CASES,
     ids=[f"{type(s).__name__}_b{s.beta}_d{s.d}" for s, _ in REGRESSION_CASES])
 def test_criterion_5_theory_simulation_regression(spec, th):
-    est = estimate(spec, spec.d, 200_000, 4, 20_250_104, block=2048)
+    est = estimate(spec, spec.d, 200_000, 4, 20_250_104)
     z = (est.mu_hat - np.array(th.mu)) / est.se_mu
     assert np.abs(z).max() <= 5.0, (spec, z)
     rel = np.abs(est.n_sigma2_hat - np.array(th.n_sigma2)) / np.array(th.n_sigma2)

@@ -54,6 +54,18 @@ SPECS = {spec.kind: spec for spec in (
     RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5)))), TruncatedUnitary(4, 2, 1))}
 
 
+def test_draw_alone_runs_every_kind_and_stability(layers):
+    # draw_alone builds FactorStream(spec, rng) itself, for compare and
+    # stability operations alike
+    ops = [{"op": "compare", "ensemble": lyaprod.cli.ensemble_to_dict(spec), "N": 300,
+            "chains": 2, "k_max": 1, "seed": 1} for spec in SPECS.values()]
+    ops.append({"op": "stability", "spec": StandardGaussian(2, 2), "N": 300, "reps": 2,
+                "seed": 1})
+    for op in ops:
+        us_per_factor, redraws = layers.draw_alone([op])
+        assert us_per_factor > 0 and redraws >= 0, op
+
+
 @pytest.mark.parametrize("kind", sorted(ENSEMBLES))
 def test_factor_stream_yields_n_factors(kind):
     # draw_alone times sampling through FactorStream.factors for every kind

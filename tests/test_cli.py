@@ -78,6 +78,12 @@ class TestIntegerEnsembleFields:
         assert main(["theory", "--ensemble", json.dumps(obj)]) == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
 
+    def test_too_many_offset_classes_exit_2(self, capsys):
+        obj = {"kind": "rectangular_gaussian", "beta": 2, "d": 1,
+               "shapes": [[g, 1 / 257] for g in range(257)]}
+        assert main(["theory", "--ensemble", json.dumps(obj)]) == 2
+        assert "at most 256 offset classes" in capsys.readouterr().err
+
     def test_numpy_integers_accepted(self):
         spec = ensemble_from_dict({"kind": "truncated_unitary", "beta": np.int64(2),
                                    "d": np.int64(2), "n": np.int64(1)})
@@ -287,7 +293,7 @@ class TestMainEndToEnd:
             alone = [run_chain(spec, k_max, N, [rng], **kwargs) for rng in rngs]
             return montecarlo.ChainResult(
                 increments=np.concatenate([r.increments for r in alone]),
-                redraw_count=sum(r.redraw_count for r in alone), type_ids=alone[0].type_ids)
+                redraw_count=sum(r.redraw_count for r in alone))
 
         monkeypatch.setattr(montecarlo, "run_chain", one_at_a_time)
         assert main(base + ["--out", str(out_alone)]) == 0

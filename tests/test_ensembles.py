@@ -13,6 +13,7 @@ from lyaprod.ensembles import (FactorStream, GaussianInverseMixture,
                                TruncatedUnitary, chain_rng,
                                is_quaternion_structured, quaternion_dual,
                                _quota_schedule)
+from lyaprod.montecarlo import estimate
 from lyaprod.sigma import SigmaSpec
 from lyaprod.specfun import EULER_GAMMA
 from lyaprod.theory import RectangularSpec
@@ -20,12 +21,17 @@ from lyaprod.theory import RectangularSpec
 HALF_HALF = RectangularSpec(((0, 0.5), (1, 0.5)))
 
 
-def collect(spec, n, rng, block=256):
-    return list(FactorStream(spec, rng, block=block).factors(n))
+def collect(spec, n, rng):
+    return list(FactorStream(spec, rng).factors(n))
 
 
 def first_factor(spec, rng):
-    return next(FactorStream(spec, rng, block=1).factors(1))
+    return next(FactorStream(spec, rng).factors(1))
+
+
+def schedule(spec, n):
+    """The types of a stream's first n steps."""
+    return _quota_schedule(spec.proportions, [0] * len(spec.proportions), n)
 
 
 class TestGaussianSampling:
@@ -85,13 +91,14 @@ class TestHaarSampling:
             u = ens._haar_columns(4, m, m, rng)
             assert is_quaternion_structured(u)
 
-    def test_first_entry_phase_uniform(self):
+    def test_first_entry_phase_uniform(self, monkeypatch):
         # Haar measure makes the phase of U_11 uniform on the circle; without
         # the diagonal phase correction this test fails, for the Haar columns
         # and for the truncated factors drawn from them
         rng = chain_rng(203, 0)
         haar = ens._haar_columns(2, 2, 2, rng, size=100_000)
-        stream = FactorStream(TruncatedUnitary(2, 2, 2), rng, block=100_000)
+        monkeypatch.setattr(ens, "BLOCK", 100_000)
+        stream = FactorStream(TruncatedUnitary(2, 2, 2), rng)
         truncated = next(stream.blocks(100_000))
         for u in (haar, truncated):
             phases = np.angle(u[:, 0, 0])
@@ -142,12 +149,12 @@ class TestFactorSampling:
         g = ens._gaussian_data(2, 2, 2, chain_rng(301, 0))
         assert np.array_equal(f, np.diag([2.0, 1.0]) @ g)
 
-    def test_inverse_scalar_log_mean(self):
+    def test_inverse_scalar_log_mean(self, monkeypatch):
         # E log|1/g| = +gamma/2, the negation of the Gaussian value
         rng = chain_rng(302, 0)
+        monkeypatch.setattr(ens, "BLOCK", 8192)
         vals = np.array([math.log(abs(f[0, 0]))
-                         for f in FactorStream(InverseGaussian(2, 1), rng,
-                                               block=8192).factors(400_000)])
+                         for f in FactorStream(InverseGaussian(2, 1), rng).factors(400_000)])
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - EULER_GAMMA / 2.0) < 3.0 * se
 
@@ -197,10 +204,12 @@ class TestDeterminism:
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__ + str(s.beta))
-    def test_block_size_does_not_change_stream(self, spec):
-        a = collect(spec, 9, chain_rng(43, 1), block=1)
-        b = collect(spec, 9, chain_rng(43, 1), block=257)
-        c = collect(spec, 9, chain_rng(43, 1), block=4)
+    def test_block_size_does_not_change_stream(self, spec, monkeypatch):
+        runs = []
+        for block in (1, 257, 4):
+            monkeypatch.setattr(ens, "BLOCK", block)
+            runs.append(collect(spec, 9, chain_rng(43, 1)))
+        a, b, c = runs
         for x, y, z in zip(a, b, c):
             assert np.array_equal(x, y)
             assert np.array_equal(x, z)
@@ -255,11 +264,15 @@ class TestRedrawPath:
         monkeypatch.setattr(ens, "CONDITION_LIMIT", 3.0)
 
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
-    def test_block_size_and_single_draws_agree(self, spec):
-        streams = [FactorStream(spec, chain_rng(50, 1), block=block) for block in (1, 257)]
-        a, b = (list(s.factors(40)) for s in streams)
+    def test_block_size_and_single_draws_agree(self, spec, monkeypatch):
+        streams, runs = [], []
+        for block in (1, 257):
+            monkeypatch.setattr(ens, "BLOCK", block)
+            streams.append(FactorStream(spec, chain_rng(50, 1)))
+            runs.append(list(streams[-1].factors(40)))
+        a, b = runs
         assert streams[0].redraws == streams[1].redraws > 0
-        assert np.array_equal(streams[0].type_trace, streams[1].type_trace)
+        assert streams[0].last_type == streams[1].last_type
         reference, redraws = one_at_a_time(spec, 40, chain_rng(50, 1))
         assert streams[0].redraws == redraws
         for x, y, r in zip(a, b, reference):
@@ -287,7 +300,8 @@ class TestMixtureSchedule:
     def test_type_prefix_frequencies_within_one(self, alpha):
         stream = FactorStream(GaussianInverseMixture(1, 2, alpha), chain_rng(52, 0))
         list(stream.factors(3000))
-        gaussian = np.cumsum(np.array(stream.type_trace) == 0)
+        gaussian = np.cumsum(schedule(stream.spec, 3000) == 0)
+        assert stream._counts == [gaussian[-1], 3000 - gaussian[-1]]
         n = np.arange(1, gaussian.size + 1)
         assert np.abs(gaussian - alpha * n).max() <= 1.0 + 1e-9
 
@@ -295,16 +309,18 @@ class TestMixtureSchedule:
     def test_pure_proportions_use_one_type(self, alpha, kind):
         stream = FactorStream(GaussianInverseMixture(2, 2, alpha), chain_rng(53, 0))
         list(stream.factors(50))
-        assert list(stream.type_trace) == [kind] * 50
+        assert list(schedule(stream.spec, 50)) == [kind] * 50
+        assert stream.last_type == kind
 
-    def test_factors_follow_the_type_trace(self):
+    def test_factors_follow_the_type_trace(self, monkeypatch):
         # without redraws step t takes the t-th Gaussian draw, inverted at type 1
         spec = GaussianInverseMixture(2, 3, 0.4)
-        stream = FactorStream(spec, chain_rng(54, 0), block=16)
+        monkeypatch.setattr(ens, "BLOCK", 16)
+        stream = FactorStream(spec, chain_rng(54, 0))
         factors = list(stream.factors(100))
         g = ens._gaussian_data(2, 3, 3, chain_rng(54, 0), size=100)
         assert stream.redraws == 0
-        for f, x, t in zip(factors, g, stream.type_trace):
+        for f, x, t in zip(factors, g, schedule(spec, 100)):
             assert np.array_equal(f, np.linalg.inv(x) if t == 1 else x)
 
 
@@ -356,6 +372,14 @@ class TestRectangularSchedule:
             assert seq == expected
             assert counts == [expected.count(s) for s in range(len(proportions))]
 
+    def test_256_offset_classes_run_and_257_are_rejected(self):
+        # the schedule's type indices are uint8, so 256 classes is the limit
+        spec = RectangularGaussian(2, 1, [(g, 1 / 256) for g in range(256)])
+        est = estimate(spec, 1, 512, 2, 58)
+        assert np.isfinite(est.mu_hat).all() and np.isfinite(est.n_sigma2_hat).all()
+        with pytest.raises(ValueError, match="at most 256 offset classes"):
+            RectangularGaussian(2, 1, [(g, 1 / 257) for g in range(257)])
+
     def test_factor_shapes_follow_schedule(self):
         spec = RectangularGaussian(2, 2, HALF_HALF)
         factors = collect(spec, 5, chain_rng(46, 0))
@@ -369,14 +393,15 @@ class TestRectangularSchedule:
             assert np.all(padding == 0)
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
-    def test_corners_take_successive_draws(self, beta):
+    def test_corners_take_successive_draws(self, beta, monkeypatch):
         # the padded block consumes the generator exactly as drawing each
         # factor's r x c entries in turn would
         spec = RectangularGaussian(beta, 2, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5))))
-        stream = FactorStream(spec, chain_rng(55, beta), block=4)
+        monkeypatch.setattr(ens, "BLOCK", 4)
+        stream = FactorStream(spec, chain_rng(55, beta))
         factors = list(stream.factors(10))
         rng = chain_rng(55, beta)
-        nus = [0] + [spec.shapes.offsets[s] for s in stream.type_trace]
+        nus = [0] + [spec.shapes.offsets[s] for s in schedule(spec, 10)]
         scale = 2 if beta == 4 else 1
         for f, prev, nu in zip(factors, nus, nus[1:]):
             r, c = spec.d + nu, spec.d + prev
@@ -384,17 +409,18 @@ class TestRectangularSchedule:
             assert np.array_equal(f[:scale * r, :scale * c], want)
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
-    def test_panels_take_successive_draws(self, beta):
+    def test_panels_take_successive_draws(self, beta, monkeypatch):
         # a block of panels consumes the generator exactly as drawing each
         # step's (d + nu_t) x k entries in turn would, below zero rows
         spec = RectangularGaussian(beta, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5))))
         k = 2
-        stream = FactorStream(spec, chain_rng(57, beta), block=4)
+        monkeypatch.setattr(ens, "BLOCK", 4)
+        stream = FactorStream(spec, chain_rng(57, beta))
         panels = np.concatenate(list(stream.panels(10, k)))
         rng = chain_rng(57, beta)
         scale = 2 if beta == 4 else 1
         assert panels.shape == (10, scale * spec.width, scale * k)
-        for p, s in zip(panels, stream.type_trace):
+        for p, s in zip(panels, schedule(spec, 10)):
             r = spec.d + spec.shapes.offsets[s]
             want = ens._to_field(beta, rng.standard_normal((r * k, beta)).reshape(r, k, beta))
             assert np.array_equal(p[:scale * r], want)

@@ -6,8 +6,8 @@ import pytest
 from lyaprod.ensembles import (ENSEMBLES, FactorStream, GaussianInverseMixture,
                                GeneralSigmaGaussian, InverseGaussian,
                                RectangularGaussian, StandardGaussian,
-                               TruncatedUnitary, chain_rng)
-from lyaprod import montecarlo
+                               TruncatedUnitary, _quota_schedule, chain_rng)
+from lyaprod import ensembles, montecarlo
 from lyaprod.montecarlo import (ChainResult, estimate, product_chain, run_chain,
                                 spectral_ratio_samples, stability_exponents)
 from lyaprod.sigma import SigmaSpec
@@ -46,12 +46,17 @@ def identity_frame(spec, k_max):
     return np.eye(size, k_max, dtype=dtype)
 
 
-def reference_qr_chains(spec, k_max, N, rngs, block):
+def schedule(spec, n):
+    """The types of the first n steps of every stream of ``spec``."""
+    return _quota_schedule(spec.proportions, [0] * len(spec.proportions), n)
+
+
+def reference_qr_chains(spec, k_max, N, rngs):
     """Oracle for the step kernel: the chains stepped together with an
     explicit orthonormal frame, multiplied by each factor and refactored by
     np.linalg.qr, phases fixed by rdiag / |rdiag|.  Returns the increments
     as (chains, N, k_max)."""
-    streams = [FactorStream(spec, rng, block=block) for rng in rngs]
+    streams = [FactorStream(spec, rng) for rng in rngs]
     frames = np.repeat(identity_frame(spec, k_max)[None], len(rngs), axis=0)
     out = []
     for step in zip(*(stream.factors(N) for stream in streams)):
@@ -68,8 +73,7 @@ def reference_qr_chains(spec, k_max, N, rngs, block):
 def concatenated(results):
     """One ChainResult of the chains of ``results``, stepped apart, in order."""
     return ChainResult(increments=np.concatenate([r.increments for r in results]),
-                       redraw_count=sum(r.redraw_count for r in results),
-                       type_ids=results[0].type_ids)
+                       redraw_count=sum(r.redraw_count for r in results))
 
 
 #: (spec, k_max, chains) covering every kind, each beta, k < d and k = d,
@@ -128,27 +132,28 @@ class TestStepKernel:
 
     @pytest.mark.parametrize("spec,k,chains", KERNEL_CASES,
                              ids=lambda v: getattr(v, "kind", str(v)))
-    def test_matches_np_linalg_qr_reference(self, spec, k, chains):
+    def test_matches_np_linalg_qr_reference(self, spec, k, chains, monkeypatch):
         # 250 steps in blocks of 64: the last block is short.  The kernel
         # fixes no phase on its frame and the reference does; dropping the
         # phase is exact, so the two agree up to rounding.
+        monkeypatch.setattr(ensembles, "BLOCK", 64)
         rngs = [chain_rng(60, c) for c in range(chains)]
-        got = product_chain(spec, k, 250, rngs, block=64).increments
-        want = reference_qr_chains(spec, k, 250, [chain_rng(60, c) for c in range(chains)], 64)
+        got = product_chain(spec, k, 250, rngs).increments
+        want = reference_qr_chains(spec, k, 250, [chain_rng(60, c) for c in range(chains)])
         assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("spec,k,chains", KERNEL_CASES,
                              ids=lambda v: getattr(v, "kind", str(v)))
-    def test_chains_stepped_together_match_stepped_apart(self, spec, k, chains):
+    def test_chains_stepped_together_match_stepped_apart(self, spec, k, chains, monkeypatch):
         # the chains' factors and frames are stacked at every step; no chain
         # may see another's, so each one alone gives the same increments
+        monkeypatch.setattr(ensembles, "BLOCK", 8)
         seeds = [chain_rng(62, c) for c in range(chains)]
-        together = product_chain(spec, k, 20, seeds, block=8)
-        apart = concatenated([product_chain(spec, k, 20, [chain_rng(62, c)], block=8)
+        together = product_chain(spec, k, 20, seeds)
+        apart = concatenated([product_chain(spec, k, 20, [chain_rng(62, c)])
                               for c in range(chains)])
         np.testing.assert_array_equal(together.increments, apart.increments)
         assert together.redraw_count == apart.redraw_count
-        np.testing.assert_array_equal(together.type_ids, apart.type_ids)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k", [2, 1], ids=["k2", "k1"])
@@ -159,9 +164,10 @@ class TestStepKernel:
         # second; step 1 has no frame to multiply yet
         monkeypatch.setattr(PoisonedStream, "poison_step", step)
         monkeypatch.setattr(montecarlo, "FactorStream", PoisonedStream)
+        monkeypatch.setattr(ensembles, "BLOCK", 4)
         rngs = [chain_rng(61, c) for c in range(3)]
         with pytest.raises(ArithmeticError, match=f"non-finite increment at step {step}$"):
-            product_chain(StandardGaussian(2, 2), k, 12, rngs, block=4)
+            product_chain(StandardGaussian(2, 2), k, 12, rngs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k", [2, 1], ids=["k2", "k1"])
@@ -170,19 +176,20 @@ class TestStepKernel:
     def test_nan_panel_names_its_step(self, k, step, monkeypatch):
         monkeypatch.setattr(PoisonedStream, "poison_step", step)
         monkeypatch.setattr(montecarlo, "FactorStream", PoisonedStream)
+        monkeypatch.setattr(ensembles, "BLOCK", 4)
         rngs = [chain_rng(61, c) for c in range(3)]
         with pytest.raises(ArithmeticError, match=f"non-finite increment at step {step}$"):
-            run_chain(StandardGaussian(2, 2), k, 12, rngs, block=4)
+            run_chain(StandardGaussian(2, 2), k, 12, rngs)
 
 
-def pooled_moments(result):
+def pooled_moments(result, spec):
     """mu_hat, N sigma^2 and the standard error of each, per index, from the
-    increments of a ChainResult.  As in estimate, the variance is that of
-    each type's steps weighted by the type's share; the standard error of a
-    type's sample variance is sqrt((m4 - var^2) / count)."""
+    increments of a ChainResult of ``spec``.  As in estimate, the variance is
+    that of each type's steps weighted by the type's share; the standard
+    error of a type's sample variance is sqrt((m4 - var^2) / count)."""
     x = result.increments
     chains, n, k = x.shape
-    types = np.zeros(n) if result.type_ids is None else result.type_ids
+    types = np.zeros(n) if spec.proportions is None else schedule(spec, n)
     ns2, var_ns2 = np.zeros(k), np.zeros(k)
     for t in np.unique(types):
         rows = x[:, types == t].reshape(-1, k)
@@ -225,10 +232,8 @@ class TestKernelEquivalence:
         N, chains = 5000, 2
         panel = run_chain(spec, k, N, [chain_rng(80, c) for c in range(chains)])
         product = product_chain(spec, k, N, [chain_rng(81, c) for c in range(chains)])
-        if spec.proportions is not None:
-            assert np.array_equal(panel.type_ids, product.type_ids)
-        mu_a, se_mu_a, ns2_a, se_ns2_a = pooled_moments(panel)
-        mu_b, se_mu_b, ns2_b, se_ns2_b = pooled_moments(product)
+        mu_a, se_mu_a, ns2_a, se_ns2_a = pooled_moments(panel, spec)
+        mu_b, se_mu_b, ns2_b, se_ns2_b = pooled_moments(product, spec)
         z_mu = (mu_a - mu_b) / np.hypot(se_mu_a, se_mu_b)
         z_ns2 = (ns2_a - ns2_b) / np.hypot(se_ns2_a, se_ns2_b)
         assert np.abs(z_mu).max() <= self.Z_GATE, z_mu
@@ -249,6 +254,26 @@ TELESCOPING_CASES = [
     (TruncatedUnitary(4, 3, 2), 3),
     (InverseGaussian(1, 2), 2),
 )]
+
+
+#: (id, argument name, call passing ``bad`` for that argument) for every
+#: integer argument of a run.
+RUN_SIZE_CALLS = [
+    ("estimate-k_max", "k_max", lambda bad: estimate(StandardGaussian(2, 2), bad, 5, 1, 13)),
+    ("estimate-N", "N", lambda bad: estimate(StandardGaussian(2, 2), 1, bad, 1, 13)),
+    ("estimate-chains", "chains", lambda bad: estimate(StandardGaussian(2, 2), 1, 5, bad, 13)),
+    ("estimate-seed", "master_seed", lambda bad: estimate(StandardGaussian(2, 2), 1, 5, 1, bad)),
+    ("run_chain-k_max", "k_max",
+     lambda bad: run_chain(StandardGaussian(2, 2), bad, 5, [chain_rng(13, 0)])),
+    ("run_chain-N", "N", lambda bad: run_chain(StandardGaussian(2, 2), 1, bad, [chain_rng(13, 0)])),
+    ("product_chain-N", "N",
+     lambda bad: product_chain(StandardGaussian(2, 2), 1, bad, [chain_rng(13, 0)])),
+    ("stability-N", "N", lambda bad: stability_exponents(StandardGaussian(2, 2), bad,
+                                                         chain_rng(13, 0))),
+    ("ratio-samples", "samples", lambda bad: spectral_ratio_samples(2, 2, bad, chain_rng(13, 0))),
+    ("chain_rng-seed", "master_seed", lambda bad: chain_rng(bad, 0)),
+    ("chain_rng-index", "chain_index", lambda bad: chain_rng(13, bad)),
+]
 
 
 class TestRunChain:
@@ -276,18 +301,18 @@ class TestRunChain:
         assert res.increments.shape == (2, 25, 2)
         assert np.all(np.isfinite(res.increments))
         assert res.redraw_count == 0
-        assert res.type_ids is None
 
     @pytest.mark.parametrize("spec", [StandardGaussian(4, 2)]
                              + [spec for spec, _, _ in KERNEL_CASES if spec.width == spec.d],
                              ids=lambda v: f"{v.kind}-beta{v.beta}-d{v.d}")
-    def test_full_frame_increments_sum_to_log_det(self, spec):
+    def test_full_frame_increments_sum_to_log_det(self, spec, monkeypatch):
         # with k = d the frame is unitary, so a step's increments sum to
         # log|det A_n| (half of it for the embedding of a quaternion factor,
         # whose column pairs are halved), whatever the QR does
         n = 200
-        increments = product_chain(spec, spec.d, n, [chain_rng(12, 0)], block=64).increments[0]
-        factors = np.stack(list(FactorStream(spec, chain_rng(12, 0), block=64).factors(n)))
+        monkeypatch.setattr(ensembles, "BLOCK", 64)
+        increments = product_chain(spec, spec.d, n, [chain_rng(12, 0)]).increments[0]
+        factors = np.stack(list(FactorStream(spec, chain_rng(12, 0)).factors(n)))
         logdet = np.linalg.slogdet(factors)[1]
         want = 0.5 * logdet if spec.beta == 4 else logdet
         assert np.abs(increments.sum(axis=1) - want).max() <= 1e-12
@@ -300,18 +325,13 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(StandardGaussian(2, 2), 1, 0, [chain_rng(13, 0)])
 
-    @pytest.mark.parametrize("block", [0, -5, 2.7, "64", True])
-    def test_rejects_bad_block(self, block):
-        # a block that is not an integer >= 1 is an error, not rounded or clamped
-        spec = StandardGaussian(2, 2)
-        with pytest.raises(ValueError, match="block"):
-            FactorStream(spec, chain_rng(13, 0), block=block)
-        with pytest.raises(ValueError, match="block"):
-            run_chain(spec, 1, 5, [chain_rng(13, 0)], block=block)
-        with pytest.raises(ValueError, match="block"):
-            product_chain(spec, 1, 5, [chain_rng(13, 0)], block=block)
-        with pytest.raises(ValueError, match="block"):
-            estimate(spec, 1, 5, 1, 13, block=block)
+    @pytest.mark.parametrize("bad", [2.7, "64", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("name,call", [case[1:] for case in RUN_SIZE_CALLS],
+                             ids=[case[0] for case in RUN_SIZE_CALLS])
+    def test_rejects_non_integer_run_sizes(self, name, call, bad):
+        # a size, count or seed that is not an integer is an error, not truncated
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(bad)
 
 
 class TestEstimate:
@@ -365,29 +385,13 @@ class TestEstimate:
         assert together.redraw_count == grouped.redraw_count
 
     @pytest.mark.parametrize("spec", SCHEDULED_SPECS, ids=["mixture", "rectangular-3"])
-    def test_streams_share_one_type_trace(self, spec):
-        # run_chain keeps the first stream's trace for all chains: the quota
-        # schedule must not depend on the Generator
-        traces = []
-        for c in range(5):
-            stream = FactorStream(spec, chain_rng(70, c), block=64)
-            for _ in stream.blocks(300):
-                pass
-            traces.append(stream.type_trace)
-        assert len(traces[0]) == 300
-        assert len(set(traces[0])) == len(spec.proportions)
-        assert all(np.array_equal(trace, traces[0]) for trace in traces[1:])
-        res = run_chain(spec, 1, 300, [chain_rng(70, c) for c in range(5)], block=64)
-        assert np.array_equal(res.type_ids, traces[0])
-
-    @pytest.mark.parametrize("spec", SCHEDULED_SPECS, ids=["mixture", "rectangular-3"])
     def test_reduction_matches_direct_computation(self, spec):
         # per type, the two-pass sample variance of the rows of all chains,
         # weighted by the type's share of the C x N steps
         N, chains, k = 500, 3, spec.d
         est = estimate(spec, k, N, chains, 71)
         res = run_chain(spec, k, N, [chain_rng(71, c) for c in range(chains)])
-        types = np.asarray(res.type_ids)
+        types = schedule(spec, N)
         for field, x in (("n_sigma2_hat", res.increments),
                          ("partial_sum_n_sigma2", np.cumsum(res.increments, axis=2))):
             want = np.zeros(k)
@@ -398,9 +402,11 @@ class TestEstimate:
             assert np.abs(getattr(est, field) - want).max() <= 1e-13, field
         assert np.abs(est.mu_hat - res.increments.mean(axis=(0, 1))).max() <= 1e-13
 
-    def test_block_size_invariance(self):
-        a = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20, block=64)
-        b = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20, block=1024)
+    def test_block_size_invariance(self, monkeypatch):
+        monkeypatch.setattr(ensembles, "BLOCK", 64)
+        a = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20)
+        monkeypatch.setattr(ensembles, "BLOCK", 1024)
+        b = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20)
         assert np.array_equal(a.mu_hat, b.mu_hat)
 
     def test_matches_theory_complex_gaussian(self):
@@ -447,11 +453,11 @@ class TestVarianceAgreement:
         for beta in (1, 2, 4):
             for d in (1, 2, 3):
                 cases.append((StandardGaussian(beta, d), gaussian_spectrum(beta, d)))
-        from lyaprod.theory import mixture_spectrum, rectangular_spectrum, MixtureSpec
+        from lyaprod.theory import mixture_spectrum, rectangular_spectrum
         half = RectangularSpec(((0, 0.5), (1, 0.5)))
         cases.append((RectangularGaussian(2, 2, half), rectangular_spectrum(2, 2, half)))
         cases.append((GaussianInverseMixture(2, 2, 0.5),
-                      mixture_spectrum(2, 2, MixtureSpec(0.5))))
+                      mixture_spectrum(2, 2, 0.5)))
         for beta in (1, 2, 4):
             cases.append((TruncatedUnitary(beta, 2, 2),
                           truncated_unitary_spectrum(beta, 2, 2)))

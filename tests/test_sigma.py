@@ -181,9 +181,10 @@ class TestJIntegrals:
         assert abs(q.J1 - r.J1) <= 1e-13
         assert abs(q.J2 - r.J2) <= 1e-13
 
-    def test_unreachable_target_raises(self):
+    def test_unreachable_target_raises(self, monkeypatch):
+        monkeypatch.setattr(lyaprod.sigma, "QUADRATURE_TARGET", 1e-30)
         with pytest.raises(QuadratureError) as info:
-            j_integrals(1, SigmaSpec((0.5, 2.0)), target=1e-30)
+            j_integrals(1, SigmaSpec((0.5, 2.0)))
         estimate = info.value.estimate
         assert math.isfinite(estimate) and 1e-30 < estimate <= 1e-10
         assert f"{estimate:.3e}" in str(info.value)

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6, digamma, trigamma
-from lyaprod.theory import (MixtureSpec, RectangularSpec, TheorySpectrum,
+from lyaprod.theory import (RectangularSpec, TheorySpectrum,
                             gaussian_spectrum, mixture_spectrum,
                             rectangular_spectrum, truncated_unitary_spectrum)
 
@@ -98,36 +98,36 @@ class TestRectangularSpectrum:
 
 class TestMixtureSpectrum:
     def test_pure_gaussian(self):
-        a = mixture_spectrum(2, 2, MixtureSpec(1.0))
+        a = mixture_spectrum(2, 2, 1.0)
         b = gaussian_spectrum(2, 2)
         assert a.mu == pytest.approx(b.mu, abs=1e-15)
         assert a.n_sigma2 == pytest.approx(b.n_sigma2, abs=1e-15)
 
     def test_half_half_top_exponent(self):
-        th = mixture_spectrum(2, 2, MixtureSpec(0.5))
+        th = mixture_spectrum(2, 2, 0.5)
         assert th.mu[0] == pytest.approx(0.25 * (digamma(2.0) - digamma(1.0)), abs=1e-14)
         assert th.mu[0] == pytest.approx(0.25, abs=1e-14)
 
     def test_pure_inverse_scalar(self):
-        th = mixture_spectrum(2, 1, MixtureSpec(0.0))
+        th = mixture_spectrum(2, 1, 0.0)
         assert th.mu[0] == pytest.approx(EULER_GAMMA / 2.0, abs=1e-14)
 
     def test_pure_inverse_reverses_and_negates(self):
         base = gaussian_spectrum(2, 4)
-        inv = mixture_spectrum(2, 4, MixtureSpec(0.0))
+        inv = mixture_spectrum(2, 4, 0.0)
         assert inv.mu == pytest.approx(tuple(-m for m in reversed(base.mu)), abs=1e-15)
         assert inv.n_sigma2 == pytest.approx(tuple(reversed(base.n_sigma2)), abs=1e-15)
 
     def test_mu_non_increasing(self):
         for ap in (0.0, 0.3, 0.5, 0.8, 1.0):
-            th = mixture_spectrum(2, 4, MixtureSpec(ap))
+            th = mixture_spectrum(2, 4, ap)
             assert all(a >= b for a, b in zip(th.mu, th.mu[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MixtureSpec(1.5)
+            mixture_spectrum(2, 2, 1.5)
         with pytest.raises(ValueError):
-            MixtureSpec(0.5, 0.6)
+            mixture_spectrum(2, 2, -0.5)
 
 
 class TestTruncatedUnitarySpectrum:
