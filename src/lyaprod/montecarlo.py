@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import FactorStream, chain_rng, _check_int, _gaussian_data, _quota_schedule
+from .ensembles import (FactorStream, chain_rng, _check_beta, _check_int, _gaussian_data,
+                        _quota_schedule)
 
 __all__ = [
     "ChainResult",
@@ -246,19 +247,34 @@ def estimate(spec, k_max, N, chains, master_seed):
 def stability_exponents(spec, N, rng):
     """Growth rates and phases of the eigenvalues of the product itself.
 
-    The product is accumulated with a per-step rescaling by its largest
-    entry modulus (log-scales summed exactly with math.fsum), then
-    eigendecomposed once.  Returns d (lambda_k, theta_k) pairs sorted by
-    descending lambda; for beta = 4 one representative per conjugate-
-    degenerate pair is returned, with theta >= 0.
+    All N factors are drawn at once from FactorStream(spec, rng).blocks(N),
+    one batched slogdet checks them, and the product P_N = A_N ... A_1 is
+    reduced as a tree: each level multiplies neighbouring partial products
+    in one batched matmul, the later one on the left, and carries an odd
+    last one up unchanged, so about log2(N) matmuls form P_N.  Before the
+    first level and after every level each partial product is rescaled by
+    the power of two 2^-e that brings its largest entry modulus into
+    [1/2, 1).  Such a scale is exact, so the log of the dropped scale is the
+    integer sum of the e times ln 2.  P_N is then eigendecomposed once.
+    Returns d (lambda_k, theta_k) pairs sorted by descending lambda; for
+    beta = 4 one representative per conjugate-degenerate pair is returned,
+    with theta >= 0.
 
     An eigensolver applied to the final matrix cannot resolve eigenvalue
     moduli below machine epsilon times the dominant one, i.e. exponent gaps
     with N * (lambda_1 - lambda_k) > ~36 drown.  The determinant telescopes
     exactly over the factors, so the smallest exponent (smallest pair for
     beta = 4) is recovered from sum ln|det A_j|, which also makes d = 1
-    exact and repairs d = 2 for any N.  Intermediate exponents of d >= 3
-    products are only meaningful while N stays below ~36 / gap.
+    exact and repairs d = 2 for any N.  For beta != 4 the determinant's
+    phase repairs the smallest eigenvalue's phase too.  The embedded
+    determinant of a quaternion product is real, so for beta = 4 only the
+    modulus of the bottom pair is repaired: its phase is not resolved once
+    N * gap > ~36.  Intermediate exponents of d >= 3 products are only
+    meaningful while N stays below ~36 / gap.
+
+    Raises ArithmeticError for a singular or non-finite factor, before any
+    product is formed, and when a partial product collapses to zero (or
+    below the normal floating-point range) or overflows.
     """
     N = _check_int("N", N)
     if N > STABILITY_STEP_CAP:
@@ -270,34 +286,34 @@ def stability_exponents(spec, N, rng):
     if spec.width != spec.d:
         raise ValueError("stability exponents require square factors")
 
-    d = spec.d
-    size = 2 * d if spec.beta == 4 else d
-    prod = np.eye(size, dtype=np.complex128 if spec.beta != 1 else np.float64)
-    log_scales = []
-    log_dets = []
-    det_phases = []
-    for block in FactorStream(spec, rng).blocks(N):
-        signs, logdets = np.linalg.slogdet(block)
-        singular = (signs == 0) | ~np.isfinite(logdets)
-        for a, bad in zip(block, singular):
-            prod = a @ prod
-            scale = float(np.abs(prod).max())
-            if not (scale > 0.0 and math.isfinite(scale)):
-                raise ArithmeticError("product collapsed to zero or overflowed")
-            if bad:
-                raise ArithmeticError("singular factor in stability run")
-            prod /= scale
-            log_scales.append(math.log(scale))
-        log_dets.extend(logdets.tolist())
-        det_phases.extend(np.angle(signs).tolist())
-    offset = math.fsum(log_scales)
-    logdet_sum = math.fsum(log_dets)
+    # N <= STABILITY_STEP_CAP, so all factors together are a few hundred KiB
+    m = np.concatenate(list(FactorStream(spec, rng).blocks(N)))
+    signs, logdets = np.linalg.slogdet(m)
+    if not np.all((signs != 0) & np.isfinite(logdets)):
+        raise ArithmeticError("singular factor in stability run")
+    logdet_sum = math.fsum(logdets.tolist())
+    det_phase = math.fsum(np.angle(signs).tolist())
 
-    eigs = np.linalg.eigvals(prod)
+    exponent = 0
+    while True:
+        scales = np.abs(m).max(axis=(-2, -1))
+        # a normal, finite scale keeps its power-of-two inverse finite
+        if not np.all((scales >= np.finfo(np.float64).tiny) & (scales < np.inf)):
+            raise ArithmeticError("product collapsed to zero or overflowed")
+        e = np.frexp(scales)[1]
+        m *= (2.0 ** -e)[:, None, None]
+        exponent += int(e.sum())
+        if len(m) == 1:
+            break
+        h = len(m) // 2
+        pairs = m[1:2 * h:2] @ m[0:2 * h:2]
+        m = np.concatenate((pairs, m[2 * h:])) if len(m) % 2 else pairs
+
+    eigs = np.linalg.eigvals(m[0])
     mods = np.abs(eigs)
     with np.errstate(divide="ignore"):
         # exact zeros land at the bottom after sorting and are repaired below
-        lams = (offset + np.log(mods)) / N
+        lams = (exponent * math.log(2.0) + np.log(mods)) / N
     thetas = np.angle(eigs)
     order = np.argsort(-lams)
     lams, thetas = lams[order], thetas[order]
@@ -312,7 +328,7 @@ def stability_exponents(spec, N, rng):
         thetas = np.abs(thetas[0::2])
     else:
         lams[-1] = logdet_sum / N - lams[:-1].sum()
-        phase = math.fsum(det_phases) - thetas[:-1].sum()
+        phase = det_phase - thetas[:-1].sum()
         thetas[-1] = math.remainder(phase, 2.0 * math.pi)
     return [(float(l), float(t)) for l, t in zip(lams, thetas)]
 
@@ -332,6 +348,8 @@ def spectral_ratio_samples(beta, d, samples, rng):
     together with the Tracy-Widom shift of the largest singular value puts
     the mean ratio near 1.92 at d = 500, which is what is measured.
     """
+    beta = _check_beta(beta)
+    d = _check_int("d", d)
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     samples = _check_int("samples", samples)

@@ -61,9 +61,16 @@ def _check_dim(d):
     return d
 
 
+def _check_real(name, value):
+    """``value`` as a float; bools and strings are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_share(alpha_plus):
     """The Gaussian share of a Gaussian / inverse-Gaussian mixture, a float in [0, 1]."""
-    alpha_plus = float(alpha_plus)
+    alpha_plus = _check_real("alpha_plus", alpha_plus)
     if not 0.0 <= alpha_plus <= 1.0:
         raise ValueError(f"alpha_plus must lie in [0, 1], got {alpha_plus!r}")
     return alpha_plus
@@ -98,7 +105,8 @@ class RectangularSpec:
     shapes: tuple  # of (offset, proportion) pairs
 
     def __post_init__(self):
-        shapes = tuple((_check_int("offset", g), float(a)) for g, a in self.shapes)
+        shapes = tuple((_check_int("offset", g), _check_real("proportion", a))
+                       for g, a in self.shapes)
         object.__setattr__(self, "shapes", shapes)
         if not shapes:
             raise ValueError("at least one (offset, proportion) pair is required")
@@ -107,10 +115,11 @@ class RectangularSpec:
             raise ValueError("offsets must be non-negative integers")
         if len(set(offsets)) != len(offsets):
             raise ValueError("offsets must be pairwise distinct")
-        if any(a <= 0.0 for _, a in shapes):
+        # negated comparisons, so that a NaN proportion is rejected too
+        if not all(a > 0.0 for _, a in shapes):
             raise ValueError("proportions must be positive")
         total = math.fsum(a for _, a in shapes)
-        if abs(total - 1.0) > _PROPORTION_TOL:
+        if not abs(total - 1.0) <= _PROPORTION_TOL:
             raise ValueError(f"proportions must sum to 1 (got {total!r})")
 
     @property

@@ -91,6 +91,28 @@ class TestIntegerEnsembleFields:
         assert all(type(v) is int for v in (spec.beta, spec.d, spec.n))
 
 
+class TestShareEnsembleFields:
+    """Shares reject bools, strings and NaN instead of converting them."""
+
+    @pytest.mark.parametrize("message,obj", [
+        ("alpha_plus must be a number",
+         {"kind": "gaussian_inverse_mixture", "beta": 2, "d": 2, "alpha_plus": True}),
+        ("alpha_plus must be a number",
+         {"kind": "gaussian_inverse_mixture", "beta": 2, "d": 2, "alpha_plus": "0.5"}),
+        ("proportion must be a number",
+         {"kind": "rectangular_gaussian", "beta": 2, "d": 2, "shapes": [[0, True]]}),
+        ("proportion must be a number",
+         {"kind": "rectangular_gaussian", "beta": 2, "d": 2, "shapes": [[0, "0.5"], [1, 0.5]]}),
+        ("proportions must be positive",
+         {"kind": "rectangular_gaussian", "beta": 2, "d": 2,
+          "shapes": [[0, float("nan")], [1, 1.0]]}),
+    ], ids=["alpha_plus-bool", "alpha_plus-str", "proportion-bool", "proportion-str",
+            "proportion-nan"])
+    def test_cli_exits_2(self, message, obj, capsys):
+        assert main(["theory", "--ensemble", json.dumps(obj)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestRegistry:
     """Every registered kind serializes, has a theory row and draws factors."""
 

@@ -1,12 +1,14 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from lyaprod.ensembles import (ENSEMBLES, FactorStream, GaussianInverseMixture,
+from lyaprod.ensembles import (ENSEMBLES, Ensemble, FactorStream, GaussianInverseMixture,
                                GeneralSigmaGaussian, InverseGaussian,
                                RectangularGaussian, StandardGaussian,
-                               TruncatedUnitary, _quota_schedule, chain_rng)
+                               TruncatedUnitary, _gaussian_data, _quota_schedule,
+                               chain_rng)
 from lyaprod import ensembles, montecarlo
 from lyaprod.montecarlo import (ChainResult, estimate, product_chain, run_chain,
                                 spectral_ratio_samples, stability_exponents)
@@ -68,6 +70,58 @@ def reference_qr_chains(spec, k_max, N, rngs):
         q *= (rdiag / rabs)[:, None]
         frames = q
     return np.stack(out, axis=1)
+
+
+def sequential_stability(spec, N, rng):
+    """Oracle for stability_exponents: the product multiplied one factor at
+    a time, divided by its largest entry modulus after every step, the logs
+    of those scales summed with math.fsum.  Eigenvalues, sort and repairs as
+    in stability_exponents."""
+    size = 2 * spec.d if spec.beta == 4 else spec.d
+    prod = np.eye(size, dtype=np.complex128 if spec.beta != 1 else np.float64)
+    log_scales = []
+    log_dets = []
+    det_phases = []
+    for block in FactorStream(spec, rng).blocks(N):
+        signs, logdets = np.linalg.slogdet(block)
+        for a in block:
+            prod = a @ prod
+            scale = float(np.abs(prod).max())
+            prod /= scale
+            log_scales.append(math.log(scale))
+        log_dets.extend(logdets.tolist())
+        det_phases.extend(np.angle(signs).tolist())
+    eigs = np.linalg.eigvals(prod)
+    with np.errstate(divide="ignore"):
+        lams = (math.fsum(log_scales) + np.log(np.abs(eigs))) / N
+    thetas = np.angle(eigs)
+    order = np.argsort(-lams)
+    lams, thetas = lams[order], thetas[order]
+    logdet_sum = math.fsum(log_dets)
+    if spec.beta == 4:
+        lams[-1] = lams[-2] = 0.5 * (logdet_sum / N - lams[:-2].sum())
+        lams = 0.5 * (lams[0::2] + lams[1::2])
+        thetas = np.abs(thetas[0::2])
+    else:
+        lams[-1] = logdet_sum / N - lams[:-1].sum()
+        thetas[-1] = math.remainder(math.fsum(det_phases) - thetas[:-1].sum(), 2.0 * math.pi)
+    return np.array(lams), np.array(thetas)
+
+
+@dataclass(frozen=True)
+class BrokenGaussian(Ensemble):
+    """Standard Gaussian factors, except that step 3 of each block is all
+    ``fill``."""
+
+    d: int
+
+    kind = "broken_gaussian"
+    fill = 0.0
+
+    def panel(self, stream, b, k):
+        g = _gaussian_data(self.beta, self.d, k, stream.rng, size=b)
+        g[min(2, b - 1)] = self.fill
+        return g
 
 
 def concatenated(results):
@@ -271,6 +325,8 @@ RUN_SIZE_CALLS = [
     ("stability-N", "N", lambda bad: stability_exponents(StandardGaussian(2, 2), bad,
                                                          chain_rng(13, 0))),
     ("ratio-samples", "samples", lambda bad: spectral_ratio_samples(2, 2, bad, chain_rng(13, 0))),
+    ("ratio-d", "d", lambda bad: spectral_ratio_samples(2, bad, 5, chain_rng(13, 0))),
+    ("ratio-beta", "beta", lambda bad: spectral_ratio_samples(bad, 2, 5, chain_rng(13, 0))),
     ("chain_rng-seed", "master_seed", lambda bad: chain_rng(bad, 0)),
     ("chain_rng-index", "chain_index", lambda bad: chain_rng(13, bad)),
 ]
@@ -496,8 +552,32 @@ class TestStabilityExponents:
         assert all(t >= 0.0 for _, t in lams)
 
     def test_step_cap_enforced(self):
-        with pytest.raises(ValueError, match="step cap 2000"):
-            stability_exponents(StandardGaussian(2, 2), 5000, chain_rng(34, 0))
+        for n in (2001, 5000):
+            with pytest.raises(ValueError, match="step cap 2000"):
+                stability_exponents(StandardGaussian(2, 2), n, chain_rng(34, 0))
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            stability_exponents(StandardGaussian(2, 2), 0, chain_rng(34, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 500, 2000])
+    @pytest.mark.parametrize("beta,d", [(b, d) for b in (1, 2, 4) for d in (1, 2)])
+    def test_tree_product_matches_sequential(self, beta, d, n):
+        # the tree and the per-step product differ in rounding only; phases
+        # are compared while the bottom eigenvalue is resolved (N * gap < 36)
+        spec = StandardGaussian(beta, d)
+        got = np.array(stability_exponents(spec, n, chain_rng(37, n)))
+        lams, thetas = sequential_stability(spec, n, chain_rng(37, n))
+        assert np.abs(got[:, 0] - lams).max() <= 1e-12
+        th = gaussian_spectrum(beta, d)
+        if d == 1 or n * (th.mu[0] - th.mu[1]) < 36:
+            diff = [math.remainder(a - b, 2.0 * math.pi) for a, b in zip(got[:, 1], thetas)]
+            assert np.abs(diff).max() <= 1e-12
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_singular_factor_rejected(self, fill, n, monkeypatch):
+        monkeypatch.setattr(BrokenGaussian, "fill", fill)
+        with pytest.raises(ArithmeticError, match="singular factor in stability run"):
+            stability_exponents(BrokenGaussian(2, 2), n, chain_rng(38, 0))
 
     def test_rectangular_factors_rejected(self):
         spec = RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5))))
@@ -524,3 +604,7 @@ class TestSpectralRatio:
     def test_rejects_scalar(self):
         with pytest.raises(ValueError):
             spectral_ratio_samples(2, 1, 5, chain_rng(42, 0)).mean()
+
+    def test_rejects_unknown_beta(self):
+        with pytest.raises(ValueError, match="beta must be one of"):
+            spectral_ratio_samples(3, 2, 5, chain_rng(42, 0))

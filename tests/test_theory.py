@@ -94,6 +94,9 @@ class TestRectangularSpectrum:
             RectangularSpec(((-1, 1.0),))  # negative offset
         with pytest.raises(ValueError):
             RectangularSpec(())
+        for share in (True, "0.5", float("nan")):
+            with pytest.raises(ValueError, match="proportion"):
+                RectangularSpec(((0, share), (1, 0.5)))
 
 
 class TestMixtureSpectrum:
@@ -128,6 +131,9 @@ class TestMixtureSpectrum:
             mixture_spectrum(2, 2, 1.5)
         with pytest.raises(ValueError):
             mixture_spectrum(2, 2, -0.5)
+        for share in (True, "0.5", float("nan")):
+            with pytest.raises(ValueError, match="alpha_plus must"):
+                mixture_spectrum(2, 2, share)
 
 
 class TestTruncatedUnitarySpectrum:
