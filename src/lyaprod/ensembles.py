@@ -215,17 +215,29 @@ class TruncatedUnitary(Ensemble):
     kind = "truncated_unitary"
 
     def panel(self, stream, b, k):
-        """The top rows of k orthonormal columns: Q of a (d + n) x k Gaussian.
-        Q is Haar up to a diagonal unitary on the right, for beta = 4 too
-        (complex QR of a quaternion matrix), and that leaves |diag R| of the
-        step unchanged."""
-        q = np.linalg.qr(_gaussian_data(self.beta, self.d + self.n, k, stream.rng, size=b))[0]
-        return q[:, :2 * self.d if self.beta == 4 else self.d]
+        """The top rows of k Haar columns: Q of a (d + n) x k Gaussian.
+
+        Q comes from the Gram-Schmidt kernel (_orthonormalize), whose R has a
+        positive diagonal, so the columns are Haar without a phase fix, for
+        beta = 4 too (each odd column of the embedding is the partner of the
+        even one before it, so the panel is quaternion structured exactly).
+        """
+        g = _gaussian_data(self.beta, self.d + self.n, k, stream.rng, size=b)
+        q = _batch_last([g], self.beta)[..., 0]
+        _orthonormalize(q, self.beta)
+        if self.beta != 4:
+            return q[:, :self.d].T
+        rows_first = q[:, :2 * self.d].transpose(1, 0, 2)
+        out = np.empty((b, 2 * self.d, 2 * k), dtype=np.complex128)
+        out[..., 0::2] = rows_first.transpose(2, 0, 1)
+        out[..., 1::2] = _partner(rows_first).transpose(2, 0, 1)
+        return out
 
     def factors(self, stream, b):
-        """The top d rows of d Haar columns in dimension d + n.  Unlike a
-        panel, a whole factor must have the factor's law, so it keeps the
-        phase fix."""
+        """The top d rows of d Haar columns in dimension d + n, from
+        np.linalg.qr with the phase fix (_haar_columns).  The stream of
+        whole factors, and product_chain with it, stays independent of the
+        Gram-Schmidt kernel."""
         q = _haar_columns(self.beta, self.d + self.n, self.d, stream.rng, size=b)
         return q[:, :2 * self.d if self.beta == 4 else self.d]
 
@@ -264,8 +276,10 @@ def _quaternion_symmetrize(m):
 
 
 def _embed_quaternion(comps):
-    """(..., r, c, 4) real components -> (..., 2r, 2c) complex embedding."""
-    ab = comps.view(np.complex128) * 0.5
+    """(..., r, c, 4) real components -> (..., 2r, 2c) complex embedding.
+    Scales ``comps`` in place."""
+    comps *= 0.5
+    ab = comps.view(np.complex128)
     a, b = ab[..., 0], ab[..., 1]
     r, c = a.shape[-2], a.shape[-1]
     out = np.empty(comps.shape[:-3] + (2 * r, 2 * c), dtype=np.complex128)
@@ -284,12 +298,14 @@ def _to_field(beta, comps):
     """(..., beta) real Gaussian components -> entries of variance 1.
 
     beta is also the number of real components per entry; quaternion
-    entries come out as the complex embedding.
+    entries come out as the complex embedding.  ``comps`` is scaled in
+    place; for beta = 1 and 2 the result is a view of it.
     """
     if beta == 1:
         return comps[..., 0]
     if beta == 2:
-        return comps.view(np.complex128)[..., 0] * _SQRT_HALF
+        comps *= _SQRT_HALF
+        return comps.view(np.complex128)[..., 0]
     return _embed_quaternion(comps)
 
 
@@ -306,6 +322,59 @@ def _haar_columns(beta, rows, k, rng, size=None):
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag / np.abs(diag))[..., None, :]
     return _quaternion_symmetrize(q) if beta == 4 else q
+
+
+# ---------------------------------------------------------------------------
+# Gram-Schmidt step kernel (batch axes last)
+# ---------------------------------------------------------------------------
+
+def _batch_last(panels, beta):
+    """(b, rows, cols) panels, one array per chain -> the C-ordered
+    (k, rows, b, C) array of their columns that _orthonormalize takes: all
+    columns, or the even ones of a quaternion embedding."""
+    step = 2 if beta == 4 else 1
+    cols = [p[..., ::step] for p in panels]
+    # np.stack would keep the panels' memory order, with the batch first
+    a = np.empty(cols[0].shape[::-1] + (len(cols),), dtype=cols[0].dtype)
+    for c, p in enumerate(cols):
+        a[..., c] = p.T
+    return a
+
+
+def _partner(v):
+    """J conj(v) for embedding columns v with rows on the first axis: the odd
+    column that the embedding of a quaternion matrix pairs with the even
+    column v.  It is orthogonal to v and has v's norm, exactly."""
+    w = np.empty_like(v)
+    w[0::2] = -np.conj(v[1::2])
+    w[1::2] = np.conj(v[0::2])
+    return w
+
+
+def _orthonormalize(a, beta):
+    """Modified Gram-Schmidt, in place, on the columns a[0], ..., a[k-1] of a
+    (k, rows, ...) array whose trailing axes are the batch.
+
+    Returns the squared R diagonal, a (k, ...) array; the columns become Q.
+    The MGS R factor is backward stable like the Householder one (Bjorck,
+    BIT 7 (1967) 1; Bjorck & Paige, SIAM J. Matrix Anal. Appl. 13 (1992)
+    176), and with the batch last and contiguous every operation runs over
+    the whole batch at once.  For beta = 4, ``a`` holds the even columns of
+    the embedding only: each is orthogonalised against the pairs
+    (q, _partner(q)) of the columns before it, and its entry is the squared
+    R diagonal entry of both columns of its pair.  A zero or non-finite
+    column gives a zero or non-finite entry, and NaN columns from there on,
+    without a warning; callers check the entries.
+    """
+    diag = np.empty(a.shape[:1] + a.shape[2:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, v in enumerate(a):
+            diag[j] = (v.conj() * v).real.sum(axis=0)
+            v *= 1.0 / np.sqrt(diag[j])
+            rest = a[j + 1:]
+            for u in (v, _partner(v)) if beta == 4 else (v,):
+                rest -= u * (u.conj() * rest).sum(axis=1)[:, None]
+    return diag
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ Q_{n-1} depends on the past only and A_n is independent of it, so given the
 past A_n Q_{n-1}[:, :k] has the law of A_n[:, :k].  The increments of step n
 are therefore independent draws of log|diag R| of QR(A_n[:, :k]) (Newman,
 Commun. Math. Phys. 103 (1986) 121), and run_chain draws them that way: no
-frame, no product, one batched QR per block of steps.  Each kind draws its
+frame, no product, one call of the Gram-Schmidt kernel per block of steps
+(ensembles._orthonormalize: modified Gram-Schmidt in numpy on a
+(k, rows, steps x chains) array, the batch last and contiguous, which at
+these sizes is faster than LAPACK's per-matrix QR).  Each kind draws its
 panel, the law of A[:, :k] (see Ensemble.panel); a whole factor is the
 panel as wide as the factor.  A rectangular panel is a (d + nu_t) x k
 Gaussian padded with zero rows, which leave |diag R| unchanged.  Ensembles
@@ -22,9 +25,10 @@ increments depends on its own type only, so they are independent, not
 identically distributed, and estimate reduces them type by type.
 
 product_chain steps the product itself with that explicit frame, one
-np.linalg.qr per step, and stays the reference oracle: its increments
-telescope to the log-volumes of one seeded product, and on independent
-seeds they have run_chain's law (tests/test_montecarlo.py checks both).
+np.linalg.qr (LAPACK's Householder QR) per step, and stays the reference
+oracle, independent of the kernel: its increments telescope to the
+log-volumes of one seeded product, and on independent seeds they have
+run_chain's law (tests/test_montecarlo.py checks both).
 
 No phase is fixed on the R diagonal, so product_chain's frame is Q_n times
 a diagonal unitary, and dropping the phase is exact: if M = Q' R,
@@ -33,9 +37,12 @@ triangular with the diagonal of R, and a QR factorization is unique up to
 such a D, so |diag R| of QR(M D) equals that of QR(M).  Only the rounding
 differs.
 
-For beta = 4 the frame is the complex embedding with 2k columns; the two R
-diagonal entries of a quaternion column pair agree up to rounding and half
-their summed logs is recorded as the quaternion increment.
+For beta = 4 the frame is the complex embedding with 2k columns.  In
+product_chain the two R diagonal entries of a quaternion column pair agree
+up to rounding, and half their summed logs is recorded as the quaternion
+increment.  run_chain's kernel orthogonalises only the even columns, each
+against the pairs (q, J conj q) of the ones before it, so the two entries
+of a pair are one number, whose log is the increment.
 """
 
 import math
@@ -43,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (FactorStream, chain_rng, _check_beta, _check_int, _gaussian_data,
-                        _quota_schedule)
+from .ensembles import (FactorStream, chain_rng, _batch_last, _check_beta, _check_int,
+                        _gaussian_data, _orthonormalize, _quota_schedule)
 
 __all__ = [
     "ChainResult",
@@ -109,9 +116,10 @@ def run_chain(spec, k_max, N, rngs):
     """Run one chain per Generator in ``rngs``, N steps each, all together.
 
     Chain c draws its panels (see Ensemble.panel) from its own FactorStream
-    on rngs[c].  Each block of BLOCK steps of the C streams is stacked into
-    one (b, C, rows, k) array, and one np.linalg.qr(mode="raw") factors all
-    of it; the logs of the R diagonals, the quaternion pair halving and the
+    on rngs[c].  The columns of each block of BLOCK steps of the C streams
+    are copied into one (k, rows, b, C) array (the even columns only for
+    beta = 4), and the Gram-Schmidt kernel (ensembles._orthonormalize)
+    factors all of it; half the logs of its squared R diagonal and the
     finiteness check run once per block.  Returns one ChainResult holding the
     (C, N, k_max) increments of all chains, in the order of ``rngs``, and
     the summed redraws.  The increments are a view of a C-ordered
@@ -122,10 +130,11 @@ def run_chain(spec, k_max, N, rngs):
     by_index = np.empty((k_max, len(streams), N))
     done = 0
     for panels in zip(*(stream.panels(N, k_max) for stream in streams)):
-        # mode="raw" returns the factored panels transposed, R's diagonal on
-        # theirs, without mode="r"'s triu copy
-        raw = np.linalg.qr(np.stack(panels, axis=1), mode="raw")[0]
-        done = _record(by_index, done, np.log(np.abs(np.diagonal(raw, 0, -2, -1))), spec.beta)
+        rdiag2 = _orthonormalize(_batch_last(panels, spec.beta), spec.beta)
+        with np.errstate(divide="ignore"):
+            # a zero entry gives -inf, which _record reports with its step
+            logs = 0.5 * np.log(rdiag2)
+        done = _record(by_index, done, logs)
     return _result(by_index, streams)
 
 
@@ -157,7 +166,11 @@ def product_chain(spec, k_max, N, rngs):
         for step, out in zip(steps, rdiag):
             frames, r = np.linalg.qr(step[..., :k] if frames is None else step @ frames)
             np.abs(np.diagonal(r, 0, -2, -1), out=out)
-        done = _record(by_index, done, np.log(rdiag), spec.beta)
+        logs = np.log(rdiag)
+        if spec.beta == 4:
+            # half the summed logs of each quaternion column pair
+            logs = 0.5 * (logs[..., 0::2] + logs[..., 1::2])
+        done = _record(by_index, done, logs.transpose(2, 0, 1))
     return _result(by_index, streams)
 
 
@@ -176,16 +189,14 @@ def _start(spec, k_max, N, rngs):
     return k_max, N, streams
 
 
-def _record(by_index, done, logs, beta):
-    """Store a block's (b, C, k) R-diagonal logs from step ``done`` on (half
-    the summed logs of each quaternion column pair for beta = 4); returns the
-    steps done.  A non-finite increment names its step."""
-    finite = np.isfinite(logs.sum(axis=(1, 2)))
+def _record(by_index, done, logs):
+    """Store a block's (k, b, C) increments from step ``done`` on; returns
+    the steps done.  A non-finite increment names its step."""
+    finite = np.isfinite(logs.sum(axis=(0, 2)))
     if not finite.all():
         raise ArithmeticError(f"non-finite increment at step {done + int(finite.argmin()) + 1}")
-    by_index[..., done:done + len(logs)] = (
-        0.5 * (logs[..., 0::2] + logs[..., 1::2]) if beta == 4 else logs).T
-    return done + len(logs)
+    by_index[..., done:done + logs.shape[1]] = logs.transpose(0, 2, 1)
+    return done + logs.shape[1]
 
 
 def _result(by_index, streams):
@@ -288,7 +299,9 @@ def stability_exponents(spec, N, rng):
 
     # N <= STABILITY_STEP_CAP, so all factors together are a few hundred KiB
     m = np.concatenate(list(FactorStream(spec, rng).blocks(N)))
-    signs, logdets = np.linalg.slogdet(m)
+    with np.errstate(invalid="ignore"):
+        # a NaN factor gives a NaN log-determinant, rejected just below
+        signs, logdets = np.linalg.slogdet(m)
     if not np.all((signs != 0) & np.isfinite(logdets)):
         raise ArithmeticError("singular factor in stability run")
     logdet_sum = math.fsum(logdets.tolist())

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import EULER_GAMMA, PI2_OVER_6, digamma, harmonic, trigamma
-from .theory import _check_beta
+from .theory import _check_beta, _check_int, _check_real
 
 __all__ = [
     "SigmaSpec",
@@ -88,7 +88,7 @@ class SigmaSpec:
     y: tuple
 
     def __post_init__(self):
-        y = tuple(sorted(float(v) for v in self.y))
+        y = tuple(sorted(_check_real("eigenvalue of Sigma^{-1}", v) for v in self.y))
         if not y:
             raise ValueError("at least one eigenvalue is required")
         if any(not math.isfinite(v) or v <= 0.0 for v in y):
@@ -240,7 +240,7 @@ def residue_j_sums(beta, d):
     -J1 = H_{m-1}  and  -J2 = sum_{s=2}^{m-1} (2/s) H_{s-1}.
     """
     beta = _check_beta(beta)
-    d = int(d)
+    d = _check_int("d", d)
     m = beta * d / 2.0
     m_int = round(m)
     if d < 1 or abs(m - m_int) > 1e-9 or m_int < 1:

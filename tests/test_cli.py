@@ -92,7 +92,8 @@ class TestIntegerEnsembleFields:
 
 
 class TestShareEnsembleFields:
-    """Shares reject bools, strings and NaN instead of converting them."""
+    """Shares and covariance eigenvalues reject bools, strings and NaN
+    instead of converting them."""
 
     @pytest.mark.parametrize("message,obj", [
         ("alpha_plus must be a number",
@@ -106,8 +107,12 @@ class TestShareEnsembleFields:
         ("proportions must be positive",
          {"kind": "rectangular_gaussian", "beta": 2, "d": 2,
           "shapes": [[0, float("nan")], [1, 1.0]]}),
+        ("eigenvalue of Sigma^{-1} must be a number",
+         {"kind": "general_sigma_gaussian", "beta": 1, "sigma_inv_eigenvalues": [True, "2"]}),
+        ("eigenvalue of Sigma^{-1} must be a number",
+         {"kind": "general_sigma_gaussian", "beta": 2, "sigma_inv_eigenvalues": [1.0, "2"]}),
     ], ids=["alpha_plus-bool", "alpha_plus-str", "proportion-bool", "proportion-str",
-            "proportion-nan"])
+            "proportion-nan", "sigma-bool", "sigma-str"])
     def test_cli_exits_2(self, message, obj, capsys):
         assert main(["theory", "--ensemble", json.dumps(obj)]) == 2
         assert f"error: {message}" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,7 @@ from lyaprod.ensembles import (ENSEMBLES, Ensemble, FactorStream, GaussianInvers
                                GeneralSigmaGaussian, InverseGaussian,
                                RectangularGaussian, StandardGaussian,
                                TruncatedUnitary, _gaussian_data, _quota_schedule,
-                               chain_rng)
+                               chain_rng, is_quaternion_structured)
 from lyaprod import ensembles, montecarlo
 from lyaprod.montecarlo import (ChainResult, estimate, product_chain, run_chain,
                                 spectral_ratio_samples, stability_exponents)
@@ -110,17 +111,18 @@ def sequential_stability(spec, N, rng):
 
 @dataclass(frozen=True)
 class BrokenGaussian(Ensemble):
-    """Standard Gaussian factors, except that step 3 of each block is all
-    ``fill``."""
+    """Standard Gaussian factors, except that the ``columns`` of step 3 of
+    each block are all ``fill``."""
 
     d: int
 
     kind = "broken_gaussian"
     fill = 0.0
+    columns = slice(None)
 
     def panel(self, stream, b, k):
         g = _gaussian_data(self.beta, self.d, k, stream.rng, size=b)
-        g[min(2, b - 1)] = self.fill
+        g[min(2, b - 1), :, self.columns] = self.fill
         return g
 
 
@@ -234,6 +236,86 @@ class TestStepKernel:
         rngs = [chain_rng(61, c) for c in range(3)]
         with pytest.raises(ArithmeticError, match=f"non-finite increment at step {step}$"):
             run_chain(StandardGaussian(2, 2), k, 12, rngs)
+
+
+def kernel_logs(panels, beta):
+    """log|diag R| of a (B, rows, cols) stack of panels by the Gram-Schmidt
+    kernel, (B, k); quaternion pairs count once."""
+    rdiag2 = ensembles._orthonormalize(ensembles._batch_last([panels], beta), beta)
+    return 0.5 * np.log(rdiag2[..., 0].T)
+
+
+def lapack_logs(panels, beta):
+    """log|diag R| by np.linalg.qr, half the summed logs of each quaternion
+    column pair."""
+    logs = np.log(np.abs(np.diagonal(np.linalg.qr(panels)[1], 0, -2, -1)))
+    return 0.5 * (logs[..., 0::2] + logs[..., 1::2]) if beta == 4 else logs
+
+
+def with_singular_values(beta, rows, k, kappa, rng, size):
+    """``size`` rows x k panels U diag(s) V^dag, U and V Haar, s log-spaced
+    from 1 down to 1/kappa (quaternion for beta = 4)."""
+    u = ensembles._haar_columns(beta, rows, k, rng, size=size)
+    v = ensembles._haar_columns(beta, k, k, rng, size=size)
+    s = np.logspace(0.0, -math.log10(kappa), k)
+    p = (u * np.repeat(s, 2 if beta == 4 else 1)) @ np.conj(np.swapaxes(v, -1, -2))
+    return ensembles._quaternion_symmetrize(p) if beta == 4 else p
+
+
+#: (beta, d, k): k = 1..d for d = 1, 2, 3 at each beta, and a few k at d = 6.
+GRAM_SCHMIDT_SHAPES = [(beta, d, k) for beta in (1, 2, 4)
+                       for d, ks in ((1, (1,)), (2, (1, 2)), (3, (1, 2, 3)), (6, (1, 4, 6)))
+                       for k in ks]
+
+
+class TestGramSchmidtKernel:
+    """_orthonormalize, the step kernel of run_chain and of truncated panels,
+    against LAPACK's Householder QR."""
+
+    @pytest.mark.parametrize("beta,d,k", GRAM_SCHMIDT_SHAPES,
+                             ids=lambda v: str(v))
+    def test_log_rdiag_matches_np_linalg_qr(self, beta, d, k):
+        # both R factors are backward stable, so log|r_jj| of a panel of
+        # condition number kappa agrees to a few kappa * eps; the gate, fixed
+        # from the dtype before the first run, is 10 kappa eps per panel
+        rng = chain_rng(90, 100 * beta + 10 * d + k)
+        rectangular = RectangularGaussian(beta, d, RectangularSpec(((0, 0.5), (2, 0.5))))
+        stacks = [
+            _gaussian_data(beta, d, k, rng, size=512),
+            # tall: the Gaussian whose Q a truncated panel keeps
+            _gaussian_data(beta, d + 4, k, rng, size=512),
+            # zero-padded rows
+            next(FactorStream(rectangular, rng).panels(512, k)),
+        ] + [with_singular_values(beta, d + 1, k, kappa, rng, 64)
+             for kappa in (1e2, 1e6, 1e12) if k > 1]
+        for panels in stacks:
+            diff = np.abs(kernel_logs(panels.copy(), beta) - lapack_logs(panels, beta))
+            gate = 10.0 * np.linalg.cond(panels) * np.finfo(np.float64).eps
+            assert np.all(diff.max(axis=1) <= gate), (panels.shape, diff.max())
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("rows,k", [(5, 3), (8, 1), (9, 6)])
+    def test_q_orthonormal(self, beta, rows, k):
+        # with n = 0 a truncated panel is the whole Q of a rows x k Gaussian
+        spec = TruncatedUnitary(beta, rows, 0)
+        q = next(FactorStream(spec, chain_rng(91, rows + k)).panels(512, k))
+        gram = np.conj(np.swapaxes(q, -1, -2)) @ q
+        assert np.abs(gram - np.eye(q.shape[-1])).max() <= 1e-13
+        if beta == 4:
+            assert is_quaternion_structured(q)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_zero_column_names_its_step(self, beta, column, monkeypatch):
+        # the kernel meets a zero column at step 3 of each block of 4; the
+        # run stops there with the step named and no RuntimeWarning
+        monkeypatch.setattr(BrokenGaussian, "columns", 2 * column if beta == 4 else column)
+        monkeypatch.setattr(ensembles, "BLOCK", 4)
+        rngs = [chain_rng(92, c) for c in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="non-finite increment at step 3$"):
+                run_chain(BrokenGaussian(beta, 3), 3, 10, rngs)
 
 
 def pooled_moments(result, spec):

@@ -244,6 +244,11 @@ class TestResidueSums:
         with pytest.raises(ValueError):
             residue_j_sums(1, 3)
 
+    @pytest.mark.parametrize("d", [2.7, 2.0, True, "2"])
+    def test_rejects_non_integer_d(self, d):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            residue_j_sums(2, d)
+
 
 class TestKarginRoute:
     def test_identity_covariance_matches_gaussian(self):
