@@ -129,17 +129,8 @@ class RunConfig:
 # Theory dispatch
 # ---------------------------------------------------------------------------
 
-class TheoryRows(list):
-    """(i, mu_i, N sigma_i^2 or None) rows, and the closed form's warning
-    (TheorySpectrum.warning; None when it has none)."""
-
-    def __init__(self, rows, warning=None):
-        super().__init__(rows)
-        self.warning = warning
-
-
 def theory_rows(spec):
-    """TheoryRows for every index the theory covers."""
+    """(i, mu_i, N sigma_i^2 or None) rows for every index the theory covers."""
     try:
         rows = _THEORY[spec.kind]
     except KeyError:
@@ -148,7 +139,7 @@ def theory_rows(spec):
 
 
 def _spectrum_rows(th):
-    return TheoryRows([(i + 1, th.mu[i], th.n_sigma2[i]) for i in range(th.d)], th.warning)
+    return [(i + 1, th.mu[i], th.n_sigma2[i]) for i in range(th.d)]
 
 
 def _general_sigma_rows(spec):
@@ -160,11 +151,11 @@ def _general_sigma_rows(spec):
         except DistinctnessError as exc:
             raise CliError(f"the beta=2 general-covariance formulas need distinct "
                            f"Sigma^-1 eigenvalues: {exc}")
-        return TheoryRows([(k + 1, mu[k], var1 if k == 0 else None) for k in range(spec.d)])
+        return [(k + 1, mu[k], var1 if k == 0 else None) for k in range(spec.d)]
     # Real and quaternion entries: the unitary-group integral behind the
     # full-spectrum determinant formula has no orthogonal/symplectic
     # analogue, so only the largest exponent is available (contour route).
-    return TheoryRows([(1, *kargin_top(spec.beta, y))])
+    return [(1, *kargin_top(spec.beta, y))]
 
 
 #: The rows of each ensemble kind.  The entries look the closed forms up
@@ -190,11 +181,9 @@ _THEORY = {
 
 def cmd_theory(config):
     t0 = time.perf_counter()
-    theory = theory_rows(config.ensemble)
-    rows = [dict(zip(THEORY_HEADER, r)) for r in theory]
+    rows = [dict(zip(THEORY_HEADER, r)) for r in theory_rows(config.ensemble)]
     wall_ms = (time.perf_counter() - t0) * 1e3
-    meta = {"seed": config.seed, "wall_ms": wall_ms, "redraws": 0, "version": __version__}
-    return rows, _warned(meta, theory)
+    return rows, {"seed": config.seed, "wall_ms": wall_ms, "redraws": 0, "version": __version__}
 
 
 def _run_estimate(config):
@@ -212,8 +201,7 @@ def cmd_simulate(config):
                   est.partial_sum_mu[i], est.partial_sum_n_sigma2[i])))
         for i in range(config.k_max)
     ]
-    meta = _meta(config, wall_ms, est.redraw_count)
-    return rows, meta
+    return rows, _meta(config, wall_ms, est.redraw_count)
 
 
 def _covered(theory, k_max):
@@ -254,8 +242,7 @@ def cmd_compare(config):
     est, wall_ms = _run_estimate(config)
     rows = comparison_rows(theory, est, config.k_max)
     status = 1 if any(abs(r["z"]) > Z_GATE for r in rows) else 0
-    meta = _meta(config, wall_ms, est.redraw_count)
-    return rows, _warned(meta, theory), status
+    return rows, _meta(config, wall_ms, est.redraw_count), status
 
 
 def cmd_ratio(beta, d, samples, seed):
@@ -283,11 +270,6 @@ def cmd_ratio(beta, d, samples, seed):
     }
     meta = {"seed": int(seed), "wall_ms": wall_ms, "redraws": 0, "version": __version__}
     return row, meta
-
-
-def _warned(meta, theory):
-    """``meta`` with the theory's warning, when it has one."""
-    return meta if theory.warning is None else {**meta, "warning": theory.warning}
 
 
 def _meta(config, wall_ms, redraws):
@@ -322,9 +304,14 @@ def render_json(config_dict, rows, meta):
 
 
 def _emit(text, out_path):
+    """Write ``text`` to ``out_path``, or to stdout without one.  A path that
+    cannot be written is a CliError: exit 1 is compare's regression signal."""
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -405,9 +392,7 @@ def main(argv=None):
 
         config = _resolve_config(args)
         if args.dump_config:
-            with open(args.dump_config, "w") as fh:
-                json.dump(config.to_dict(), fh, indent=2)
-                fh.write("\n")
+            _emit(json.dumps(config.to_dict(), indent=2) + "\n", args.dump_config)
 
         status = 0
         if args.command == "theory":
@@ -420,8 +405,10 @@ def main(argv=None):
             rows, meta, status = cmd_compare(config)
             header = COMPARE_HEADER
 
-        for line in _log_lines(args.command, config, meta):
-            print(line, file=sys.stderr)
+        if args.command != "theory":
+            print(f"{args.command}: N={config.N} chains={config.chains} seed={config.seed} "
+                  f"redraws={meta['redraws']} wall={meta['wall_ms']:.0f}ms "
+                  f"steps_per_s={meta['steps_per_s']:.0f}", file=sys.stderr)
         if config.output_format == "json":
             _emit(render_json(config.to_dict(), rows, meta), args.out)
         else:
@@ -430,15 +417,6 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _log_lines(command, config, meta):
-    lines = [] if "warning" not in meta else [f"warning: {meta['warning']}"]
-    if command == "theory":
-        return lines
-    return lines + [f"{command}: N={config.N} chains={config.chains} seed={config.seed} "
-                    f"redraws={meta['redraws']} wall={meta['wall_ms']:.0f}ms "
-                    f"steps_per_s={meta['steps_per_s']:.0f}"]
 
 
 if __name__ == "__main__":

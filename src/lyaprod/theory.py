@@ -2,21 +2,44 @@
 
 Every spectrum is reported as the pair (mu_i, N*sigma_i**2) for i = 1..d with
 mu sorted descending.  Variances carry the factor N so callers supply the
-number of product steps themselves:
+number of product steps themselves.
 
-* square Gaussian, Dyson index beta in {1, 2, 4}:
-      mu_i       = (1/2) log(2/beta) + (1/2) psi(beta (d - i + 1) / 2)
-      N sigma_i2 = (1/4) psi'(beta (d - i + 1) / 2)
-* rectangular Gaussian with integer offsets gamma_s in proportions alpha_s:
-  the psi/psi' arguments are averaged over the offsets,
-      mu_i = (1/2) log(2/beta) + (1/2) sum_s alpha_s psi(beta (gamma_s + d - i + 1) / 2)
-  and likewise with psi' for the variances;
-* mixtures of Gaussian and inverse-Gaussian factors in proportions
-  (alpha_plus, 1 - alpha_plus): a weighted combination of the pure Gaussian
-  spectrum with the index reversed on the inverse part;
-* truncated Haar unitary (top d x d block of a (d+n) x (d+n) unitary):
+Every closed form comes from one exact law: for each kind but general Sigma
+the increment xi_i = log|r_ii| of a step (see the montecarlo module) has a
+known law, independent over i.  A kind is a table of laws, one per factor
+type of its quota schedule, and _law_spectrum reduces it to
+mu_i = sum_t share_t E xi_i^(t) (by psi) and N sigma_i2 = sum_t share_t
+Var xi_i^(t) (by psi'); the deterministic schedule adds no variance.
+
+* Gaussian step with offset nu (a (d + nu) x d factor, nu = 0 if square),
+  beta in {1, 2, 4}: xi_i = (1/2) log(2/beta) + (1/2) log X with
+  X ~ Gamma(beta (d + nu - i + 1) / 2, 1), by the Bartlett decomposition
+  (Bartlett 1933; Goodman, Ann. Math. Statist. 34 (1963) 152), so
+      mu_i       = (1/2) log(2/beta) + (1/2) psi(beta (d + nu - i + 1) / 2)
+      N sigma_i2 = (1/4) psi'(beta (d + nu - i + 1) / 2)
+  Rectangular factors with offsets gamma_s in proportions alpha_s average
+  these over the offsets.
+* Inverse Gaussian step: xi_i ~ -xi^Gauss_{d+1-i}.  Write G = L Q, L lower
+  triangular, and let J reverse the order.  Then G^-1 J = (Q^H J)(J L^-1 J)
+  with J L^-1 J upper triangular of diagonal 1/l_{d+1-i}, G^-1 J ~ G^-1 by
+  right invariance, and |l_ii| has the law of a Gaussian |r_ii| (G^H ~ G).
+  A mixture with Gaussian share alpha_plus combines the two laws.
+* Truncated Haar unitary (top d x d block of a (d+n) x (d+n) unitary):
+  xi_i = (1/2) log Y with Y ~ Beta(beta (d - i + 1) / 2, beta n / 2) for
+  every n >= 1, so
       mu_i       = (1/2) (psi(beta (d - i + 1) / 2) - psi(beta (n + d - i + 1) / 2))
       N sigma_i2 = (1/4) (psi'(beta (d - i + 1) / 2) - psi'(beta (n + d - i + 1) / 2))
+  Proof: the first k columns of a factor are the top d rows X = G1 R^-1 of
+  the Q = G R^-1 of a (d + n) x k Gaussian G with top rows G1, so
+  |r^X_ii| = |r^G1_ii| / |r^G_ii|.  Column i of G, less its projection on
+  the earlier ones, has independent parts in two orthogonal subspaces: the
+  vectors with zero bottom rows orthogonal to the earlier columns of G1
+  (dimension d - i + 1, squared part |r^G1_ii|^2) and the rest (dimension
+  n).  So |r^X_ii|^2 = A / (A + B) with independent A ~ Gamma(beta (d - i
+  + 1) / 2) and B ~ Gamma(beta n / 2), a Beta variable.  This needs no
+  density of the truncation, which exists only for n >= d (see Adhikari,
+  Reddy, Reddy & Saha, Ann. Inst. H. Poincare Probab. Stat. 52 (2016) 16);
+  n = 0 gives xi = 0.
 """
 
 import math
@@ -85,13 +108,15 @@ def _check_truncation(n):
 
 @dataclass(frozen=True)
 class TheorySpectrum:
-    """Exact Lyapunov exponents mu (descending) and N-scaled variances."""
+    """Exact Lyapunov exponents mu (descending) and N-scaled variances, and
+    ``laws``, entry t the increment law of quota-schedule type t (see
+    _law_spectrum)."""
 
     beta: int
     d: int
     mu: tuple
     n_sigma2: tuple
-    warning: str | None = None
+    laws: tuple = ()
 
     def __post_init__(self):
         if len(self.mu) != self.d or len(self.n_sigma2) != self.d:
@@ -131,6 +156,26 @@ class RectangularSpec:
         return tuple(a for _, a in self.shapes)
 
 
+def _law_spectrum(beta, d, laws):
+    """The spectrum of the law table ``laws``.  In entry (share, sign, a, b),
+    the steps of one factor type have increments sign * xi_i, where xi_i is
+    (1/2) log(2/beta) + (1/2) log X with X ~ Gamma(a[i-1], 1) if b is None,
+    else (1/2) log Y with Y ~ Beta(a[i-1], b) (see the module docstring)."""
+    mu, ns2 = [0] * d, [0] * d
+    for share, sign, a, b in laws:
+        for i, s in enumerate(a):
+            c, m, v = ((0.5 * math.log(2.0 / beta), digamma(s), trigamma(s)) if b is None else
+                       (0.0, digamma(s) - digamma(s + b), trigamma(s) - trigamma(s + b)))
+            mu[i] += share * sign * (c + 0.5 * m)
+            ns2[i] += share * (0.25 * v)
+    return TheorySpectrum(beta=beta, d=d, mu=tuple(mu), n_sigma2=tuple(ns2), laws=laws)
+
+
+def _law_shapes(beta, d, offset=0):
+    """beta (d + offset - i + 1) / 2 for i = 1..d."""
+    return tuple(beta * (offset + d - i + 1) / 2.0 for i in range(1, d + 1))
+
+
 def gaussian_spectrum(beta, d):
     """Spectrum for products of square standard Gaussian matrices: the
     rectangular spectrum of the single offset 0."""
@@ -139,56 +184,32 @@ def gaussian_spectrum(beta, d):
 
 def rectangular_spectrum(beta, d, spec):
     """Spectrum when factor sizes carry offsets gamma_s in proportions alpha_s."""
-    beta = _check_beta(beta)
-    d = _check_dim(d)
+    beta, d = _check_beta(beta), _check_dim(d)
     if not isinstance(spec, RectangularSpec):
         spec = RectangularSpec(tuple(spec))
-    half_log = 0.5 * math.log(2.0 / beta)
-    mu = []
-    ns2 = []
-    for i in range(1, d + 1):
-        mu.append(half_log + 0.5 * sum(
-            a * digamma(beta * (g + d - i + 1) / 2.0) for g, a in spec.shapes))
-        ns2.append(0.25 * sum(
-            a * trigamma(beta * (g + d - i + 1) / 2.0) for g, a in spec.shapes))
-    return TheorySpectrum(beta=beta, d=d, mu=tuple(mu), n_sigma2=tuple(ns2))
+    return _law_spectrum(beta, d, tuple((a, 1, _law_shapes(beta, d, g), None)
+                                        for g, a in spec.shapes))
 
 
 def mixture_spectrum(beta, d, alpha_plus):
     """Spectrum for a Gaussian / inverse-Gaussian factor mixture.
 
-    With (mu+, s+) the pure Gaussian spectrum, the exponents of the pure
-    inverse ensemble are the reversed negations mu-_i = -mu+_{d+1-i} and the
-    variances the reversals s-_i = s+_{d+1-i}; a mixture with Gaussian share
-    alpha_plus and inverse share 1 - alpha_plus combines them linearly.
+    Gaussian steps (share alpha_plus, type 0) have the Gaussian law, inverse
+    steps (type 1) its reversed negation xi_i ~ -xi^Gauss_{d+1-i}, so the pure
+    inverse ensemble has mu-_i = -mu+_{d+1-i} and variances s-_i = s+_{d+1-i}.
     """
     ap = _check_share(alpha_plus)
-    am = 1.0 - ap
-    base = gaussian_spectrum(beta, d)
-    mu = tuple(ap * base.mu[i] - am * base.mu[d - 1 - i] for i in range(d))
-    ns2 = tuple(ap * base.n_sigma2[i] + am * base.n_sigma2[d - 1 - i] for i in range(d))
-    return TheorySpectrum(beta=base.beta, d=d, mu=mu, n_sigma2=ns2)
+    beta, d = _check_beta(beta), _check_dim(d)
+    gauss = _law_shapes(beta, d)
+    return _law_spectrum(beta, d, ((ap, 1, gauss, None), (1.0 - ap, -1, gauss[::-1], None)))
 
 
 def truncated_unitary_spectrum(beta, d, n):
     """Spectrum for products of d x d corners of (d+n) x (d+n) Haar unitaries.
 
-    The closed form is derived for n >= d; for 0 < n < d it is still well
-    defined and expected to hold, so it is computed anyway and the result
-    carries a warning flag.  n = 0 gives the zero spectrum (the factors are
-    unitary).
+    Each step has xi_i = (1/2) log Y_i, Y_i ~ Beta(beta (d - i + 1) / 2,
+    beta n / 2), for every n >= 1 (see the module docstring).  n = 0 gives
+    the zero spectrum (the factors are unitary).
     """
-    beta = _check_beta(beta)
-    d = _check_dim(d)
-    n = _check_truncation(n)
-    mu = tuple(
-        0.5 * (digamma(beta * (d - i + 1) / 2.0) - digamma(beta * (n + d - i + 1) / 2.0))
-        for i in range(1, d + 1))
-    ns2 = tuple(
-        0.25 * (trigamma(beta * (d - i + 1) / 2.0) - trigamma(beta * (n + d - i + 1) / 2.0))
-        for i in range(1, d + 1))
-    warning = None
-    if 0 < n < d:
-        warning = ("n < d is beyond the proved regime of the closed form; "
-                   "values are computed from the same expression")
-    return TheorySpectrum(beta=beta, d=d, mu=mu, n_sigma2=ns2, warning=warning)
+    beta, d, n = _check_beta(beta), _check_dim(d), _check_truncation(n)
+    return _law_spectrum(beta, d, ((1.0, 1, _law_shapes(beta, d), beta * n / 2.0),))

@@ -109,9 +109,12 @@ REGRESSION_CASES.append((RectangularGaussian(2, 2, _HALF),
                          rectangular_spectrum(2, 2, _HALF)))
 REGRESSION_CASES.append((GaussianInverseMixture(2, 2, 0.5),
                          mixture_spectrum(2, 2, 0.5)))
+# n = 1 < d = 3: the truncation has no density, but the increment law of
+# the closed form holds for every n >= 1 (see the theory module)
 for _beta in (1, 2, 4):
-    REGRESSION_CASES.append((TruncatedUnitary(_beta, 2, 2),
-                             truncated_unitary_spectrum(_beta, 2, 2)))
+    for _d, _n in ((2, 2), (3, 1)):
+        REGRESSION_CASES.append((TruncatedUnitary(_beta, _d, _n),
+                                 truncated_unitary_spectrum(_beta, _d, _n)))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from lyaprod.ensembles import (ENSEMBLES, FactorStream, StandardGaussian,
                                TruncatedUnitary, chain_rng)
 from lyaprod.montecarlo import estimate
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6
-from lyaprod.theory import truncated_unitary_spectrum
 
 TRUNC = '{"kind":"truncated_unitary","beta":2,"d":2,"n":2}'
 GAUSS_21 = '{"kind":"standard_gaussian","beta":2,"d":1}'
@@ -336,27 +335,29 @@ class TestMainEndToEnd:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "alpha_plus" in err
 
-    def test_theory_meta_reports_wall_time(self, tmp_path):
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"general_sigma_gaussian","beta":1,"sigma_inv_eigenvalues":[1.0,0.25]}',
+        '{"kind":"truncated_unitary","beta":2,"d":3,"n":1}',
+    ], ids=["general-sigma", "truncated-n-below-d"])
+    def test_theory_meta_reports_wall_time(self, spec, tmp_path, capsys):
         out = tmp_path / "t.json"
-        spec = ('{"kind":"general_sigma_gaussian","beta":1,'
-                '"sigma_inv_eigenvalues":[1.0,0.25]}')
         assert main(["theory", "--ensemble", spec, "--format", "json",
                      "--out", str(out)]) == 0
         meta = json.loads(out.read_text())["meta"]
         assert set(meta) == {"seed", "wall_ms", "redraws", "version"}
         assert meta["wall_ms"] > 0
+        assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("command", ["theory", "compare"])
-    def test_truncation_below_proved_regime_warns(self, command, tmp_path, capsys):
-        # n < d: the closed form's warning goes into meta and onto stderr
-        out = tmp_path / "out.json"
-        main([command, "--ensemble", '{"kind":"truncated_unitary","beta":2,"d":3,"n":1}',
-              "--N", "500", "--chains", "2", "--seed", "3", "--format", "json",
-              "--out", str(out)])
-        warning = truncated_unitary_spectrum(2, 3, 1).warning
-        assert warning is not None
-        assert json.loads(out.read_text())["meta"]["warning"] == warning
-        assert f"warning: {warning}" in capsys.readouterr().err.splitlines()
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--ensemble", GAUSS_21, "--out"],
+        ["theory", "--ensemble", GAUSS_21, "--dump-config"],
+        ["ratio", "--d", "4", "--samples", "1", "--out"],
+    ], ids=["theory-out", "theory-dump-config", "ratio-out"])
+    def test_unwritable_output_exits_2(self, argv, tmp_path, capsys):
+        # exit 1 is compare's regression signal; a bad path must not look like one
+        assert main(argv + [str(tmp_path / "missing" / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "Traceback" not in err
 
     def test_repeated_sigma_eigenvalue_theory_exits_2(self, capsys):
         repeated = ('{"kind":"general_sigma_gaussian","beta":%d,'

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from lyaprod.ensembles import (ENSEMBLES, Ensemble, FactorStream, GaussianInverseMixture,
                                GeneralSigmaGaussian, InverseGaussian,
@@ -14,8 +15,8 @@ from lyaprod import ensembles, montecarlo
 from lyaprod.montecarlo import (ChainResult, estimate, product_chain, run_chain,
                                 spectral_ratio_samples, stability_exponents)
 from lyaprod.sigma import SigmaSpec
-from lyaprod.theory import (RectangularSpec, gaussian_spectrum,
-                            truncated_unitary_spectrum)
+from lyaprod.theory import (RectangularSpec, gaussian_spectrum, mixture_spectrum,
+                            rectangular_spectrum, truncated_unitary_spectrum)
 
 
 def direct_log_volume(spec, k, n, rng):
@@ -374,6 +375,76 @@ class TestKernelEquivalence:
         z_ns2 = (ns2_a - ns2_b) / np.hypot(se_ns2_a, se_ns2_b)
         assert np.abs(z_mu).max() <= self.Z_GATE, z_mu
         assert np.abs(z_ns2).max() <= self.Z_GATE, z_ns2
+
+
+#: The increment law of each quota-schedule type of a spec, from the closed
+#: form's table (TheorySpectrum.laws).  An inverse Gaussian is the mixture
+#: of Gaussian share 0, whose inverse type holds the whole share.
+TYPE_LAWS = {
+    "standard_gaussian": lambda s: gaussian_spectrum(s.beta, s.d).laws,
+    "inverse_gaussian": lambda s: mixture_spectrum(s.beta, s.d, 0.0).laws[1:],
+    "gaussian_inverse_mixture": lambda s: mixture_spectrum(s.beta, s.d, s.alpha_plus).laws,
+    "rectangular_gaussian": lambda s: rectangular_spectrum(s.beta, s.d, s.shapes).laws,
+    "truncated_unitary": lambda s: truncated_unitary_spectrum(s.beta, s.d, s.n).laws,
+}
+
+#: Every kind with an exact increment law, at beta = 1, 2 and 4: truncations
+#: with n < d and n > d, rectangular offsets wider than d and the mixture.
+#: n = 0 (xi = 0 exactly) is test_unitary_factors_zero_increments.
+EXACT_LAW_CASES = [spec for beta in (1, 2, 4) for spec in (
+    StandardGaussian(beta, 3),
+    InverseGaussian(beta, 3),
+    GaussianInverseMixture(beta, 3, 0.4),
+    RectangularGaussian(beta, 2, RectangularSpec(((0, 0.5), (3, 0.5)))),
+    TruncatedUnitary(beta, 3, 1),
+    TruncatedUnitary(beta, 2, 3),
+)]
+
+
+def law_draws(beta, law, i, size, rng):
+    """Draws of sign * xi_i for one entry (share, sign, a, b) of a law table:
+    xi_i = (1/2) log(2/beta) + (1/2) log Gamma(a[i]) when b is None, else
+    (1/2) log Beta(a[i], b)."""
+    _, sign, a, b = law
+    if b is None:
+        xi = 0.5 * math.log(2.0 / beta) + 0.5 * np.log(rng.gamma(a[i], size=size))
+    else:
+        xi = 0.5 * np.log(rng.beta(a[i], b, size=size))
+    return sign * xi
+
+
+class TestExactIncrementLaws:
+    """The increments of run_chain and of product_chain have, index by index
+    and type by type, the law that the closed form was reduced from."""
+
+    #: Two-sample KS tests: both runners x every index x every type.
+    KS_TESTS = sum(2 * spec.d * len(TYPE_LAWS[spec.kind](spec)) for spec in EXACT_LAW_CASES)
+    #: Bonferroni gate, fixed before the first run: a family-wise false
+    #: alarm rate of 1e-3 over all KS tests of all cases.
+    P_GATE = 1e-3 / KS_TESTS
+
+    def test_cases_cover_every_law_kind_and_beta(self):
+        assert {(spec.kind, spec.beta) for spec in EXACT_LAW_CASES} == {
+            (kind, beta) for kind in TYPE_LAWS for beta in (1, 2, 4)}
+        assert set(TYPE_LAWS) == set(ENSEMBLES) - {"general_sigma_gaussian"}
+
+    @pytest.mark.parametrize("spec", EXACT_LAW_CASES,
+                             ids=lambda s: f"{s.kind}-beta{s.beta}-d{s.d}")
+    def test_increments_follow_the_law_table(self, spec):
+        laws = TYPE_LAWS[spec.kind](spec)
+        assert len(laws) == len(spec.proportions or (1.0,))
+        rng = np.random.default_rng(90)
+        p_values = {}
+        for runner, N, seed in ((run_chain, 20_000, 91), (product_chain, 4_000, 92)):
+            x = runner(spec, spec.d, N, [chain_rng(seed, 0)]).increments[0]
+            types = np.zeros(N) if spec.proportions is None else schedule(spec, N)
+            for t, law in enumerate(laws):
+                for i in range(spec.d):
+                    reference = law_draws(spec.beta, law, i, 200_000, rng)
+                    p_values[runner.__name__, t, i] = stats.ks_2samp(
+                        x[types == t, i], reference).pvalue
+        worst = min(p_values, key=p_values.get)
+        assert p_values[worst] >= self.P_GATE, (worst, p_values[worst])
 
 
 #: (spec, k) for the extended-precision oracle: Gaussian factors of each

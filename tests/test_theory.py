@@ -143,7 +143,6 @@ class TestTruncatedUnitarySpectrum:
         assert th.mu[0] + th.mu[1] == pytest.approx(-7.0 / 6.0, abs=1e-13)
         assert th.n_sigma2[0] == pytest.approx(13.0 / 144.0, abs=1e-13)
         assert th.n_sigma2[0] + th.n_sigma2[1] == pytest.approx(29.0 / 72.0, abs=1e-13)
-        assert th.warning is None
 
     def test_zero_truncation_gives_zero_spectrum(self):
         th = truncated_unitary_spectrum(2, 3, 0)
@@ -153,11 +152,6 @@ class TestTruncatedUnitarySpectrum:
     def test_scalar_case(self):
         th = truncated_unitary_spectrum(2, 1, 1)
         assert th.mu[0] == pytest.approx(-0.5, abs=1e-14)
-
-    def test_warning_flag_below_proved_regime(self):
-        assert truncated_unitary_spectrum(2, 3, 1).warning is not None
-        assert truncated_unitary_spectrum(2, 3, 3).warning is None
-        assert truncated_unitary_spectrum(2, 3, 0).warning is None
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_strictly_negative_for_positive_truncation(self, beta):
