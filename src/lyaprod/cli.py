@@ -14,8 +14,10 @@ seed; chain c uses numpy's SeedSequence(seed, spawn_key=(c,)).
 """
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -320,7 +322,13 @@ def _emit(text, out_path):
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The ``lyaprod`` argument parser, built once per process on the first
+    call (not at import: building it costs more than a closed-form theory
+    call) and returned by every later call.  Nobody mutates it after it is
+    built, and ``parse_args`` returns a fresh Namespace each time, so nothing
+    carries from one parse to the next."""
     parser = argparse.ArgumentParser(
         prog="lyaprod",
         description="Lyapunov exponents and variances of random matrix products")
@@ -376,9 +384,31 @@ def _resolve_config(args):
     return RunConfig.from_dict(obj)
 
 
+def _check_writable(path):
+    """Fail before any command runs if ``path`` cannot be an output file: its
+    directory must exist and the path must not be a directory.  Nothing is
+    created or truncated here; ``_emit`` still guards the open itself."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise CliError(f"cannot write {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise CliError(f"cannot write {path}: it is a directory")
+
+
 def main(argv=None):
+    """Run one ``lyaprod`` command line (``sys.argv[1:]`` by default) and
+    return its exit status: 0, 1 for a failed compare gate, 2 for an error
+    (a command line that argparse rejects raises ``SystemExit(2)``).
+
+    ``main`` may be called any number of times in one process; the calls
+    share the parser of ``build_parser`` and nothing else, so no flag of one
+    call leaks into the next.
+    """
     args = build_parser().parse_args(argv)
     try:
+        _check_writable(args.out)
         if args.command == "ratio":
             row, meta = cmd_ratio(args.beta, args.d, args.samples, args.seed)
             header = tuple(row.keys())

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lyaprod.cli import (CliError, RunConfig, cmd_compare, cmd_ratio,
-                         cmd_simulate, cmd_theory, comparison_rows,
+import lyaprod
+from lyaprod.cli import (CliError, RunConfig, build_parser, cmd_compare,
+                         cmd_ratio, cmd_simulate, cmd_theory, comparison_rows,
                          ensemble_from_dict, ensemble_to_dict, main,
                          theory_rows, Z_GATE, COMPARE_HEADER)
 from lyaprod import cli, montecarlo, sigma
@@ -359,6 +364,21 @@ class TestMainEndToEnd:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    @pytest.mark.parametrize("target", [("missing", "x"), ()], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output_fails_before_the_run(self, command, target, tmp_path,
+                                                    monkeypatch, capsys):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an unwritable --out must fail before the estimate")
+
+        monkeypatch.setattr(cli, "estimate", no_estimate)
+        out = tmp_path.joinpath(*target)
+        assert main([command, "--ensemble", GAUSS_21, "--N", "400000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())  # nothing created before the run
+
     def test_repeated_sigma_eigenvalue_theory_exits_2(self, capsys):
         repeated = ('{"kind":"general_sigma_gaussian","beta":%d,'
                     '"sigma_inv_eigenvalues":[1.0,1.0]}')
@@ -450,3 +470,45 @@ class TestRunConfigValidation:
     def test_rejects_bad_format(self):
         with pytest.raises(CliError):
             RunConfig(ensemble=StandardGaussian(2, 1), output_format="yaml")
+
+
+class TestInProcessReuse:
+    """main may run many times in one process on one cached parser."""
+
+    def test_calls_share_the_parser_and_nothing_else(self, tmp_path, capsys):
+        gauss_22 = '{"kind":"standard_gaussian","beta":2,"d":2}'
+        first = ["compare", "--ensemble", gauss_22, "--N", "300", "--seed", "7",
+                 "--k-max", "1", "--format", "json",
+                 "--dump-config", str(tmp_path / "c1.json"), "--out", str(tmp_path / "a.json")]
+        assert main(first) == 0
+        assert main(["theory", "--ensemble", gauss_22,
+                     "--dump-config", str(tmp_path / "c2.json")]) == 0
+        assert main(["ratio", "--d", "4", "--samples", "1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "--ensemble", gauss_22, "--no-such-flag"])
+        assert exc.value.code == 2
+        repeat = first[:-1] + [str(tmp_path / "b.json")]
+        assert main(repeat) == 0
+        capsys.readouterr()
+
+        dumped = json.loads((tmp_path / "c2.json").read_text())
+        defaults = RunConfig(ensemble=StandardGaussian(2, 2)).to_dict()
+        assert dumped == defaults
+        assert (dumped["seed"], dumped["k_max"], dumped["output_format"]) == (1, 2, "csv")
+        rows = [json.loads((tmp_path / name).read_text())["rows"] for name in ("a.json", "b.json")]
+        assert rows[0] == rows[1] and len(rows[0]) == 1
+        assert build_parser() is build_parser()
+
+    def test_parser_is_built_on_first_main_not_at_import(self):
+        src = str(Path(lyaprod.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import os, lyaprod.cli as c\n"
+                "print(c.build_parser.cache_info().currsize)\n"
+                "c.main(['theory', '--ensemble', %r, '--out', os.devnull])\n"
+                "c.main(['theory', '--ensemble', %r, '--out', os.devnull])\n"
+                "info = c.build_parser.cache_info()\n"
+                "print(info.currsize, info.misses)" % (GAUSS_21, GAUSS_21))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split("\n")[:2] == ["0", "1 1"]
