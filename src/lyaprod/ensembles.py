@@ -47,7 +47,10 @@ __all__ = [
     "is_quaternion_structured",
 ]
 
-#: Redraw threshold for the condition number of a factor about to be inverted.
+#: Redraw threshold for the condition number of the Gaussian draw of an
+#: inverse step.  It protects only the explicit inverses of ``factors``;
+#: panels invert nothing (see Ensemble.panel), but they apply the same guard
+#: so that both draw the same stream.
 CONDITION_LIMIT = 1e12
 
 #: Steps a FactorStream draws at once.  The stream does not depend on it;
@@ -91,7 +94,8 @@ class Ensemble:
     stability_exponents needs width == d).  ``proportions`` gives the shares
     of the factor types of an ensemble that mixes types on the deterministic
     quota schedule (None when all factors are identically distributed).
-    Every kind draws through ``panel``.
+    Every kind draws through ``panel``; truncated unitaries and the kinds
+    with inverse steps also override ``factors``.
     """
 
     beta: int
@@ -107,12 +111,30 @@ class Ensemble:
     def width(self):
         return self.d
 
+    @property
+    def signs(self):
+        """The sign of the increments of each quota-schedule type (one entry
+        when the factors are identically distributed), as in
+        TheorySpectrum.laws: -1 marks the inverse steps, whose panels are
+        reversed adjoints (see panel)."""
+        return (1,) * len(self.proportions or (1,))
+
     def panel(self, stream, b, k):
-        """The panels of the next b steps of ``stream``, a (b, rows, k) array
-        (2k columns for the quaternion embedding): draws with the law of the
-        first k columns of a factor.  Every kind here is right-unitarily
-        invariant, so a panel stands for A_n Q_{n-1}[:, :k] (see the
-        montecarlo module)."""
+        """The panels of the next b steps of ``stream``, a (b, rows, cols)
+        array (twice the columns for the quaternion embedding).
+
+        On a step of sign +1 the panel is k columns wide, a draw with the law
+        of the first k columns of a factor.  Every kind here is
+        right-unitarily invariant, so it stands for A_n Q_{n-1}[:, :k] (see
+        the montecarlo module).  An inverse step, a factor G^-1 of a Gaussian
+        G, draws no inverse: its panel is the reversed adjoint J G^H J (J the
+        order reversal), d columns wide whatever k.  If J G^H J = Q R, then
+        G^-1 = (J Q J)(J R^-H J) is the QR factorization of G^-1, with R
+        diagonal 1/conj(r_{d+1-i}) (the identity behind the inverse law in
+        the theory module), so the log|diag R| of G^-1, the increments of the
+        step, are those of the panel negated in reversed order.  Kinds with
+        inverse steps set ``signs``, and run_chain flips those steps.
+        """
         raise NotImplementedError
 
     def factors(self, stream, b):
@@ -150,10 +172,15 @@ class InverseGaussian(Ensemble):
     d: int
 
     kind = "inverse_gaussian"
+    signs = (-1,)
 
     def panel(self, stream, b, k):
-        g = _invert(self.beta, stream.guarded_draws(np.ones(b, dtype=bool)))
-        return g[..., :2 * k if self.beta == 4 else k]
+        """The reversed adjoints of the guarded Gaussian draws (see Ensemble.panel)."""
+        return _reversed_adjoint(stream.guarded_draws(np.ones(b, dtype=bool)))
+
+    def factors(self, stream, b):
+        """The inverses of the guarded Gaussian draws."""
+        return _invert(self.beta, stream.guarded_draws(np.ones(b, dtype=bool)))
 
 
 @dataclass(frozen=True)
@@ -162,16 +189,27 @@ class GaussianInverseMixture(Ensemble):
     alpha_plus: float
 
     kind = "gaussian_inverse_mixture"
+    signs = (1, -1)
 
     @property
     def proportions(self):
         return (self.alpha_plus, 1.0 - self.alpha_plus)
 
     def panel(self, stream, b, k):
+        """Whole Gaussian draws on Gaussian steps (type 0) and their reversed
+        adjoints on inverse steps (type 1), d columns wide whatever k (see
+        Ensemble.panel)."""
+        return self._draw(stream, b, _reversed_adjoint)
+
+    def factors(self, stream, b):
+        """Gaussian draws on Gaussian steps, their inverses on inverse steps."""
+        return self._draw(stream, b, lambda g: _invert(self.beta, g))
+
+    def _draw(self, stream, b, invert):
         inverse = stream.schedule(b) == 1
         g = stream.guarded_draws(inverse)
-        g[inverse] = _invert(self.beta, g[inverse])
-        return g[..., :2 * k if self.beta == 4 else k]
+        g[inverse] = invert(g[inverse])
+        return g
 
 
 @dataclass(frozen=True)
@@ -438,6 +476,13 @@ def _invert(beta, g):
     return _quaternion_symmetrize(inv) if beta == 4 else inv
 
 
+def _reversed_adjoint(g):
+    """J G^H J of each stacked matrix, J the order reversal: an index and
+    conjugation view, so the embedding of a quaternion matrix gives the
+    embedding of one, exactly."""
+    return g[..., ::-1, ::-1].conj().swapaxes(-1, -2)
+
+
 # ---------------------------------------------------------------------------
 # Factor streams
 # ---------------------------------------------------------------------------
@@ -448,10 +493,13 @@ class FactorStream:
     Yields raw matrix data (the complex embedding for beta = 4), drawn BLOCK
     steps at a time by the ensemble's ``panel``, or ``factors`` for whole
     factors.  Tracks the number of redraws triggered by the near-singular
-    guard on factors that get inverted.  For ensembles mixing factor types
-    (rectangular offset classes, Gaussian vs inverse) it keeps the counts of
-    the deterministic type schedule and ``last_type``, the type of the last
-    step drawn (None before the first); step t's type is entry t of
+    guard on the Gaussian draws of inverse steps: the guard protects only
+    the explicit inverses of ``factors``, and run_chain's panels keep it so
+    that the stream stays the same (see guarded_draws).  For ensembles
+    mixing factor types (rectangular offset classes, Gaussian vs inverse)
+    it keeps the counts of the deterministic type schedule and
+    ``last_type``, the type of the last step drawn (None before the first);
+    step t's type is entry t of
     _quota_schedule(spec.proportions, [0] * S, N) for every stream.  A
     stream yields either factors or panels, not both.
     """
@@ -495,12 +543,15 @@ class FactorStream:
             yield from block
 
     def guarded_draws(self, inverse):
-        """Gaussian draws for one block; ``inverse`` flags the steps to be inverted.
+        """Gaussian draws for one block; ``inverse`` flags the inverse steps.
 
-        A step to be inverted skips every draw whose condition number exceeds
+        An inverse step skips every draw whose condition number exceeds
         CONDITION_LIMIT (counted in ``redraws``) and takes the next draw of
         the stream instead, as drawing factor by factor would.  Each round
-        draws exactly the steps still missing, so no draw is wasted.
+        draws exactly the steps still missing, so no draw is wasted.  Only
+        the explicit inverses of ``factors`` need the guard; panels keep it
+        so that panels and factors take the same draws, with the same
+        redraw counts.
         """
         spec = self.spec
         b = len(inverse)

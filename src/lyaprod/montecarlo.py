@@ -19,10 +19,16 @@ frame, no product, one call of the Gram-Schmidt kernel per block of steps
 these sizes is faster than LAPACK's per-matrix QR).  Each kind draws its
 panel, the law of A[:, :k] (see Ensemble.panel); a whole factor is the
 panel as wide as the factor.  A rectangular panel is a (d + nu_t) x k
-Gaussian padded with zero rows, which leave |diag R| unchanged.  Ensembles
-that mix factor types keep their quota schedule; the law of a step's
-increments depends on its own type only, so they are independent, not
-identically distributed, and estimate reduces them type by type.
+Gaussian padded with zero rows, which leave |diag R| unchanged.  An inverse
+step G^-1 is never inverted: its panel is the reversed adjoint J G^H J of
+the Gaussian G (J the order reversal), d columns wide, and the QR of G^-1
+is read off the QR of that panel (the identity of the inverse law in the
+theory module), so the step's increments are the panel's log|diag R|
+negated in reversed order, truncated to k.  run_chain takes the steps to
+flip from the quota schedule and Ensemble.signs.  Ensembles that mix factor
+types keep their quota schedule; the law of a step's increments depends on
+its own type only, so they are independent, not identically distributed,
+and estimate reduces them type by type.
 
 product_chain steps the product itself with that explicit frame, one
 np.linalg.qr (LAPACK's Householder QR) per step, and stays the reference
@@ -119,22 +125,28 @@ def run_chain(spec, k_max, N, rngs):
     on rngs[c].  The columns of each block of BLOCK steps of the C streams
     are copied into one (k, rows, b, C) array (the even columns only for
     beta = 4), and the Gram-Schmidt kernel (ensembles._orthonormalize)
-    factors all of it; half the logs of its squared R diagonal and the
-    finiteness check run once per block.  Returns one ChainResult holding the
+    factors all of it; half the logs of its squared R diagonal, negated in
+    reversed order on inverse steps (see Ensemble.panel), and the finiteness
+    check run once per block.  Returns one ChainResult holding the
     (C, N, k_max) increments of all chains, in the order of ``rngs``, and
     the summed redraws.  The increments are a view of a C-ordered
     (k_max, C, N) array, the layout estimate reduces.  They have the law of
     product_chain's (see the module docstring), not its values.
     """
     k_max, N, streams = _start(spec, k_max, N, rngs)
+    # the steps whose logs are flipped (see Ensemble.panel), if any
+    inverse = np.array(spec.signs)[_step_types(spec, N)] < 0 if -1 in spec.signs else None
     by_index = np.empty((k_max, len(streams), N))
     done = 0
     for panels in zip(*(stream.panels(N, k_max) for stream in streams)):
         rdiag2 = _orthonormalize(_batch_last(panels, spec.beta), spec.beta)
         with np.errstate(divide="ignore"):
-            # a zero entry gives -inf, which _record reports with its step
+            # a zero entry gives -inf (+inf once flipped), which _record
+            # reports with its step
             logs = 0.5 * np.log(rdiag2)
-        done = _record(by_index, done, logs)
+        if inverse is not None:
+            logs = np.where(inverse[done:done + logs.shape[1], None], -logs[::-1], logs)
+        done = _record(by_index, done, logs[:k_max])
     return _result(by_index, streams)
 
 
@@ -189,6 +201,14 @@ def _start(spec, k_max, N, rngs):
     return k_max, N, streams
 
 
+def _step_types(spec, N):
+    """The quota-schedule type of each of the N steps of every stream of
+    ``spec`` (see FactorStream), all 0 for identically distributed factors."""
+    if spec.proportions is None:
+        return np.zeros(N, dtype=np.uint8)
+    return _quota_schedule(spec.proportions, [0] * len(spec.proportions), N)
+
+
 def _record(by_index, done, logs):
     """Store a block's (k, b, C) increments from step ``done`` on; returns
     the steps done.  A non-finite increment names its step."""
@@ -241,7 +261,7 @@ def estimate(spec, k_max, N, chains, master_seed):
     if spec.proportions is None:
         steps = [slice(None)]
     else:
-        types = _quota_schedule(spec.proportions, [0] * len(spec.proportions), xi.shape[2])
+        types = _step_types(spec, xi.shape[2])
         steps = [types == t for t in np.unique(types)]
     mu_hat = xi.mean(axis=(1, 2))
     n_sigma2 = _within_type_variance(xi, steps)

@@ -164,9 +164,11 @@ SCHEDULED_SPECS = [
 
 
 class PoisonedStream(FactorStream):
-    """Factor stream whose factor or panel at step ``poison_step`` (from 1) is NaN."""
+    """Factor stream whose factor or panel at step ``poison_step`` (from 1) is
+    all ``fill``."""
 
     poison_step = None
+    fill = np.nan
 
     def blocks(self, n):
         return self._poisoned(super().blocks(n))
@@ -178,7 +180,7 @@ class PoisonedStream(FactorStream):
         done = 0
         for block in blocks:
             if done < self.poison_step <= done + len(block):
-                block[self.poison_step - done - 1] = np.nan
+                block[self.poison_step - done - 1] = self.fill
             done += len(block)
             yield block
 
@@ -231,12 +233,19 @@ class TestStepKernel:
     @pytest.mark.parametrize("step", [1, 4, 5, 7],
                              ids=["first", "block-end", "block-start", "inside"])
     def test_nan_panel_names_its_step(self, k, step, monkeypatch):
+        # an inverse step's panel is flipped after the kernel (see
+        # Ensemble.panel): a zero column then gives +inf, a NaN one NaN
         monkeypatch.setattr(PoisonedStream, "poison_step", step)
         monkeypatch.setattr(montecarlo, "FactorStream", PoisonedStream)
         monkeypatch.setattr(ensembles, "BLOCK", 4)
-        rngs = [chain_rng(61, c) for c in range(3)]
-        with pytest.raises(ArithmeticError, match=f"non-finite increment at step {step}$"):
-            run_chain(StandardGaussian(2, 2), k, 12, rngs)
+        for spec, fill in ((StandardGaussian(2, 2), np.nan),
+                           (InverseGaussian(2, 2), np.nan), (InverseGaussian(2, 2), 0.0),
+                           (GaussianInverseMixture(2, 2, 0.5), np.nan),
+                           (GaussianInverseMixture(2, 2, 0.5), 0.0)):
+            monkeypatch.setattr(PoisonedStream, "fill", fill)
+            rngs = [chain_rng(61, c) for c in range(3)]
+            with pytest.raises(ArithmeticError, match=f"non-finite increment at step {step}$"):
+                run_chain(spec, k, 12, rngs)
 
 
 def kernel_logs(panels, beta):
@@ -317,6 +326,56 @@ class TestGramSchmidtKernel:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match="non-finite increment at step 3$"):
                 run_chain(BrokenGaussian(beta, 3), 3, 10, rngs)
+
+
+#: (spec, k): inverse Gaussians at every beta, d = 1, 2, 3, 5 and k = 1, d,
+#: and one Gaussian/inverse mixture per beta.
+INVERSE_CASES = [(InverseGaussian(beta, d), k) for beta in (1, 2, 4) for d in (1, 2, 3, 5)
+                 for k in sorted({1, d})] + [
+                 (GaussianInverseMixture(beta, 3, 0.4), 2) for beta in (1, 2, 4)]
+
+
+class TestInverseSteps:
+    """run_chain factors the reversed adjoint J G^H J of an inverse step's
+    Gaussian G and flips its logs (see Ensemble.panel); it never inverts."""
+
+    @pytest.mark.parametrize("spec,k", INVERSE_CASES,
+                             ids=lambda v: f"{v.kind}-beta{v.beta}-d{v.d}" if hasattr(v, "kind")
+                             else f"k{v}")
+    def test_increments_are_those_of_the_explicit_inverse(self, spec, k, monkeypatch):
+        # same seeds: the stream of whole factors holds the explicit
+        # inverses of the same draws, so the two differ by rounding only;
+        # the gate, fixed before the first run, is 1e-10
+        monkeypatch.setattr(ensembles, "BLOCK", 64)
+        N, chains = 250, 2
+        got = run_chain(spec, k, N, [chain_rng(63, c) for c in range(chains)]).increments
+        factors = np.stack([np.concatenate(list(FactorStream(spec, chain_rng(63, c)).blocks(N)))
+                            for c in range(chains)])
+        first_k = factors[..., :2 * k if spec.beta == 4 else k]
+        assert np.abs(got - lapack_logs(first_k, spec.beta)).max() <= 1e-10
+        if spec.proportions is not None:
+            # Gaussian steps: the kernel on their first k columns, bit for bit
+            gaussian = schedule(spec, N) == 0
+            for c in range(chains):
+                np.testing.assert_array_equal(
+                    got[c, gaussian], kernel_logs(first_k[c, gaussian].copy(), spec.beta))
+
+    @pytest.mark.parametrize("spec", [InverseGaussian(beta, 3) for beta in (1, 2, 4)]
+                             + [GaussianInverseMixture(beta, 3, 0.4) for beta in (1, 2, 4)],
+                             ids=lambda s: f"{s.kind}-beta{s.beta}")
+    def test_run_chain_and_estimate_never_invert(self, spec, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("inverted a matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(ensembles, "_invert", refuse)
+        # whole factors are true inverses, so the patch reaches them
+        with pytest.raises(RuntimeError, match="inverted a matrix"):
+            next(FactorStream(spec, chain_rng(64, 0)).blocks(8))
+        res = run_chain(spec, 2, 300, [chain_rng(64, c) for c in range(2)])
+        assert np.all(np.isfinite(res.increments))
+        est = estimate(spec, 2, 300, 2, 64)
+        assert np.all(np.isfinite(est.mu_hat))
 
 
 def pooled_moments(result, spec):
