@@ -203,7 +203,7 @@ def cmd_simulate(config):
                   est.partial_sum_mu[i], est.partial_sum_n_sigma2[i])))
         for i in range(config.k_max)
     ]
-    return rows, _meta(config, wall_ms, est.redraw_count)
+    return rows, _meta(config, wall_ms)
 
 
 def _covered(theory, k_max):
@@ -244,7 +244,7 @@ def cmd_compare(config):
     est, wall_ms = _run_estimate(config)
     rows = comparison_rows(theory, est, config.k_max)
     status = 1 if any(abs(r["z"]) > Z_GATE for r in rows) else 0
-    return rows, _meta(config, wall_ms, est.redraw_count), status
+    return rows, _meta(config, wall_ms), status
 
 
 def cmd_ratio(beta, d, samples, seed):
@@ -274,9 +274,12 @@ def cmd_ratio(beta, d, samples, seed):
     return row, meta
 
 
-def _meta(config, wall_ms, redraws):
-    """Run metadata; steps_per_s counts chain-steps (chains x N) per second of the estimate."""
-    return {"seed": config.seed, "wall_ms": wall_ms, "redraws": redraws,
+def _meta(config, wall_ms):
+    """Run metadata; steps_per_s counts chain-steps (chains x N) per second of the estimate.
+
+    redraws is always 0, as for theory and ratio: no draw is ever skipped.
+    The benchmark's worker (bench/worker.py) still reads it."""
+    return {"seed": config.seed, "wall_ms": wall_ms, "redraws": 0,
             "version": __version__,
             "steps_per_s": config.chains * config.N / (wall_ms * 1e-3)}
 

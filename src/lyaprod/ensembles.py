@@ -20,9 +20,11 @@ Conventions
 * All randomness flows through numpy Generators.  Streams draw BLOCK steps
   at a time, and batched draws consume the underlying bit stream exactly
   like repeated single draws, so identical seeds give identical factor
-  streams whatever BLOCK is.
+  streams whatever BLOCK is.  No draw is skipped: step t takes the t-th
+  draw of its stream, inverse steps included.
 """
 
+import copy
 import math
 from dataclasses import dataclass, fields
 
@@ -46,12 +48,6 @@ __all__ = [
     "quaternion_dual",
     "is_quaternion_structured",
 ]
-
-#: Redraw threshold for the condition number of the Gaussian draw of an
-#: inverse step.  It protects only the explicit inverses of ``factors``;
-#: panels invert nothing (see Ensemble.panel), but they apply the same guard
-#: so that both draw the same stream.
-CONDITION_LIMIT = 1e12
 
 #: Steps a FactorStream draws at once.  The stream does not depend on it;
 #: 256 is the fastest size, or within 3% of it, on every benchmark shape.
@@ -133,7 +129,9 @@ class Ensemble:
         diagonal 1/conj(r_{d+1-i}) (the identity behind the inverse law in
         the theory module), so the log|diag R| of G^-1, the increments of the
         step, are those of the panel negated in reversed order.  Kinds with
-        inverse steps set ``signs``, and run_chain flips those steps.
+        inverse steps set ``signs``, and run_chain flips those steps.  G is
+        not checked: a singular draw gives a zero R diagonal entry, which
+        run_chain reports as a non-finite increment of its step.
         """
         raise NotImplementedError
 
@@ -169,18 +167,25 @@ class GeneralSigmaGaussian(Ensemble):
 
 @dataclass(frozen=True)
 class InverseGaussian(Ensemble):
+    """Inverses G^-1 of d x d Gaussians G, each step the next draw of the
+    stream with no condition check.  For a real Gaussian P(cond G > x) is
+    about 2d/x at large x (Edelman, SIAM J. Matrix Anal. Appl. 9 (1988)
+    543), so near-singular draws are rare and leave no mark on an
+    estimate; an exactly singular one fails loudly (see FactorStream.blocks
+    and Ensemble.panel)."""
+
     d: int
 
     kind = "inverse_gaussian"
     signs = (-1,)
 
     def panel(self, stream, b, k):
-        """The reversed adjoints of the guarded Gaussian draws (see Ensemble.panel)."""
-        return _reversed_adjoint(stream.guarded_draws(np.ones(b, dtype=bool)))
+        """The reversed adjoints of the Gaussian draws (see Ensemble.panel)."""
+        return _reversed_adjoint(_gaussian_data(self.beta, self.d, self.d, stream.rng, size=b))
 
     def factors(self, stream, b):
-        """The inverses of the guarded Gaussian draws."""
-        return _invert(self.beta, stream.guarded_draws(np.ones(b, dtype=bool)))
+        """The inverses of the Gaussian draws."""
+        return _invert(self.beta, _gaussian_data(self.beta, self.d, self.d, stream.rng, size=b))
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ class GaussianInverseMixture(Ensemble):
 
     def _draw(self, stream, b, invert):
         inverse = stream.schedule(b) == 1
-        g = stream.guarded_draws(inverse)
+        g = _gaussian_data(self.beta, self.d, self.d, stream.rng, size=b)
         g[inverse] = invert(g[inverse])
         return g
 
@@ -452,25 +457,6 @@ def _sigma_scale(spec, g):
     return scale[:, None] * g
 
 
-def _ill_conditioned(g):
-    """Flags the stacked matrices that np.linalg.cond puts above CONDITION_LIMIT.
-
-    cond(g) < (2 / |det g|) (||g||_F / sqrt(n))^n for n x n g (Guggenheimer,
-    Edelman & Johnson, College Math. J. 26 (1995) 2) costs one LU; the SVD
-    of np.linalg.cond runs only where this bound misses the limit by more
-    than a factor of 1000, far beyond the rounding of either route.
-    """
-    n = g.shape[-1]
-    _, logdet = np.linalg.slogdet(g)
-    frob2 = np.square(np.abs(g)).sum(axis=(-2, -1))
-    log_bound = math.log(2.0) - logdet + 0.5 * n * np.log(frob2 / n)
-    unsure = ~(log_bound <= math.log(CONDITION_LIMIT / 1e3))
-    bad = np.zeros(len(g), dtype=bool)
-    if unsure.any():
-        bad[unsure] = ~(np.linalg.cond(g[unsure]) <= CONDITION_LIMIT)
-    return bad
-
-
 def _invert(beta, g):
     inv = np.linalg.inv(g)
     return _quaternion_symmetrize(inv) if beta == 4 else inv
@@ -492,22 +478,22 @@ class FactorStream:
 
     Yields raw matrix data (the complex embedding for beta = 4), drawn BLOCK
     steps at a time by the ensemble's ``panel``, or ``factors`` for whole
-    factors.  Tracks the number of redraws triggered by the near-singular
-    guard on the Gaussian draws of inverse steps: the guard protects only
-    the explicit inverses of ``factors``, and run_chain's panels keep it so
-    that the stream stays the same (see guarded_draws).  For ensembles
-    mixing factor types (rectangular offset classes, Gaussian vs inverse)
-    it keeps the counts of the deterministic type schedule and
-    ``last_type``, the type of the last step drawn (None before the first);
-    step t's type is entry t of
+    factors.  Every step takes the next draw of the stream, inverse steps
+    included.  For ensembles mixing factor types (rectangular offset
+    classes, Gaussian vs inverse) it keeps the counts of the deterministic
+    type schedule and ``last_type``, the type of the last step drawn (None
+    before the first); step t's type is entry t of
     _quota_schedule(spec.proportions, [0] * S, N) for every stream.  A
     stream yields either factors or panels, not both.
     """
 
+    #: Always 0: no draw is ever skipped.  The benchmark's draw_alone
+    #: (bench/layers.py) still reads it.
+    redraws = 0
+
     def __init__(self, spec, rng):
         self.spec = spec
         self.rng = rng
-        self.redraws = 0
         self.last_type = None
         self._counts = [0] * len(spec.proportions) if spec.proportions else None
 
@@ -525,10 +511,20 @@ class FactorStream:
         step, come zero-padded: each fills the top-left corner of a zero
         D x D square, D = d + max(offsets) (twice that for the quaternion
         embedding).  The generator is consumed exactly as by drawing factor
-        by factor, so BLOCK does not change the stream.
+        by factor, so BLOCK does not change the stream.  An inverse step
+        whose Gaussian draw is singular raises ArithmeticError naming the
+        step (from 1).
         """
         for done in range(0, n, BLOCK):
-            yield self.spec.factors(self, min(BLOCK, n - done))
+            b = min(BLOCK, n - done)
+            start = (self.rng.bit_generator.state, self.last_type,
+                     None if self._counts is None else list(self._counts))
+            try:
+                block = self.spec.factors(self, b)
+            except np.linalg.LinAlgError:
+                raise ArithmeticError(
+                    f"singular factor at step {done + self._first_singular(start, b)}") from None
+            yield block
 
     def panels(self, n, k):
         """Yield the panels of n steps (see Ensemble.panel) as (b, rows, k)
@@ -542,34 +538,18 @@ class FactorStream:
         for block in self.blocks(n):
             yield from block
 
-    def guarded_draws(self, inverse):
-        """Gaussian draws for one block; ``inverse`` flags the inverse steps.
-
-        An inverse step skips every draw whose condition number exceeds
-        CONDITION_LIMIT (counted in ``redraws``) and takes the next draw of
-        the stream instead, as drawing factor by factor would.  Each round
-        draws exactly the steps still missing, so no draw is wasted.  Only
-        the explicit inverses of ``factors`` need the guard; panels keep it
-        so that panels and factors take the same draws, with the same
-        redraw counts.
-        """
-        spec = self.spec
-        b = len(inverse)
-        kept = []
-        filled = 0
-        while filled < b:
-            g = _gaussian_data(spec.beta, spec.d, spec.d, self.rng, size=b - filled)
-            keep = np.ones(len(g), dtype=bool)
-            skipped = 0
-            for i in np.flatnonzero(_ill_conditioned(g)):
-                # each skipped draw moves the later draws one step back
-                if inverse[filled + i - skipped]:
-                    keep[i] = False
-                    skipped += 1
-            kept.append(g[keep] if skipped else g)
-            filled += len(g) - skipped
-            self.redraws += skipped
-        return kept[0] if len(kept) == 1 else np.concatenate(kept)
+    def _first_singular(self, start, b):
+        """The step, from 1, of the first of the b factors drawn from
+        ``start`` (generator state, last_type and schedule counts) that
+        np.linalg.inv rejects: they are drawn again one at a time, from a
+        copy of the generator."""
+        replay = FactorStream(self.spec, copy.deepcopy(self.rng))
+        replay.rng.bit_generator.state, replay.last_type, replay._counts = start
+        for step in range(1, b + 1):
+            try:
+                self.spec.factors(replay, 1)
+            except np.linalg.LinAlgError:
+                return step
 
 
 def chain_rng(master_seed, chain_index):

@@ -20,21 +20,25 @@ these sizes is faster than LAPACK's per-matrix QR).  Each kind draws its
 panel, the law of A[:, :k] (see Ensemble.panel); a whole factor is the
 panel as wide as the factor.  A rectangular panel is a (d + nu_t) x k
 Gaussian padded with zero rows, which leave |diag R| unchanged.  An inverse
-step G^-1 is never inverted: its panel is the reversed adjoint J G^H J of
-the Gaussian G (J the order reversal), d columns wide, and the QR of G^-1
-is read off the QR of that panel (the identity of the inverse law in the
-theory module), so the step's increments are the panel's log|diag R|
-negated in reversed order, truncated to k.  run_chain takes the steps to
-flip from the quota schedule and Ensemble.signs.  Ensembles that mix factor
-types keep their quota schedule; the law of a step's increments depends on
-its own type only, so they are independent, not identically distributed,
-and estimate reduces them type by type.
+step G^-1 is never inverted, and its Gaussian G is the next draw of the
+stream, with no condition check: its panel is the reversed adjoint J G^H J
+of G (J the order reversal), d columns wide, and the QR of G^-1 is read off
+the QR of that panel (the identity of the inverse law in the theory
+module), so the step's increments are the panel's log|diag R| negated in
+reversed order, truncated to k.  run_chain takes the steps to flip from the
+quota schedule and Ensemble.signs.  Ensembles that mix factor types keep
+their quota schedule; the law of a step's increments depends on its own
+type only, so they are independent, not identically distributed, and
+estimate reduces them type by type.
 
 product_chain steps the product itself with that explicit frame, one
 np.linalg.qr (LAPACK's Householder QR) per step, and stays the reference
 oracle, independent of the kernel: its increments telescope to the
 log-volumes of one seeded product, and on independent seeds they have
-run_chain's law (tests/test_montecarlo.py checks both).
+run_chain's law (tests/test_montecarlo.py checks both).  Its whole factors
+invert the Gaussians of inverse steps explicitly, so an exactly singular
+draw stops it with the step's number (see FactorStream.blocks); in
+run_chain the same draw gives a non-finite increment of that step.
 
 No phase is fixed on the R diagonal, so product_chain's frame is Q_n times
 a diagonal unitary, and dropping the phase is exact: if M = Q' R,
@@ -80,14 +84,13 @@ class ChainResult:
     """Per-step log-volume increments of the C chains of one run.
 
     increments has shape (C, N, k_max), chain c in the order of the
-    Generators passed to run_chain.  redraw_count sums the redraws of all
-    chains.  For ensembles that mix factor types, every chain follows the
-    same deterministic quota schedule, so step t's type is entry t of
-    _quota_schedule(spec.proportions, [0] * S, N) (see FactorStream).
+    Generators passed to run_chain.  For ensembles that mix factor types,
+    every chain follows the same deterministic quota schedule, so step t's
+    type is entry t of _quota_schedule(spec.proportions, [0] * S, N) (see
+    FactorStream).
     """
 
     increments: np.ndarray
-    redraw_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,6 @@ class McEstimate:
     n_sigma2_hat: np.ndarray
     partial_sum_mu: np.ndarray
     partial_sum_n_sigma2: np.ndarray
-    redraw_count: int = 0
 
 
 def run_chain(spec, k_max, N, rngs):
@@ -127,11 +129,12 @@ def run_chain(spec, k_max, N, rngs):
     beta = 4), and the Gram-Schmidt kernel (ensembles._orthonormalize)
     factors all of it; half the logs of its squared R diagonal, negated in
     reversed order on inverse steps (see Ensemble.panel), and the finiteness
-    check run once per block.  Returns one ChainResult holding the
-    (C, N, k_max) increments of all chains, in the order of ``rngs``, and
-    the summed redraws.  The increments are a view of a C-ordered
-    (k_max, C, N) array, the layout estimate reduces.  They have the law of
-    product_chain's (see the module docstring), not its values.
+    check run once per block.  A singular inverse draw is not redrawn: its
+    step fails that check.  Returns one ChainResult holding the (C, N,
+    k_max) increments of all chains, in the order of ``rngs``.  The
+    increments are a view of a C-ordered (k_max, C, N) array, the layout
+    estimate reduces.  They have the law of product_chain's (see the module
+    docstring), not its values.
     """
     k_max, N, streams = _start(spec, k_max, N, rngs)
     # the steps whose logs are flipped (see Ensemble.panel), if any
@@ -147,7 +150,7 @@ def run_chain(spec, k_max, N, rngs):
         if inverse is not None:
             logs = np.where(inverse[done:done + logs.shape[1], None], -logs[::-1], logs)
         done = _record(by_index, done, logs[:k_max])
-    return _result(by_index, streams)
+    return ChainResult(by_index.transpose(1, 2, 0))
 
 
 def product_chain(spec, k_max, N, rngs):
@@ -183,7 +186,7 @@ def product_chain(spec, k_max, N, rngs):
             # half the summed logs of each quaternion column pair
             logs = 0.5 * (logs[..., 0::2] + logs[..., 1::2])
         done = _record(by_index, done, logs.transpose(2, 0, 1))
-    return _result(by_index, streams)
+    return ChainResult(by_index.transpose(1, 2, 0))
 
 
 def _start(spec, k_max, N, rngs):
@@ -217,11 +220,6 @@ def _record(by_index, done, logs):
         raise ArithmeticError(f"non-finite increment at step {done + int(finite.argmin()) + 1}")
     by_index[..., done:done + logs.shape[1]] = logs.transpose(0, 2, 1)
     return done + logs.shape[1]
-
-
-def _result(by_index, streams):
-    return ChainResult(increments=by_index.transpose(1, 2, 0),
-                       redraw_count=sum(stream.redraws for stream in streams))
 
 
 def _within_type_variance(x, steps):
@@ -271,7 +269,6 @@ def estimate(spec, k_max, N, chains, master_seed):
         n_sigma2_hat=n_sigma2,
         partial_sum_mu=np.cumsum(mu_hat),
         partial_sum_n_sigma2=_within_type_variance(np.cumsum(xi, axis=0), steps),
-        redraw_count=result.redraw_count,
     )
 
 

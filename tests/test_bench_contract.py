@@ -63,7 +63,21 @@ def test_draw_alone_runs_every_kind_and_stability(layers):
                 "seed": 1})
     for op in ops:
         us_per_factor, redraws = layers.draw_alone([op])
-        assert us_per_factor > 0 and redraws >= 0, op
+        # nothing is redrawn; bench/layers.py reads FactorStream.redraws
+        # until a benchmark change drops the read
+        assert us_per_factor > 0 and redraws == 0, op
+
+
+def test_compare_meta_keeps_redraws(tmp_path, capsys):
+    # nothing is redrawn, but bench/worker.py reads meta["redraws"] of a
+    # compare run until a benchmark change drops the read
+    out = tmp_path / "compare.json"
+    inverse = {"kind": "inverse_gaussian", "beta": 2, "d": 2}
+    assert lyaprod.cli.main(["compare", "--ensemble", json.dumps(inverse), "--N", "300",
+                             "--chains", "2", "--seed", "1", "--format", "json",
+                             "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["redraws"] == 0
+    assert " redraws=0 " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", sorted(ENSEMBLES))

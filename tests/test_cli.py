@@ -323,8 +323,7 @@ class TestMainEndToEnd:
         def one_at_a_time(spec, k_max, N, rngs, **kwargs):
             alone = [run_chain(spec, k_max, N, [rng], **kwargs) for rng in rngs]
             return montecarlo.ChainResult(
-                increments=np.concatenate([r.increments for r in alone]),
-                redraw_count=sum(r.redraw_count for r in alone))
+                increments=np.concatenate([r.increments for r in alone]))
 
         monkeypatch.setattr(montecarlo, "run_chain", one_at_a_time)
         assert main(base + ["--out", str(out_alone)]) == 0

@@ -173,13 +173,6 @@ class TestFactorSampling:
         for f in FactorStream(GaussianInverseMixture(4, 2, 0.5), rng).factors(20):
             assert is_quaternion_structured(f)
 
-    def test_redraw_guard_counts(self, monkeypatch):
-        monkeypatch.setattr(ens, "CONDITION_LIMIT", 1.5)
-        rng = chain_rng(306, 0)
-        stream = FactorStream(InverseGaussian(2, 2), rng)
-        list(stream.factors(50))
-        assert stream.redraws > 0
-
 
 class TestDeterminism:
     SPECS = [
@@ -227,7 +220,8 @@ class TestDeterminism:
 
 
 def one_at_a_time(spec, n, rng):
-    """Reference draw, factor by factor, with np.linalg.cond on each factor to invert.
+    """Reference draw, factor by factor: step t takes the t-th Gaussian draw
+    and inverts it on inverse steps.
 
     Mixture types follow the quota schedule over (alpha_plus, alpha_minus):
     type 0 is a Gaussian step, type 1 an inverse one.
@@ -236,63 +230,43 @@ def one_at_a_time(spec, n, rng):
         types = [1] * n
     else:
         types = _quota_schedule((spec.alpha_plus, 1.0 - spec.alpha_plus), [0, 0], n)
-    out, redraws = [], 0
+    out = []
     for t in types:
         g = ens._gaussian_data(spec.beta, spec.d, spec.d, rng)
-        while t == 1 and not np.linalg.cond(g) <= ens.CONDITION_LIMIT:
-            redraws += 1
-            g = ens._gaussian_data(spec.beta, spec.d, spec.d, rng)
         if t == 1:
             g = np.linalg.inv(g)
             if spec.beta == 4:
                 g = 0.5 * (g + quaternion_dual(g))
         out.append(g)
-    return out, redraws
+    return out
 
 
-class TestRedrawPath:
-    """Forced redraws: a low CONDITION_LIMIT makes many draws ill-conditioned."""
+class TestInverseStreams:
+    """Every inverse step takes the next Gaussian draw of its stream."""
 
-    SPECS = [InverseGaussian(b, d) for b in (1, 2, 4) for d in (2, 3)] + [
+    SPECS = [InverseGaussian(b, d) for b in (1, 2, 4) for d in (1, 2, 3)] + [
         GaussianInverseMixture(2, 2, 0.5),
         GaussianInverseMixture(1, 3, 0.3),
         GaussianInverseMixture(4, 2, 0.7),
     ]
 
-    @pytest.fixture(autouse=True)
-    def low_limit(self, monkeypatch):
-        monkeypatch.setattr(ens, "CONDITION_LIMIT", 3.0)
-
+    @pytest.mark.parametrize("block", [1, 4, 257])
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
-    def test_block_size_and_single_draws_agree(self, spec, monkeypatch):
-        streams, runs = [], []
-        for block in (1, 257):
-            monkeypatch.setattr(ens, "BLOCK", block)
-            streams.append(FactorStream(spec, chain_rng(50, 1)))
-            runs.append(list(streams[-1].factors(40)))
-        a, b = runs
-        assert streams[0].redraws == streams[1].redraws > 0
-        assert streams[0].last_type == streams[1].last_type
-        reference, redraws = one_at_a_time(spec, 40, chain_rng(50, 1))
-        assert streams[0].redraws == redraws
-        for x, y, r in zip(a, b, reference):
-            assert np.array_equal(x, y)
-            assert np.array_equal(x, r)
-
-    def test_flags_match_np_linalg_cond(self, monkeypatch):
-        # conditions log-uniform over 1 .. 1e18, on both sides of every
-        # limit, and scales over 1e-6 .. 1e6 (the condition ignores scale)
-        rng = chain_rng(51, 0)
-        for n in (1, 2, 3, 6):
-            g = rng.standard_normal((500, n, n)) + 1j * rng.standard_normal((500, n, n))
-            u, s, vh = np.linalg.svd(g)
-            s[:, -1] = s[:, 0] * 10.0 ** -rng.uniform(0.0, 18.0, 500)
-            s *= 10.0 ** rng.uniform(-6.0, 6.0, (500, 1))
-            g = (u * s[:, None, :]) @ vh
-            cond = np.linalg.cond(g)
-            for limit in (1.5, 30.0, 1e6, 1e12):
-                monkeypatch.setattr(ens, "CONDITION_LIMIT", limit)
-                assert np.array_equal(ens._ill_conditioned(g), ~(cond <= limit))
+    def test_factors_and_panels_are_the_draws(self, spec, block, monkeypatch):
+        # factors invert the draws of inverse steps, panels take their
+        # reversed adjoints; Gaussian steps of a mixture are the draws
+        n = 40
+        g = ens._gaussian_data(spec.beta, spec.d, spec.d, chain_rng(50, 1), size=n)
+        inverse = np.ones(n, dtype=bool) if spec.proportions is None else schedule(spec, n) == 1
+        want_factors, want_panels = g.copy(), g.copy()
+        want_factors[inverse] = ens._invert(spec.beta, g[inverse])
+        want_panels[inverse] = ens._reversed_adjoint(g[inverse])
+        monkeypatch.setattr(ens, "BLOCK", block)
+        factors = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).blocks(n)))
+        panels = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).panels(n, 1)))
+        np.testing.assert_array_equal(factors, want_factors)
+        np.testing.assert_array_equal(panels, want_panels)
+        np.testing.assert_array_equal(factors, one_at_a_time(spec, n, chain_rng(50, 1)))
 
 
 class TestMixtureSchedule:
@@ -313,13 +287,12 @@ class TestMixtureSchedule:
         assert stream.last_type == kind
 
     def test_factors_follow_the_type_trace(self, monkeypatch):
-        # without redraws step t takes the t-th Gaussian draw, inverted at type 1
+        # step t takes the t-th Gaussian draw, inverted at type 1
         spec = GaussianInverseMixture(2, 3, 0.4)
         monkeypatch.setattr(ens, "BLOCK", 16)
         stream = FactorStream(spec, chain_rng(54, 0))
         factors = list(stream.factors(100))
         g = ens._gaussian_data(2, 3, 3, chain_rng(54, 0), size=100)
-        assert stream.redraws == 0
         for f, x, t in zip(factors, g, schedule(spec, 100)):
             assert np.array_equal(f, np.linalg.inv(x) if t == 1 else x)
 

@@ -129,8 +129,7 @@ class BrokenGaussian(Ensemble):
 
 def concatenated(results):
     """One ChainResult of the chains of ``results``, stepped apart, in order."""
-    return ChainResult(increments=np.concatenate([r.increments for r in results]),
-                       redraw_count=sum(r.redraw_count for r in results))
+    return ChainResult(increments=np.concatenate([r.increments for r in results]))
 
 
 #: (spec, k_max, chains) covering every kind, each beta, k < d and k = d,
@@ -212,7 +211,6 @@ class TestStepKernel:
         apart = concatenated([product_chain(spec, k, 20, [chain_rng(62, c)])
                               for c in range(chains)])
         np.testing.assert_array_equal(together.increments, apart.increments)
-        assert together.redraw_count == apart.redraw_count
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k", [2, 1], ids=["k2", "k1"])
@@ -246,6 +244,36 @@ class TestStepKernel:
             rngs = [chain_rng(61, c) for c in range(3)]
             with pytest.raises(ArithmeticError, match=f"non-finite increment at step {step}$"):
                 run_chain(spec, k, 12, rngs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("step", [1, 4, 5, 7],
+                             ids=["first", "block-end", "block-start", "inside"])
+    @pytest.mark.parametrize("spec", [InverseGaussian(2, 2), GaussianInverseMixture(2, 2, 0.2)],
+                             ids=lambda s: s.kind)
+    def test_singular_inverse_draw_names_its_step(self, spec, step, monkeypatch):
+        # the Gaussian that step ``step`` of every stream draws is zeroed,
+        # wherever the blocks of 4 steps cut it, and nothing redraws it:
+        # whole factors fail to invert it, panels give a zero R entry
+        rngs = lambda: [chain_rng(65, c) for c in range(3)]
+        if spec.proportions is not None:
+            assert schedule(spec, step)[-1] == 1
+        singular = [_gaussian_data(2, 2, 2, rng, size=step)[-1] for rng in rngs()]
+        draw = ensembles._gaussian_data
+
+        def zero_singular(*args, **kwargs):
+            g = draw(*args, **kwargs)
+            for z in singular:
+                g[(g == z).all(axis=(-2, -1))] = 0.0
+            return g
+
+        monkeypatch.setattr(ensembles, "_gaussian_data", zero_singular)
+        monkeypatch.setattr(ensembles, "BLOCK", 4)
+        for call in (lambda: list(FactorStream(spec, rngs()[0]).blocks(12)),
+                     lambda: product_chain(spec, 2, 12, rngs())):
+            with pytest.raises(ArithmeticError, match=f"^singular factor at step {step}$"):
+                call()
+        with pytest.raises(ArithmeticError, match=f"^non-finite increment at step {step}$"):
+            run_chain(spec, 2, 12, rngs())
 
 
 def kernel_logs(panels, beta):
@@ -334,6 +362,10 @@ INVERSE_CASES = [(InverseGaussian(beta, d), k) for beta in (1, 2, 4) for d in (1
                  for k in sorted({1, d})] + [
                  (GaussianInverseMixture(beta, 3, 0.4), 2) for beta in (1, 2, 4)]
 
+#: Each kind with inverse steps at every beta.
+INVERSE_KINDS = ([InverseGaussian(beta, 3) for beta in (1, 2, 4)]
+                 + [GaussianInverseMixture(beta, 3, 0.4) for beta in (1, 2, 4)])
+
 
 class TestInverseSteps:
     """run_chain factors the reversed adjoint J G^H J of an inverse step's
@@ -360,9 +392,7 @@ class TestInverseSteps:
                 np.testing.assert_array_equal(
                     got[c, gaussian], kernel_logs(first_k[c, gaussian].copy(), spec.beta))
 
-    @pytest.mark.parametrize("spec", [InverseGaussian(beta, 3) for beta in (1, 2, 4)]
-                             + [GaussianInverseMixture(beta, 3, 0.4) for beta in (1, 2, 4)],
-                             ids=lambda s: f"{s.kind}-beta{s.beta}")
+    @pytest.mark.parametrize("spec", INVERSE_KINDS, ids=lambda s: f"{s.kind}-beta{s.beta}")
     def test_run_chain_and_estimate_never_invert(self, spec, monkeypatch):
         def refuse(*args):
             raise RuntimeError("inverted a matrix")
@@ -375,6 +405,18 @@ class TestInverseSteps:
         res = run_chain(spec, 2, 300, [chain_rng(64, c) for c in range(2)])
         assert np.all(np.isfinite(res.increments))
         est = estimate(spec, 2, 300, 2, 64)
+        assert np.all(np.isfinite(est.mu_hat))
+
+    @pytest.mark.parametrize("spec", INVERSE_KINDS, ids=lambda s: f"{s.kind}-beta{s.beta}")
+    def test_draws_take_no_condition_number(self, spec, monkeypatch):
+        # no inverse draw is tested for its condition before it is used
+        def refuse(*args, **kwargs):
+            raise RuntimeError("took a condition number")
+
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        next(FactorStream(spec, chain_rng(66, 0)).blocks(8))
+        est = estimate(spec, 2, 300, 2, 66)
         assert np.all(np.isfinite(est.mu_hat))
 
 
@@ -568,7 +610,6 @@ class TestRunChain:
         res = run_chain(StandardGaussian(2, 3), 2, 25, [chain_rng(11, 0), chain_rng(11, 1)])
         assert res.increments.shape == (2, 25, 2)
         assert np.all(np.isfinite(res.increments))
-        assert res.redraw_count == 0
 
     @pytest.mark.parametrize("spec", [StandardGaussian(4, 2)]
                              + [spec for spec, _, _ in KERNEL_CASES if spec.width == spec.d],
@@ -632,7 +673,6 @@ class TestEstimate:
         for field in ("mu_hat", "se_mu", "n_sigma2_hat", "partial_sum_mu",
                       "partial_sum_n_sigma2"):
             assert np.array_equal(getattr(together, field), getattr(alone, field)), field
-        assert together.redraw_count == alone.redraw_count
 
     def test_bit_identical_across_parallelism(self, monkeypatch):
         # however the chains of an estimate are split into groups stepped
@@ -650,7 +690,6 @@ class TestEstimate:
         assert np.array_equal(together.mu_hat, grouped.mu_hat)
         assert np.array_equal(together.n_sigma2_hat, grouped.n_sigma2_hat)
         assert np.array_equal(together.partial_sum_n_sigma2, grouped.partial_sum_n_sigma2)
-        assert together.redraw_count == grouped.redraw_count
 
     @pytest.mark.parametrize("spec", SCHEDULED_SPECS, ids=["mixture", "rectangular-3"])
     def test_reduction_matches_direct_computation(self, spec):
