@@ -18,8 +18,8 @@ from .ensembles import (ENSEMBLES, Ensemble, FactorStream,
                         GaussianInverseMixture, GeneralSigmaGaussian,
                         InverseGaussian, RectangularGaussian, StandardGaussian,
                         TruncatedUnitary, chain_rng)
-from .montecarlo import (ChainResult, McEstimate, estimate, run_chain,
-                         spectral_ratio_samples, stability_exponents)
+from .montecarlo import (McEstimate, estimate, run_chain, spectral_ratio_samples,
+                         stability_exponents)
 
 __all__ = [
     "__version__",
@@ -33,6 +33,6 @@ __all__ = [
     "StandardGaussian", "GeneralSigmaGaussian", "InverseGaussian",
     "GaussianInverseMixture", "RectangularGaussian", "TruncatedUnitary",
     "FactorStream", "chain_rng",
-    "ChainResult", "McEstimate", "run_chain", "estimate",
+    "McEstimate", "run_chain", "estimate",
     "stability_exponents", "spectral_ratio_samples",
 ]

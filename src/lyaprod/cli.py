@@ -25,11 +25,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .ensembles import ENSEMBLES
+from .ensembles import ENSEMBLES, chain_rng
 from .montecarlo import estimate, spectral_ratio_samples
 from .sigma import (DistinctnessError, SigmaSpec, kargin_top,
                     sigma_spectrum_complex, sigma_variance1_complex)
-from .theory import (RectangularSpec, _check_beta,
+from .theory import (RectangularSpec, _check_int,
                      gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
                      truncated_unitary_spectrum)
 
@@ -41,6 +41,7 @@ COMPARE_HEADER = ("i", "mu_theory", "n_sigma2_theory", "mu_mc", "se_mu", "n_sigm
 THEORY_HEADER = ("i", "mu", "n_sigma2")
 SIMULATE_HEADER = ("i", "mu_mc", "se_mu", "n_sigma2_mc",
                    "partial_sum_mu", "partial_sum_n_sigma2")
+RATIO_HEADER = ("beta", "d", "samples", "ratio", "min_ratio", "limit")
 
 
 class CliError(ValueError):
@@ -96,9 +97,10 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("N", "chains", "seed") + (("k_max",) if self.k_max is not None else ()):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise CliError(f"{name} must be an integer, got {value!r}")
+            try:
+                setattr(self, name, _check_int(name, getattr(self, name)))
+            except ValueError as exc:
+                raise CliError(str(exc))
         if self.N < 1 or self.chains < 1:
             raise CliError("N and chains must be positive")
         if self.seed < 0:
@@ -248,30 +250,16 @@ def cmd_compare(config):
 
 
 def cmd_ratio(beta, d, samples, seed):
+    """One row of the ratio experiment on chain_rng(seed, 0); numpy integers come back as ints."""
+    t0 = time.perf_counter()
     try:
-        beta = _check_beta(beta)
+        ratios = spectral_ratio_samples(beta, d, samples, chain_rng(seed, 0))
     except ValueError as exc:
         raise CliError(str(exc))
-    if d < 2:
-        raise CliError(f"ratio experiment needs d >= 2, got {d}")
-    if samples < 1:
-        raise CliError(f"ratio experiment needs samples >= 1, got {samples}")
-    if seed < 0:
-        raise CliError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
-    t0 = time.perf_counter()
-    ratios = spectral_ratio_samples(beta, d, samples, rng)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    row = {
-        "beta": beta,
-        "d": d,
-        "samples": int(samples),
-        "ratio": float(ratios.mean()),
-        "min_ratio": float(ratios.min()),
-        "limit": 2.0,
-    }
-    meta = {"seed": int(seed), "wall_ms": wall_ms, "redraws": 0, "version": __version__}
-    return row, meta
+    rows = [dict(zip(RATIO_HEADER, (int(beta), int(d), int(samples), float(ratios.mean()),
+                                    float(ratios.min()), 2.0)))]
+    return rows, {"seed": int(seed), "wall_ms": wall_ms, "redraws": 0, "version": __version__}
 
 
 def _meta(config, wall_ms):
@@ -412,38 +400,32 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _check_writable(args.out)
-        if args.command == "ratio":
-            row, meta = cmd_ratio(args.beta, args.d, args.samples, args.seed)
-            header = tuple(row.keys())
-            if args.output_format == "json":
-                config = {"beta": args.beta, "d": args.d,
-                          "samples": args.samples, "seed": args.seed}
-                _emit(render_json(config, [row], meta), args.out)
-            else:
-                _emit(render_csv(header, [row]), args.out)
-            return 0
-
-        config = _resolve_config(args)
-        if args.dump_config:
-            _emit(json.dumps(config.to_dict(), indent=2) + "\n", args.dump_config)
-
         status = 0
-        if args.command == "theory":
-            rows, meta = cmd_theory(config)
-            header = THEORY_HEADER
-        elif args.command == "simulate":
-            rows, meta = cmd_simulate(config)
-            header = SIMULATE_HEADER
+        if args.command == "ratio":
+            run = {"beta": args.beta, "d": args.d, "samples": args.samples, "seed": args.seed}
+            rows, meta = cmd_ratio(**run)
+            header, output_format = RATIO_HEADER, args.output_format
         else:
-            rows, meta, status = cmd_compare(config)
-            header = COMPARE_HEADER
+            config = _resolve_config(args)
+            run, output_format = config.to_dict(), config.output_format
+            if args.dump_config:
+                _emit(json.dumps(run, indent=2) + "\n", args.dump_config)
+            if args.command == "theory":
+                rows, meta = cmd_theory(config)
+                header = THEORY_HEADER
+            elif args.command == "simulate":
+                rows, meta = cmd_simulate(config)
+                header = SIMULATE_HEADER
+            else:
+                rows, meta, status = cmd_compare(config)
+                header = COMPARE_HEADER
+            if args.command != "theory":
+                print(f"{args.command}: N={config.N} chains={config.chains} seed={config.seed} "
+                      f"redraws={meta['redraws']} wall={meta['wall_ms']:.0f}ms "
+                      f"steps_per_s={meta['steps_per_s']:.0f}", file=sys.stderr)
 
-        if args.command != "theory":
-            print(f"{args.command}: N={config.N} chains={config.chains} seed={config.seed} "
-                  f"redraws={meta['redraws']} wall={meta['wall_ms']:.0f}ms "
-                  f"steps_per_s={meta['steps_per_s']:.0f}", file=sys.stderr)
-        if config.output_format == "json":
-            _emit(render_json(config.to_dict(), rows, meta), args.out)
+        if output_format == "json":
+            _emit(render_json(run, rows, meta), args.out)
         else:
             _emit(render_csv(header, rows), args.out)
         return status

@@ -463,9 +463,10 @@ def _invert(beta, g):
 
 
 def _reversed_adjoint(g):
-    """J G^H J of each stacked matrix, J the order reversal: an index and
-    conjugation view, so the embedding of a quaternion matrix gives the
-    embedding of one, exactly."""
+    """J G^H J of each stacked matrix, J the order reversal, by indexing and
+    conjugation only, so the embedding of a quaternion matrix gives the
+    embedding of one, exactly.  A view of real G; ndarray.conj() copies
+    complex G (beta = 2 and 4)."""
     return g[..., ::-1, ::-1].conj().swapaxes(-1, -2)
 
 
@@ -554,6 +555,8 @@ class FactorStream:
 
 def chain_rng(master_seed, chain_index):
     """Generator for one chain: PCG64 seeded by SeedSequence(master_seed, spawn_key=(chain_index,))."""
-    ss = np.random.SeedSequence(_check_int("master_seed", master_seed),
-                                spawn_key=(_check_int("chain_index", chain_index),))
+    master_seed = _check_int("master_seed", master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    ss = np.random.SeedSequence(master_seed, spawn_key=(_check_int("chain_index", chain_index),))
     return np.random.default_rng(ss)

@@ -64,7 +64,6 @@ from .ensembles import (FactorStream, chain_rng, _batch_last, _check_beta, _chec
                         _gaussian_data, _orthonormalize, _quota_schedule)
 
 __all__ = [
-    "ChainResult",
     "McEstimate",
     "run_chain",
     "product_chain",
@@ -77,20 +76,6 @@ __all__ = [
 #: steps the final matrix is numerically rank deficient because the
 #: eigenvalue gaps close like exp(-N * (mu_k - mu_{k+1})).
 STABILITY_STEP_CAP = 2000
-
-
-@dataclass(frozen=True)
-class ChainResult:
-    """Per-step log-volume increments of the C chains of one run.
-
-    increments has shape (C, N, k_max), chain c in the order of the
-    Generators passed to run_chain.  For ensembles that mix factor types,
-    every chain follows the same deterministic quota schedule, so step t's
-    type is entry t of _quota_schedule(spec.proportions, [0] * S, N) (see
-    FactorStream).
-    """
-
-    increments: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -130,10 +115,14 @@ def run_chain(spec, k_max, N, rngs):
     factors all of it; half the logs of its squared R diagonal, negated in
     reversed order on inverse steps (see Ensemble.panel), and the finiteness
     check run once per block.  A singular inverse draw is not redrawn: its
-    step fails that check.  Returns one ChainResult holding the (C, N,
-    k_max) increments of all chains, in the order of ``rngs``.  The
-    increments are a view of a C-ordered (k_max, C, N) array, the layout
-    estimate reduces.  They have the law of product_chain's (see the module
+    step fails that check.
+
+    Returns the (C, N, k_max) per-step log-volume increments, chain c in the
+    order of ``rngs``: a view of a C-ordered (k_max, C, N) array, the layout
+    estimate reduces.  For ensembles that mix factor types every chain
+    follows the same deterministic quota schedule, so step t's type is entry
+    t of _quota_schedule(spec.proportions, [0] * S, N) (see FactorStream).
+    The increments have the law of product_chain's (see the module
     docstring), not its values.
     """
     k_max, N, streams = _start(spec, k_max, N, rngs)
@@ -150,15 +139,15 @@ def run_chain(spec, k_max, N, rngs):
         if inverse is not None:
             logs = np.where(inverse[done:done + logs.shape[1], None], -logs[::-1], logs)
         done = _record(by_index, done, logs[:k_max])
-    return ChainResult(by_index.transpose(1, 2, 0))
+    return by_index.transpose(1, 2, 0)
 
 
 def product_chain(spec, k_max, N, rngs):
     """run_chain on the product itself: the reference oracle of the panel kernel.
 
     Chain c multiplies the factors of its own FactorStream on rngs[c], and
-    its increments telescope to the log-volumes of that product.  Returns a
-    ChainResult like run_chain's.  Steps run one at a time, so this is
+    its increments telescope to the log-volumes of that product.  Returns
+    increments in run_chain's layout.  Steps run one at a time, so this is
     several times slower than run_chain.
 
     Each chain carries an explicit orthonormal frame, reorthonormalised at
@@ -186,7 +175,7 @@ def product_chain(spec, k_max, N, rngs):
             # half the summed logs of each quaternion column pair
             logs = 0.5 * (logs[..., 0::2] + logs[..., 1::2])
         done = _record(by_index, done, logs.transpose(2, 0, 1))
-    return ChainResult(by_index.transpose(1, 2, 0))
+    return by_index.transpose(1, 2, 0)
 
 
 def _start(spec, k_max, N, rngs):
@@ -252,10 +241,9 @@ def estimate(spec, k_max, N, chains, master_seed):
         raise ValueError(f"chains must be >= 1, got {chains}")
 
     rngs = [chain_rng(master_seed, c) for c in range(chains)]
-    result = run_chain(spec, k_max, N, rngs)
     # index-major, so every sum below runs over contiguous memory and numpy
     # sums it pairwise; no copy for the layout run_chain returns
-    xi = np.ascontiguousarray(result.increments.transpose(2, 0, 1))
+    xi = np.ascontiguousarray(run_chain(spec, k_max, N, rngs).transpose(2, 0, 1))
     if spec.proportions is None:
         steps = [slice(None)]
     else:
@@ -383,6 +371,8 @@ def spectral_ratio_samples(beta, d, samples, rng):
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     samples = _check_int("samples", samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     out = np.empty(samples)
     for i in range(samples):
         x = _gaussian_data(beta, d, d, rng) / math.sqrt(d)

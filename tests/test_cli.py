@@ -226,10 +226,15 @@ class TestCommands:
             cmd_compare(config)
 
     def test_ratio_report(self):
-        row, meta = cmd_ratio(2, 16, 4, 11)
+        (row,), meta = cmd_ratio(2, 16, 4, 11)
         assert row["ratio"] >= 1.0
         assert row["min_ratio"] >= 1.0
         assert row["limit"] == 2.0
+
+    def test_ratio_report_holds_python_ints(self):
+        rows, meta = cmd_ratio(np.int64(2), np.int64(4), np.int64(2), np.int64(11))
+        values = [rows[0][name] for name in ("beta", "d", "samples")] + [meta["seed"]]
+        assert values == [2, 4, 2, 11] and all(type(v) is int for v in values)
 
     def test_ratio_rejects_scalar(self):
         with pytest.raises(CliError):
@@ -322,8 +327,7 @@ class TestMainEndToEnd:
 
         def one_at_a_time(spec, k_max, N, rngs, **kwargs):
             alone = [run_chain(spec, k_max, N, [rng], **kwargs) for rng in rngs]
-            return montecarlo.ChainResult(
-                increments=np.concatenate([r.increments for r in alone]))
+            return np.concatenate(alone)
 
         monkeypatch.setattr(montecarlo, "run_chain", one_at_a_time)
         assert main(base + ["--out", str(out_alone)]) == 0
@@ -421,7 +425,9 @@ class TestMainEndToEnd:
         ["ratio", "--d", "4", "--samples", "0"],
         ["ratio", "--d", "4", "--beta", "3"],
         ["ratio", "--d", "4", "--seed", "-5"],
-    ], ids=["simulate-seed", "compare-seed", "ratio-samples", "ratio-beta", "ratio-seed"])
+        ["ratio", "--d", "1"],
+    ], ids=["simulate-seed", "compare-seed", "ratio-samples", "ratio-beta", "ratio-seed",
+            "ratio-d"])
     def test_bad_run_input_exits_2(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -469,6 +475,15 @@ class TestRunConfigValidation:
     def test_rejects_bad_format(self):
         with pytest.raises(CliError):
             RunConfig(ensemble=StandardGaussian(2, 1), output_format="yaml")
+
+    def test_numpy_integers_accepted(self):
+        # the integer rule of estimate, chain_rng and the ensemble fields
+        cfg = RunConfig(ensemble=StandardGaussian(2, 2), N=np.int64(10),
+                        chains=np.int64(2), seed=np.int64(3), k_max=np.int64(1))
+        values = (cfg.N, cfg.chains, cfg.seed, cfg.k_max)
+        assert values == (10, 2, 3, 1)
+        assert all(type(v) is int for v in values)
+        assert json.loads(json.dumps(cfg.to_dict()))["N"] == 10
 
 
 class TestInProcessReuse:

@@ -442,6 +442,10 @@ class TestChainRng:
         got = chain_rng(77, 3).standard_normal(4)
         assert np.array_equal(expected, got)
 
+    def test_negative_seed_names_itself(self):
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -5"):
+            chain_rng(-5, 0)
+
 
 @pytest.mark.parametrize("module", [lyaprod, ens], ids=lambda m: m.__name__)
 def test_exported_names_resolve(module):

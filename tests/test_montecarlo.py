@@ -12,7 +12,7 @@ from lyaprod.ensembles import (ENSEMBLES, Ensemble, FactorStream, GaussianInvers
                                TruncatedUnitary, _gaussian_data, _quota_schedule,
                                chain_rng, is_quaternion_structured)
 from lyaprod import ensembles, montecarlo
-from lyaprod.montecarlo import (ChainResult, estimate, product_chain, run_chain,
+from lyaprod.montecarlo import (estimate, product_chain, run_chain,
                                 spectral_ratio_samples, stability_exponents)
 from lyaprod.sigma import SigmaSpec
 from lyaprod.theory import (RectangularSpec, gaussian_spectrum, mixture_spectrum,
@@ -127,11 +127,6 @@ class BrokenGaussian(Ensemble):
         return g
 
 
-def concatenated(results):
-    """One ChainResult of the chains of ``results``, stepped apart, in order."""
-    return ChainResult(increments=np.concatenate([r.increments for r in results]))
-
-
 #: (spec, k_max, chains) covering every kind, each beta, k < d and k = d,
 #: non-square rectangular factors (one with offsets wider than d) and
 #: quaternion single-column frames.  Real d = 3 cases stop at k = 2: at
@@ -196,7 +191,7 @@ class TestStepKernel:
         # phase is exact, so the two agree up to rounding.
         monkeypatch.setattr(ensembles, "BLOCK", 64)
         rngs = [chain_rng(60, c) for c in range(chains)]
-        got = product_chain(spec, k, 250, rngs).increments
+        got = product_chain(spec, k, 250, rngs)
         want = reference_qr_chains(spec, k, 250, [chain_rng(60, c) for c in range(chains)])
         assert np.abs(got - want).max() <= 1e-12
 
@@ -208,9 +203,9 @@ class TestStepKernel:
         monkeypatch.setattr(ensembles, "BLOCK", 8)
         seeds = [chain_rng(62, c) for c in range(chains)]
         together = product_chain(spec, k, 20, seeds)
-        apart = concatenated([product_chain(spec, k, 20, [chain_rng(62, c)])
-                              for c in range(chains)])
-        np.testing.assert_array_equal(together.increments, apart.increments)
+        apart = np.concatenate([product_chain(spec, k, 20, [chain_rng(62, c)])
+                                for c in range(chains)])
+        np.testing.assert_array_equal(together, apart)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k", [2, 1], ids=["k2", "k1"])
@@ -380,7 +375,7 @@ class TestInverseSteps:
         # the gate, fixed before the first run, is 1e-10
         monkeypatch.setattr(ensembles, "BLOCK", 64)
         N, chains = 250, 2
-        got = run_chain(spec, k, N, [chain_rng(63, c) for c in range(chains)]).increments
+        got = run_chain(spec, k, N, [chain_rng(63, c) for c in range(chains)])
         factors = np.stack([np.concatenate(list(FactorStream(spec, chain_rng(63, c)).blocks(N)))
                             for c in range(chains)])
         first_k = factors[..., :2 * k if spec.beta == 4 else k]
@@ -403,7 +398,7 @@ class TestInverseSteps:
         with pytest.raises(RuntimeError, match="inverted a matrix"):
             next(FactorStream(spec, chain_rng(64, 0)).blocks(8))
         res = run_chain(spec, 2, 300, [chain_rng(64, c) for c in range(2)])
-        assert np.all(np.isfinite(res.increments))
+        assert np.all(np.isfinite(res))
         est = estimate(spec, 2, 300, 2, 64)
         assert np.all(np.isfinite(est.mu_hat))
 
@@ -420,12 +415,11 @@ class TestInverseSteps:
         assert np.all(np.isfinite(est.mu_hat))
 
 
-def pooled_moments(result, spec):
+def pooled_moments(x, spec):
     """mu_hat, N sigma^2 and the standard error of each, per index, from the
-    increments of a ChainResult of ``spec``.  As in estimate, the variance is
+    (C, N, k) increments ``x`` of a run of ``spec``.  As in estimate, the variance is
     that of each type's steps weighted by the type's share; the standard
     error of a type's sample variance is sqrt((m4 - var^2) / count)."""
-    x = result.increments
     chains, n, k = x.shape
     types = np.zeros(n) if spec.proportions is None else schedule(spec, n)
     ns2, var_ns2 = np.zeros(k), np.zeros(k)
@@ -537,7 +531,7 @@ class TestExactIncrementLaws:
         rng = np.random.default_rng(90)
         p_values = {}
         for runner, N, seed in ((run_chain, 20_000, 91), (product_chain, 4_000, 92)):
-            x = runner(spec, spec.d, N, [chain_rng(seed, 0)]).increments[0]
+            x = runner(spec, spec.d, N, [chain_rng(seed, 0)])[0]
             types = np.zeros(N) if spec.proportions is None else schedule(spec, N)
             for t, law in enumerate(laws):
                 for i in range(spec.d):
@@ -589,27 +583,38 @@ RUN_SIZE_CALLS = [
 class TestRunChain:
     def test_unitary_factors_zero_increments(self):
         res = run_chain(TruncatedUnitary(2, 2, 0), 2, 40, [chain_rng(1, 0)])
-        assert np.abs(res.increments).max() <= 1e-12
+        assert np.abs(res).max() <= 1e-12
 
     @pytest.mark.parametrize("spec,k", TELESCOPING_CASES)
     def test_volume_telescoping(self, spec, k):
         # summed per-step increments must equal the directly computed
         # log-volume of the propagated frame
         n = 18
-        increments = product_chain(spec, k, n, [chain_rng(9, spec.beta)]).increments[0]
+        increments = product_chain(spec, k, n, [chain_rng(9, spec.beta)])[0]
         direct = direct_log_volume(spec, k, n, chain_rng(9, spec.beta))
         assert math.fsum(increments.sum(axis=1)) == pytest.approx(direct, abs=1e-8)
 
     def test_volume_telescoping_general_sigma(self):
         spec = GeneralSigmaGaussian(2, SigmaSpec((0.5, 2.0, 3.0)))
-        increments = product_chain(spec, 2, 15, [chain_rng(10, 0)]).increments[0]
+        increments = product_chain(spec, 2, 15, [chain_rng(10, 0)])[0]
         direct = direct_log_volume(spec, 2, 15, chain_rng(10, 0))
         assert increments.sum() == pytest.approx(direct, abs=1e-8)
 
     def test_increments_shape_and_finiteness(self):
         res = run_chain(StandardGaussian(2, 3), 2, 25, [chain_rng(11, 0), chain_rng(11, 1)])
-        assert res.increments.shape == (2, 25, 2)
-        assert np.all(np.isfinite(res.increments))
+        assert res.shape == (2, 25, 2)
+        assert np.all(np.isfinite(res))
+
+    @pytest.mark.parametrize("runner", [run_chain, product_chain], ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("spec,k", [(StandardGaussian(2, 3), 2),
+                                        (GaussianInverseMixture(4, 2, 0.5), 2)],
+                             ids=["gaussian", "mixture-beta4"])
+    def test_returns_index_major_array_as_view(self, runner, spec, k):
+        # estimate transposes the result back to (k_max, C, N) and relies on
+        # that being a view, not a copy
+        x = runner(spec, k, 30, [chain_rng(14, c) for c in range(3)])
+        assert type(x) is np.ndarray and x.shape == (3, 30, k)
+        assert np.shares_memory(np.ascontiguousarray(x.transpose(2, 0, 1)), x)
 
     @pytest.mark.parametrize("spec", [StandardGaussian(4, 2)]
                              + [spec for spec, _, _ in KERNEL_CASES if spec.width == spec.d],
@@ -620,7 +625,7 @@ class TestRunChain:
         # whose column pairs are halved), whatever the QR does
         n = 200
         monkeypatch.setattr(ensembles, "BLOCK", 64)
-        increments = product_chain(spec, spec.d, n, [chain_rng(12, 0)]).increments[0]
+        increments = product_chain(spec, spec.d, n, [chain_rng(12, 0)])[0]
         factors = np.stack(list(FactorStream(spec, chain_rng(12, 0)).factors(n)))
         logdet = np.linalg.slogdet(factors)[1]
         want = 0.5 * logdet if spec.beta == 4 else logdet
@@ -666,7 +671,7 @@ class TestEstimate:
         together = estimate(spec, k, 3000, 4, 19)
 
         def one_at_a_time(spec, k_max, N, rngs, **kwargs):
-            return concatenated([run_chain(spec, k_max, N, [rng], **kwargs) for rng in rngs])
+            return np.concatenate([run_chain(spec, k_max, N, [rng], **kwargs) for rng in rngs])
 
         monkeypatch.setattr(montecarlo, "run_chain", one_at_a_time)
         alone = estimate(spec, k, 3000, 4, 19)
@@ -682,8 +687,8 @@ class TestEstimate:
 
         def in_groups(spec, k_max, N, rngs, **kwargs):
             groups = [rngs[:2], rngs[2:3], rngs[3:]]
-            return concatenated([run_chain(spec, k_max, N, group, **kwargs)
-                                 for group in groups])
+            return np.concatenate([run_chain(spec, k_max, N, group, **kwargs)
+                                   for group in groups])
 
         monkeypatch.setattr(montecarlo, "run_chain", in_groups)
         grouped = estimate(spec, 2, 4000, 4, 19)
@@ -699,15 +704,15 @@ class TestEstimate:
         est = estimate(spec, k, N, chains, 71)
         res = run_chain(spec, k, N, [chain_rng(71, c) for c in range(chains)])
         types = schedule(spec, N)
-        for field, x in (("n_sigma2_hat", res.increments),
-                         ("partial_sum_n_sigma2", np.cumsum(res.increments, axis=2))):
+        for field, x in (("n_sigma2_hat", res),
+                         ("partial_sum_n_sigma2", np.cumsum(res, axis=2))):
             want = np.zeros(k)
             for t in set(types.tolist()):
                 rows = np.concatenate([chain[types == t] for chain in x])
                 dev = rows - rows.mean(axis=0)
                 want += len(rows) / (chains * N) * (dev * dev).sum(axis=0) / (len(rows) - 1)
             assert np.abs(getattr(est, field) - want).max() <= 1e-13, field
-        assert np.abs(est.mu_hat - res.increments.mean(axis=(0, 1))).max() <= 1e-13
+        assert np.abs(est.mu_hat - res.mean(axis=(0, 1))).max() <= 1e-13
 
     def test_block_size_invariance(self, monkeypatch):
         monkeypatch.setattr(ensembles, "BLOCK", 64)
@@ -781,7 +786,7 @@ class TestStabilityExponents:
     def test_scalar_equals_mean_increment(self):
         spec = StandardGaussian(2, 1)
         lams = stability_exponents(spec, 800, chain_rng(31, 0))
-        increments = run_chain(spec, 1, 800, [chain_rng(31, 0)]).increments[0]
+        increments = run_chain(spec, 1, 800, [chain_rng(31, 0)])[0]
         assert abs(lams[0][0] - increments.mean()) <= 1e-12
 
     def test_complex_pair_matches_theory(self):
@@ -859,3 +864,8 @@ class TestSpectralRatio:
     def test_rejects_unknown_beta(self):
         with pytest.raises(ValueError, match="beta must be one of"):
             spectral_ratio_samples(3, 2, 5, chain_rng(42, 0))
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            spectral_ratio_samples(2, 2, samples, chain_rng(42, 0))
