@@ -191,8 +191,14 @@ def cmd_theory(config):
 
 
 def _run_estimate(config):
+    """The estimate of a run and its wall time in ms; a CliError if the run
+    cannot be carried out (no memory, a singular or non-finite step)."""
     t0 = time.perf_counter()
-    est = estimate(config.ensemble, config.k_max, config.N, config.chains, config.seed)
+    try:
+        est = estimate(config.ensemble, config.k_max, config.N, config.chains, config.seed)
+    except (ArithmeticError, MemoryError, ValueError) as exc:
+        # numpy raises ValueError for an array larger than the address space
+        raise CliError(str(exc)) from None
     wall_ms = (time.perf_counter() - t0) * 1e3
     return est, wall_ms
 
@@ -391,7 +397,9 @@ def _check_writable(path):
 def main(argv=None):
     """Run one ``lyaprod`` command line (``sys.argv[1:]`` by default) and
     return its exit status: 0, 1 for a failed compare gate, 2 for an error
-    (a command line that argparse rejects raises ``SystemExit(2)``).
+    (a command line that argparse rejects raises ``SystemExit(2)``).  An
+    error, a simulate or compare run that cannot be carried out included,
+    prints one ``error:`` line to stderr and no traceback.
 
     ``main`` may be called any number of times in one process; the calls
     share the parser of ``build_parser`` and nothing else, so no flag of one

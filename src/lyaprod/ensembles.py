@@ -24,7 +24,6 @@ Conventions
   draw of its stream, inverse steps included.
 """
 
-import copy
 import math
 from dataclasses import dataclass, fields
 
@@ -90,8 +89,8 @@ class Ensemble:
     stability_exponents needs width == d).  ``proportions`` gives the shares
     of the factor types of an ensemble that mixes types on the deterministic
     quota schedule (None when all factors are identically distributed).
-    Every kind draws through ``panel``; truncated unitaries and the kinds
-    with inverse steps also override ``factors``.
+    Every kind draws through ``panel``; truncated unitaries also override
+    ``factors``.
     """
 
     beta: int
@@ -110,30 +109,29 @@ class Ensemble:
     @property
     def signs(self):
         """The sign of the increments of each quota-schedule type (one entry
-        when the factors are identically distributed), as in
-        TheorySpectrum.laws: -1 marks the inverse steps, whose panels are
-        reversed adjoints (see panel)."""
+        when the factors are identically distributed): -1 marks the inverse
+        steps (see panel).  TheorySpectrum.laws of inverse_gaussian differs:
+        it keeps the mixture's zero-share Gaussian entry first."""
         return (1,) * len(self.proportions or (1,))
 
     def panel(self, stream, b, k):
         """The panels of the next b steps of ``stream``, a (b, rows, cols)
-        array (twice the columns for the quaternion embedding).
-
-        On a step of sign +1 the panel is k columns wide, a draw with the law
-        of the first k columns of a factor.  Every kind here is
-        right-unitarily invariant, so it stands for A_n Q_{n-1}[:, :k] (see
-        the montecarlo module).  An inverse step, a factor G^-1 of a Gaussian
-        G, draws no inverse: its panel is the reversed adjoint J G^H J (J the
-        order reversal), d columns wide whatever k.  If J G^H J = Q R, then
+        array (twice the columns for the quaternion embedding): draws with
+        the law of the first k columns of a factor.  Every kind here is
+        right-unitarily invariant, so a panel stands for A_n Q_{n-1}[:, :k]
+        (see the montecarlo module).  Here it is the Gaussian draw of every
+        step, d columns wide whatever k on kinds with inverse steps.  An
+        inverse step, a factor G^-1 of a Gaussian G, draws no inverse: if the
+        reversed adjoint J G^H J = Q R (J the order reversal), then
         G^-1 = (J Q J)(J R^-H J) is the QR factorization of G^-1, with R
         diagonal 1/conj(r_{d+1-i}) (the identity behind the inverse law in
-        the theory module), so the log|diag R| of G^-1, the increments of the
-        step, are those of the panel negated in reversed order.  Kinds with
-        inverse steps set ``signs``, and run_chain flips those steps.  G is
-        not checked: a singular draw gives a zero R diagonal entry, which
-        run_chain reports as a non-finite increment of its step.
+        the theory module), so run_chain factors J G^H J (see _batch_last)
+        and negates its log|diag R| in reversed order.  G is not checked: a
+        singular draw gives a zero R diagonal entry, which run_chain reports
+        as a non-finite increment of its step.
         """
-        raise NotImplementedError
+        return _gaussian_data(self.beta, self.d, self.d if -1 in self.signs else k,
+                              stream.rng, size=b)
 
     def factors(self, stream, b):
         """The next b factors of ``stream``, a (b, rows, cols) array: the
@@ -147,9 +145,6 @@ class StandardGaussian(Ensemble):
 
     kind = "standard_gaussian"
 
-    def panel(self, stream, b, k):
-        return _gaussian_data(self.beta, self.d, k, stream.rng, size=b)
-
 
 @dataclass(frozen=True)
 class GeneralSigmaGaussian(Ensemble):
@@ -162,7 +157,7 @@ class GeneralSigmaGaussian(Ensemble):
         return self.sigma_inv_eigenvalues.d
 
     def panel(self, stream, b, k):
-        return _sigma_scale(self, _gaussian_data(self.beta, self.d, k, stream.rng, size=b))
+        return _sigma_scale(self, super().panel(stream, b, k))
 
 
 @dataclass(frozen=True)
@@ -179,14 +174,6 @@ class InverseGaussian(Ensemble):
     kind = "inverse_gaussian"
     signs = (-1,)
 
-    def panel(self, stream, b, k):
-        """The reversed adjoints of the Gaussian draws (see Ensemble.panel)."""
-        return _reversed_adjoint(_gaussian_data(self.beta, self.d, self.d, stream.rng, size=b))
-
-    def factors(self, stream, b):
-        """The inverses of the Gaussian draws."""
-        return _invert(self.beta, _gaussian_data(self.beta, self.d, self.d, stream.rng, size=b))
-
 
 @dataclass(frozen=True)
 class GaussianInverseMixture(Ensemble):
@@ -199,22 +186,6 @@ class GaussianInverseMixture(Ensemble):
     @property
     def proportions(self):
         return (self.alpha_plus, 1.0 - self.alpha_plus)
-
-    def panel(self, stream, b, k):
-        """Whole Gaussian draws on Gaussian steps (type 0) and their reversed
-        adjoints on inverse steps (type 1), d columns wide whatever k (see
-        Ensemble.panel)."""
-        return self._draw(stream, b, _reversed_adjoint)
-
-    def factors(self, stream, b):
-        """Gaussian draws on Gaussian steps, their inverses on inverse steps."""
-        return self._draw(stream, b, lambda g: _invert(self.beta, g))
-
-    def _draw(self, stream, b, invert):
-        inverse = stream.schedule(b) == 1
-        g = _gaussian_data(self.beta, self.d, self.d, stream.rng, size=b)
-        g[inverse] = invert(g[inverse])
-        return g
 
 
 @dataclass(frozen=True)
@@ -371,16 +342,24 @@ def _haar_columns(beta, rows, k, rng, size=None):
 # Gram-Schmidt step kernel (batch axes last)
 # ---------------------------------------------------------------------------
 
-def _batch_last(panels, beta):
+def _batch_last(panels, beta, inverse=None):
     """(b, rows, cols) panels, one array per chain -> the C-ordered
     (k, rows, b, C) array of their columns that _orthonormalize takes: all
-    columns, or the even ones of a quaternion embedding."""
+    columns, or the even ones of a quaternion embedding.  The square panels
+    G of the steps that ``inverse`` marks become J G^H J (see Ensemble.panel)
+    in the same copy, by indexing and conjugation only, so the embedding of
+    a quaternion matrix gives the embedding of one, exactly."""
     step = 2 if beta == 4 else 1
     cols = [p[..., ::step] for p in panels]
     # np.stack would keep the panels' memory order, with the batch first
     a = np.empty(cols[0].shape[::-1] + (len(cols),), dtype=cols[0].dtype)
-    for c, p in enumerate(cols):
-        a[..., c] = p.T
+    for c, p in enumerate(panels):
+        if inverse is None:
+            a[..., c] = cols[c].T
+        else:
+            # column j of J G^H J is row rows-1-j of G reversed, conjugated
+            np.copyto(a[..., c], cols[c].T, where=~inverse)
+            np.conjugate(p[:, ::-step, ::-1].transpose(1, 2, 0), out=a[..., c], where=inverse)
     return a
 
 
@@ -449,6 +428,24 @@ def _quota_schedule(proportions, counts, steps):
     return out
 
 
+def _step_types(spec, n):
+    """The quota-schedule type of each of the first n steps of every stream
+    of ``spec`` (see FactorStream), all 0 for identically distributed
+    factors."""
+    if spec.proportions is None:
+        return np.zeros(n, dtype=np.uint8)
+    return _quota_schedule(spec.proportions, [0] * len(spec.proportions), n)
+
+
+def _inverse_steps(spec, n):
+    """Which of the first n steps of every stream of ``spec`` are inverse
+    steps (Ensemble.signs -1), a boolean array, or None when ``spec`` has
+    none."""
+    if -1 not in spec.signs:
+        return None
+    return np.array(spec.signs)[_step_types(spec, n)] < 0
+
+
 def _sigma_scale(spec, g):
     """Sigma^{1/2} G for a factor or a stack of factors."""
     scale = np.asarray(spec.sigma_inv_eigenvalues.y) ** -0.5
@@ -462,14 +459,6 @@ def _invert(beta, g):
     return _quaternion_symmetrize(inv) if beta == 4 else inv
 
 
-def _reversed_adjoint(g):
-    """J G^H J of each stacked matrix, J the order reversal, by indexing and
-    conjugation only, so the embedding of a quaternion matrix gives the
-    embedding of one, exactly.  A view of real G; ndarray.conj() copies
-    complex G (beta = 2 and 4)."""
-    return g[..., ::-1, ::-1].conj().swapaxes(-1, -2)
-
-
 # ---------------------------------------------------------------------------
 # Factor streams
 # ---------------------------------------------------------------------------
@@ -480,12 +469,11 @@ class FactorStream:
     Yields raw matrix data (the complex embedding for beta = 4), drawn BLOCK
     steps at a time by the ensemble's ``panel``, or ``factors`` for whole
     factors.  Every step takes the next draw of the stream, inverse steps
-    included.  For ensembles mixing factor types (rectangular offset
-    classes, Gaussian vs inverse) it keeps the counts of the deterministic
-    type schedule and ``last_type``, the type of the last step drawn (None
-    before the first); step t's type is entry t of
-    _quota_schedule(spec.proportions, [0] * S, N) for every stream.  A
-    stream yields either factors or panels, not both.
+    included.  Step t's type is entry t of _step_types(spec, N) for every
+    stream; rectangular panels, whose shape follows the type, read it from
+    the stream's copy of the schedule, which keeps the type counts and
+    ``last_type``, the type of the last step drawn (None before the first).
+    A stream is drawn by one call of blocks, panels or factors.
     """
 
     #: Always 0: no draw is ever skipped.  The benchmark's draw_alone
@@ -512,23 +500,30 @@ class FactorStream:
         step, come zero-padded: each fills the top-left corner of a zero
         D x D square, D = d + max(offsets) (twice that for the quaternion
         embedding).  The generator is consumed exactly as by drawing factor
-        by factor, so BLOCK does not change the stream.  An inverse step
-        whose Gaussian draw is singular raises ArithmeticError naming the
-        step (from 1).
+        by factor, so BLOCK does not change the stream.  The draws of inverse
+        steps (_inverse_steps) are inverted; one that is singular raises
+        ArithmeticError naming its step (from 1).
         """
+        inverse = _inverse_steps(self.spec, n)
         for done in range(0, n, BLOCK):
-            b = min(BLOCK, n - done)
-            start = (self.rng.bit_generator.state, self.last_type,
-                     None if self._counts is None else list(self._counts))
-            try:
-                block = self.spec.factors(self, b)
-            except np.linalg.LinAlgError:
-                raise ArithmeticError(
-                    f"singular factor at step {done + self._first_singular(start, b)}") from None
+            block = self.spec.factors(self, min(BLOCK, n - done))
+            if inverse is not None:
+                steps = np.flatnonzero(inverse[done:done + len(block)])
+                try:
+                    block[steps] = _invert(self.spec.beta, block[steps])
+                except np.linalg.LinAlgError:
+                    # the first draw that np.linalg.inv rejects on its own
+                    for s in steps:
+                        try:
+                            np.linalg.inv(block[s])
+                        except np.linalg.LinAlgError:
+                            raise ArithmeticError(
+                                f"singular factor at step {done + s + 1}") from None
+                    raise
             yield block
 
     def panels(self, n, k):
-        """Yield the panels of n steps (see Ensemble.panel) as (b, rows, k)
+        """Yield the panels of n steps (see Ensemble.panel) as (b, rows, cols)
         arrays of at most BLOCK steps.  Like the factors, they do not
         depend on BLOCK."""
         for done in range(0, n, BLOCK):
@@ -538,19 +533,6 @@ class FactorStream:
         """Yield n factors one by one."""
         for block in self.blocks(n):
             yield from block
-
-    def _first_singular(self, start, b):
-        """The step, from 1, of the first of the b factors drawn from
-        ``start`` (generator state, last_type and schedule counts) that
-        np.linalg.inv rejects: they are drawn again one at a time, from a
-        copy of the generator."""
-        replay = FactorStream(self.spec, copy.deepcopy(self.rng))
-        replay.rng.bit_generator.state, replay.last_type, replay._counts = start
-        for step in range(1, b + 1):
-            try:
-                self.spec.factors(replay, 1)
-            except np.linalg.LinAlgError:
-                return step
 
 
 def chain_rng(master_seed, chain_index):

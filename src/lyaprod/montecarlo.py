@@ -21,15 +21,15 @@ panel, the law of A[:, :k] (see Ensemble.panel); a whole factor is the
 panel as wide as the factor.  A rectangular panel is a (d + nu_t) x k
 Gaussian padded with zero rows, which leave |diag R| unchanged.  An inverse
 step G^-1 is never inverted, and its Gaussian G is the next draw of the
-stream, with no condition check: its panel is the reversed adjoint J G^H J
-of G (J the order reversal), d columns wide, and the QR of G^-1 is read off
-the QR of that panel (the identity of the inverse law in the theory
-module), so the step's increments are the panel's log|diag R| negated in
-reversed order, truncated to k.  run_chain takes the steps to flip from the
-quota schedule and Ensemble.signs.  Ensembles that mix factor types keep
-their quota schedule; the law of a step's increments depends on its own
-type only, so they are independent, not identically distributed, and
-estimate reduces them type by type.
+stream, with no condition check: its panel is G, d columns wide.  The QR
+of G^-1 is read off that of the reversed adjoint J G^H J (J the order
+reversal; the identity of the inverse law in the theory module), so the
+step's increments are the log|diag R| of J G^H J negated in reversed
+order, truncated to k: run_chain factors J G^H J and flips the logs on the
+steps that ensembles._inverse_steps marks.  Ensembles that mix factor
+types keep their quota schedule; the law of a step's increments depends on
+its own type only, so they are independent, not identically distributed,
+and estimate reduces them type by type.
 
 product_chain steps the product itself with that explicit frame, one
 np.linalg.qr (LAPACK's Householder QR) per step, and stays the reference
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import (FactorStream, chain_rng, _batch_last, _check_beta, _check_int,
-                        _gaussian_data, _orthonormalize, _quota_schedule)
+                        _gaussian_data, _inverse_steps, _orthonormalize, _step_types)
 
 __all__ = [
     "McEstimate",
@@ -111,33 +111,33 @@ def run_chain(spec, k_max, N, rngs):
     Chain c draws its panels (see Ensemble.panel) from its own FactorStream
     on rngs[c].  The columns of each block of BLOCK steps of the C streams
     are copied into one (k, rows, b, C) array (the even columns only for
-    beta = 4), and the Gram-Schmidt kernel (ensembles._orthonormalize)
-    factors all of it; half the logs of its squared R diagonal, negated in
-    reversed order on inverse steps (see Ensemble.panel), and the finiteness
-    check run once per block.  A singular inverse draw is not redrawn: its
-    step fails that check.
+    beta = 4; J G^H J for an inverse step's G, see Ensemble.panel), and the
+    Gram-Schmidt kernel (ensembles._orthonormalize) factors all of it; half
+    the logs of its squared R diagonal, negated in reversed order on inverse
+    steps, and the finiteness check run once per block.  A singular inverse
+    draw is not redrawn: its step fails that check.
 
     Returns the (C, N, k_max) per-step log-volume increments, chain c in the
     order of ``rngs``: a view of a C-ordered (k_max, C, N) array, the layout
     estimate reduces.  For ensembles that mix factor types every chain
     follows the same deterministic quota schedule, so step t's type is entry
-    t of _quota_schedule(spec.proportions, [0] * S, N) (see FactorStream).
+    t of ensembles._step_types(spec, N) (see FactorStream).
     The increments have the law of product_chain's (see the module
     docstring), not its values.
     """
     k_max, N, streams = _start(spec, k_max, N, rngs)
-    # the steps whose logs are flipped (see Ensemble.panel), if any
-    inverse = np.array(spec.signs)[_step_types(spec, N)] < 0 if -1 in spec.signs else None
+    inverse = _inverse_steps(spec, N)
     by_index = np.empty((k_max, len(streams), N))
     done = 0
     for panels in zip(*(stream.panels(N, k_max) for stream in streams)):
-        rdiag2 = _orthonormalize(_batch_last(panels, spec.beta), spec.beta)
+        flip = None if inverse is None else inverse[done:done + len(panels[0])]
+        rdiag2 = _orthonormalize(_batch_last(panels, spec.beta, flip), spec.beta)
         with np.errstate(divide="ignore"):
             # a zero entry gives -inf (+inf once flipped), which _record
             # reports with its step
             logs = 0.5 * np.log(rdiag2)
-        if inverse is not None:
-            logs = np.where(inverse[done:done + logs.shape[1], None], -logs[::-1], logs)
+        if flip is not None:
+            logs = np.where(flip[:, None], -logs[::-1], logs)
         done = _record(by_index, done, logs[:k_max])
     return by_index.transpose(1, 2, 0)
 
@@ -191,14 +191,6 @@ def _start(spec, k_max, N, rngs):
     if not streams:
         raise ValueError("a run needs at least one Generator")
     return k_max, N, streams
-
-
-def _step_types(spec, N):
-    """The quota-schedule type of each of the N steps of every stream of
-    ``spec`` (see FactorStream), all 0 for identically distributed factors."""
-    if spec.proportions is None:
-        return np.zeros(N, dtype=np.uint8)
-    return _quota_schedule(spec.proportions, [0] * len(spec.proportions), N)
 
 
 def _record(by_index, done, logs):

@@ -397,6 +397,30 @@ class TestMainEndToEnd:
         assert main(["compare", "--ensemble", GAUSS_21, "--N", "1"]) == 2
         assert "two increments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("n", ["100000000000000000", "1000000000000000000"],
+                             ids=["memory-error", "size-overflow"])
+    def test_run_beyond_address_space_exits_2(self, command, n, capsys):
+        # 2 x 4 x N float64 increments: 5.55 EiB for the first N, which numpy
+        # fails to allocate, and a byte count past the int64 range for the
+        # second, which numpy rejects with a ValueError.  Both lie beyond the
+        # x86-64 address space, so every host refuses them.
+        gauss_22 = '{"kind":"standard_gaussian","beta":2,"d":2}'
+        assert main([command, "--ensemble", gauss_22, "--N", n, "--chains", "4",
+                     "--k-max", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_failed_step_exits_2(self, command, monkeypatch, capsys):
+        # a singular or non-finite step must not look like a failed comparison
+        def fail(*args):
+            raise ArithmeticError("non-finite increment at step 3")
+
+        monkeypatch.setattr(cli, "estimate", fail)
+        assert main([command, "--ensemble", GAUSS_21, "--N", "10"]) == 2
+        assert capsys.readouterr().err == "error: non-finite increment at step 3\n"
+
     def test_threads_flag_and_field_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--ensemble", GAUSS_21, "--threads", "2"])

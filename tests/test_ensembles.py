@@ -241,6 +241,11 @@ def one_at_a_time(spec, n, rng):
     return out
 
 
+def reversed_adjoint(g):
+    """J G^H J of each stacked matrix, J the order reversal."""
+    return g[..., ::-1, ::-1].conj().swapaxes(-1, -2)
+
+
 class TestInverseStreams:
     """Every inverse step takes the next Gaussian draw of its stream."""
 
@@ -253,38 +258,62 @@ class TestInverseStreams:
     @pytest.mark.parametrize("block", [1, 4, 257])
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_factors_and_panels_are_the_draws(self, spec, block, monkeypatch):
-        # factors invert the draws of inverse steps, panels take their
-        # reversed adjoints; Gaussian steps of a mixture are the draws
+        # factors invert the draws of inverse steps; panels are the draws,
+        # d columns wide whatever k, on every step
         n = 40
         g = ens._gaussian_data(spec.beta, spec.d, spec.d, chain_rng(50, 1), size=n)
         inverse = np.ones(n, dtype=bool) if spec.proportions is None else schedule(spec, n) == 1
-        want_factors, want_panels = g.copy(), g.copy()
+        np.testing.assert_array_equal(ens._inverse_steps(spec, n), inverse)
+        want_factors = g.copy()
         want_factors[inverse] = ens._invert(spec.beta, g[inverse])
-        want_panels[inverse] = ens._reversed_adjoint(g[inverse])
         monkeypatch.setattr(ens, "BLOCK", block)
         factors = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).blocks(n)))
         panels = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).panels(n, 1)))
         np.testing.assert_array_equal(factors, want_factors)
-        np.testing.assert_array_equal(panels, want_panels)
+        np.testing.assert_array_equal(panels, g)
         np.testing.assert_array_equal(factors, one_at_a_time(spec, n, chain_rng(50, 1)))
+
+    @pytest.mark.parametrize("steps", [1, 257])
+    @pytest.mark.parametrize("mask", ["all", "none", "mixed"])
+    @pytest.mark.parametrize("beta,d", list(itertools.product((1, 2, 4), (1, 2, 3))))
+    def test_batch_copy_writes_reversed_adjoints(self, beta, d, mask, steps):
+        # _batch_last writes J G^H J of the marked steps in its one copy, bit
+        # for bit what it copies from reversed adjoints taken beforehand
+        rng = chain_rng(51, 10 * beta + d)
+        panels = [ens._gaussian_data(beta, d, d, rng, size=steps) for _ in range(2)]
+        inverse = {"all": np.ones(steps, dtype=bool), "none": np.zeros(steps, dtype=bool),
+                   "mixed": rng.random(steps) < 0.5}[mask]
+        want = []
+        for p in panels:
+            q = p.copy()
+            q[inverse] = reversed_adjoint(p[inverse])
+            want.append(q)
+        got = ens._batch_last(panels, beta, inverse)
+        np.testing.assert_array_equal(got, ens._batch_last(want, beta))
+        assert got.flags.c_contiguous
 
 
 class TestMixtureSchedule:
     @pytest.mark.parametrize("alpha", [0.5, 0.3, 0.85])
     def test_type_prefix_frequencies_within_one(self, alpha):
-        stream = FactorStream(GaussianInverseMixture(1, 2, alpha), chain_rng(52, 0))
-        list(stream.factors(3000))
-        gaussian = np.cumsum(schedule(stream.spec, 3000) == 0)
-        assert stream._counts == [gaussian[-1], 3000 - gaussian[-1]]
+        gaussian = np.cumsum(ens._step_types(GaussianInverseMixture(1, 2, alpha), 3000) == 0)
         n = np.arange(1, gaussian.size + 1)
         assert np.abs(gaussian - alpha * n).max() <= 1.0 + 1e-9
+        # a stream's own copy of the schedule, advanced block by block by
+        # rectangular panels, counts the same types
+        shapes = RectangularSpec(((0, alpha), (1, 1.0 - alpha)))
+        stream = FactorStream(RectangularGaussian(1, 2, shapes), chain_rng(52, 0))
+        list(stream.factors(3000))
+        assert stream._counts == [gaussian[-1], 3000 - gaussian[-1]]
 
     @pytest.mark.parametrize("alpha,kind", [(0.0, 1), (1.0, 0)])
     def test_pure_proportions_use_one_type(self, alpha, kind):
-        stream = FactorStream(GaussianInverseMixture(2, 2, alpha), chain_rng(53, 0))
-        list(stream.factors(50))
-        assert list(schedule(stream.spec, 50)) == [kind] * 50
-        assert stream.last_type == kind
+        spec = GaussianInverseMixture(2, 2, alpha)
+        assert list(ens._step_types(spec, 50)) == [kind] * 50
+        assert list(ens._inverse_steps(spec, 50)) == [kind == 1] * 50
+        factors = np.concatenate(list(FactorStream(spec, chain_rng(53, 0)).blocks(50)))
+        g = ens._gaussian_data(2, 2, 2, chain_rng(53, 0), size=50)
+        np.testing.assert_array_equal(factors, ens._invert(2, g) if kind == 1 else g)
 
     def test_factors_follow_the_type_trace(self, monkeypatch):
         # step t takes the t-th Gaussian draw, inverted at type 1
