@@ -12,8 +12,7 @@ from .theory import (RectangularSpec, TheorySpectrum,
                      gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
                      truncated_unitary_spectrum)
 from .sigma import (JPair, SigmaSpec, j_integrals, kargin_mu1, kargin_top,
-                    kargin_variance1, residue_j_sums, sigma_spectrum_complex,
-                    sigma_variance1_complex)
+                    residue_j_sums, sigma_spectrum_complex, sigma_variance1_complex)
 from .ensembles import (ENSEMBLES, Ensemble, FactorStream,
                         GaussianInverseMixture, GeneralSigmaGaussian,
                         InverseGaussian, RectangularGaussian, StandardGaussian,
@@ -28,7 +27,7 @@ __all__ = [
     "gaussian_spectrum", "rectangular_spectrum", "mixture_spectrum",
     "truncated_unitary_spectrum",
     "SigmaSpec", "JPair", "sigma_spectrum_complex", "sigma_variance1_complex",
-    "j_integrals", "residue_j_sums", "kargin_top", "kargin_mu1", "kargin_variance1",
+    "j_integrals", "residue_j_sums", "kargin_top", "kargin_mu1",
     "Ensemble", "ENSEMBLES",
     "StandardGaussian", "GeneralSigmaGaussian", "InverseGaussian",
     "GaussianInverseMixture", "RectangularGaussian", "TruncatedUnitary",

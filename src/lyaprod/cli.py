@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .ensembles import ENSEMBLES, chain_rng
 from .montecarlo import estimate, spectral_ratio_samples
-from .sigma import (DistinctnessError, SigmaSpec, kargin_top,
+from .sigma import (DistinctnessError, QuadratureError, SigmaSpec, kargin_top,
                     sigma_spectrum_complex, sigma_variance1_complex)
 from .theory import (RectangularSpec, _check_int,
                      gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
@@ -159,7 +159,10 @@ def _general_sigma_rows(spec):
     # Real and quaternion entries: the unitary-group integral behind the
     # full-spectrum determinant formula has no orthogonal/symplectic
     # analogue, so only the largest exponent is available (contour route).
-    return [(1, *kargin_top(spec.beta, y))]
+    try:
+        return [(1, *kargin_top(spec.beta, y))]
+    except QuadratureError as exc:
+        raise CliError(f"the general-covariance quadrature failed: {exc}")
 
 
 #: The rows of each ensemble kind.  The entries look the closed forms up
@@ -215,13 +218,19 @@ def cmd_simulate(config):
 
 
 def _covered(theory, k_max):
-    """Theory rows by index; a CliError unless they cover indices 1..k_max."""
+    """Theory rows by index; a CliError unless they cover indices 1..k_max,
+    none with a zero variance: constant increments leave the Monte Carlo
+    only rounding noise, so a z-score would grow like sqrt(N)."""
     covered = {i: (mu, ns2) for i, mu, ns2 in theory}
     missing = [i for i in range(1, k_max + 1) if i not in covered]
     if missing:
         raise CliError(
             f"theory covers only indices {sorted(covered)} for this ensemble; "
             f"rerun with k_max <= {max(covered)} (missing {missing})")
+    for i in range(1, k_max + 1):
+        if covered[i][1] == 0:
+            raise CliError(f"n_sigma2 theory at index {i} is 0: the increments are "
+                           "constant, so there is no z-score to gate")
     return covered
 
 

@@ -114,29 +114,30 @@ class Ensemble:
         it keeps the mixture's zero-share Gaussian entry first."""
         return (1,) * len(self.proportions or (1,))
 
-    def panel(self, stream, b, k):
-        """The panels of the next b steps of ``stream``, a (b, rows, cols)
-        array (twice the columns for the quaternion embedding): draws with
-        the law of the first k columns of a factor.  Every kind here is
-        right-unitarily invariant, so a panel stands for A_n Q_{n-1}[:, :k]
-        (see the montecarlo module).  Here it is the Gaussian draw of every
-        step, d columns wide whatever k on kinds with inverse steps.  An
-        inverse step, a factor G^-1 of a Gaussian G, draws no inverse: if the
-        reversed adjoint J G^H J = Q R (J the order reversal), then
-        G^-1 = (J Q J)(J R^-H J) is the QR factorization of G^-1, with R
-        diagonal 1/conj(r_{d+1-i}) (the identity behind the inverse law in
-        the theory module), so run_chain factors J G^H J (see _batch_last)
-        and negates its log|diag R| in reversed order.  G is not checked: a
-        singular draw gives a zero R diagonal entry, which run_chain reports
-        as a non-finite increment of its step.
+    def panel(self, rng, types, k, previous):
+        """The panels of the steps of quota-schedule ``types``, drawn from
+        ``rng``: a (len(types), rows, cols) array (twice the columns for the
+        quaternion embedding) of draws with the law of the first k columns
+        of a factor.  ``previous`` is the type of the step before them (None
+        before step 1); only whole rectangular factors read it.  Every kind
+        here is right-unitarily invariant, so a panel stands for
+        A_n Q_{n-1}[:, :k] (see the montecarlo module).  Here it is the
+        Gaussian draw of every step, d columns wide whatever k on kinds with
+        inverse steps.  An inverse step, a factor G^-1 of a Gaussian G, draws
+        no inverse: if the reversed adjoint J G^H J = Q R (J the order
+        reversal), then G^-1 = (J Q J)(J R^-H J) is the QR factorization of
+        G^-1, with R diagonal 1/conj(r_{d+1-i}) (the identity behind the
+        inverse law in the theory module), so run_chain factors J G^H J (see
+        _batch_last) and negates its log|diag R| in reversed order.  G is not
+        checked: a singular draw gives a zero R diagonal entry, which
+        run_chain reports as a non-finite increment of its step.
         """
         return _gaussian_data(self.beta, self.d, self.d if -1 in self.signs else k,
-                              stream.rng, size=b)
+                              rng, size=len(types))
 
-    def factors(self, stream, b):
-        """The next b factors of ``stream``, a (b, rows, cols) array: the
-        panels as wide as a factor."""
-        return self.panel(stream, b, self.width)
+    def factors(self, rng, types, previous):
+        """The panels as wide as a factor."""
+        return self.panel(rng, types, self.width, previous)
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,8 @@ class GeneralSigmaGaussian(Ensemble):
     def d(self):
         return self.sigma_inv_eigenvalues.d
 
-    def panel(self, stream, b, k):
-        return _sigma_scale(self, super().panel(stream, b, k))
+    def panel(self, rng, types, k, previous):
+        return _sigma_scale(self, super().panel(rng, types, k, previous))
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,7 @@ class RectangularGaussian(Ensemble):
     def proportions(self):
         return self.shapes.proportions
 
-    def panel(self, stream, b, k):
+    def panel(self, rng, types, k, previous):
         """Gaussians of shape (d + nu_t, min(k, d + nu_{t-1})) from one draw
         (nu_0 = 0), each in the top-left corner of a zero D x k panel.  For
         k <= d a panel is a (d + nu_t) x k Gaussian padded with zero rows; for
@@ -211,13 +212,13 @@ class RectangularGaussian(Ensemble):
         run through each step's corner row by row, so the draw fills the
         panels as single draws would."""
         offsets = np.array(self.shapes.offsets)
-        first = 0 if stream.last_type is None else offsets[stream.last_type]
-        nus = np.concatenate(([first], offsets[stream.schedule(b)]))
+        first = 0 if previous is None else offsets[previous]
+        nus = np.concatenate(([first], offsets[types]))
         index = np.arange(self.width)
         mask = ((index[:, None] < self.d + nus[1:, None, None])
                 & (index[:k] < self.d + nus[:-1, None, None]))
         comps = np.zeros(mask.shape + (self.beta,))
-        comps[mask] = stream.rng.standard_normal((int(np.count_nonzero(mask)), self.beta))
+        comps[mask] = rng.standard_normal((int(np.count_nonzero(mask)), self.beta))
         return _to_field(self.beta, comps)
 
 
@@ -228,7 +229,7 @@ class TruncatedUnitary(Ensemble):
 
     kind = "truncated_unitary"
 
-    def panel(self, stream, b, k):
+    def panel(self, rng, types, k, previous):
         """The top rows of k Haar columns: Q of a (d + n) x k Gaussian.
 
         Q comes from the Gram-Schmidt kernel (_orthonormalize), whose R has a
@@ -236,23 +237,23 @@ class TruncatedUnitary(Ensemble):
         beta = 4 too (each odd column of the embedding is the partner of the
         even one before it, so the panel is quaternion structured exactly).
         """
-        g = _gaussian_data(self.beta, self.d + self.n, k, stream.rng, size=b)
+        g = _gaussian_data(self.beta, self.d + self.n, k, rng, size=len(types))
         q = _batch_last([g], self.beta)[..., 0]
         _orthonormalize(q, self.beta)
         if self.beta != 4:
             return q[:, :self.d].T
         rows_first = q[:, :2 * self.d].transpose(1, 0, 2)
-        out = np.empty((b, 2 * self.d, 2 * k), dtype=np.complex128)
+        out = np.empty((len(types), 2 * self.d, 2 * k), dtype=np.complex128)
         out[..., 0::2] = rows_first.transpose(2, 0, 1)
         out[..., 1::2] = _partner(rows_first).transpose(2, 0, 1)
         return out
 
-    def factors(self, stream, b):
+    def factors(self, rng, types, previous):
         """The top d rows of d Haar columns in dimension d + n, from
         np.linalg.qr with the phase fix (_haar_columns).  The stream of
         whole factors, and product_chain with it, stays independent of the
         Gram-Schmidt kernel."""
-        q = _haar_columns(self.beta, self.d + self.n, self.d, stream.rng, size=b)
+        q = _haar_columns(self.beta, self.d + self.n, self.d, rng, size=len(types))
         return q[:, :2 * self.d if self.beta == 4 else self.d]
 
 
@@ -385,11 +386,12 @@ def _orthonormalize(a, beta):
     the embedding only: each is orthogonalised against the pairs
     (q, _partner(q)) of the columns before it, and its entry is the squared
     R diagonal entry of both columns of its pair.  A zero or non-finite
-    column gives a zero or non-finite entry, and NaN columns from there on,
-    without a warning; callers check the entries.
+    column, or one whose squared norm overflows, gives a zero or non-finite
+    entry, and NaN columns from there on, without a warning; callers check
+    the entries.
     """
     diag = np.empty(a.shape[:1] + a.shape[2:])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j, v in enumerate(a):
             diag[j] = (v.conj() * v).real.sum(axis=0)
             v *= 1.0 / np.sqrt(diag[j])
@@ -403,47 +405,41 @@ def _orthonormalize(a, beta):
 # Deterministic type schedule (rectangular offsets, Gaussian/inverse mixture)
 # ---------------------------------------------------------------------------
 
-def _quota_schedule(proportions, counts, steps):
-    """The next ``steps`` type indices of the quota round-robin, a uint8 array.
+def _quota_schedule(proportions, steps):
+    """The uint8 type indices of the first ``steps`` steps of the quota round-robin.
 
     Each step takes the type whose quota is most overdue (Sainte-Lague
     priority, ties by position), so prefix frequencies track the proportions
     to within one occurrence.  The j-th pick of type s (from 0) falls due at
-    (j + 0.5)/p_s, so the next ``steps`` picks are the ``steps`` smallest of
-    the due times still ahead, ties by position; a type with p_s = 0 is never
-    picked.  ``counts`` holds how often each type was picked so far and is
-    advanced in place.
+    (j + 0.5)/p_s, so the schedule is the ``steps`` smallest due times in
+    order, ties by position; a type with p_s = 0 is never picked.
     """
     due, types = [], []
-    for s, (c, p) in enumerate(zip(counts, proportions)):
+    for s, p in enumerate(proportions):
         if p > 0:
-            # at most ``steps`` picks of one type fit in the window
-            due.append((np.arange(c, c + steps) + 0.5) / p)
+            # at most ``steps`` picks of one type fit in the schedule
+            due.append((np.arange(steps) + 0.5) / p)
             types.append(np.full(steps, s, dtype=np.uint8))
     # a stable sort keeps equal due times in type order
     order = np.argsort(np.concatenate(due), kind="stable")[:steps]
-    out = np.concatenate(types)[order]
-    for s, n in enumerate(np.bincount(out, minlength=len(counts))):
-        counts[s] += int(n)
-    return out
+    return np.concatenate(types)[order]
 
 
 def _step_types(spec, n):
     """The quota-schedule type of each of the first n steps of every stream
-    of ``spec`` (see FactorStream), all 0 for identically distributed
-    factors."""
+    of ``spec``, all 0 for identically distributed factors.  A run computes
+    it once and hands it to each of its streams (see FactorStream)."""
     if spec.proportions is None:
         return np.zeros(n, dtype=np.uint8)
-    return _quota_schedule(spec.proportions, [0] * len(spec.proportions), n)
+    return _quota_schedule(spec.proportions, n)
 
 
-def _inverse_steps(spec, n):
-    """Which of the first n steps of every stream of ``spec`` are inverse
-    steps (Ensemble.signs -1), a boolean array, or None when ``spec`` has
-    none."""
+def _inverse_steps(spec, types):
+    """Which steps of quota-schedule ``types`` are inverse steps (Ensemble.signs
+    -1), a boolean array, or None when ``spec`` has none."""
     if -1 not in spec.signs:
         return None
-    return np.array(spec.signs)[_step_types(spec, n)] < 0
+    return np.array(spec.signs)[types] < 0
 
 
 def _sigma_scale(spec, g):
@@ -464,16 +460,16 @@ def _invert(beta, g):
 # ---------------------------------------------------------------------------
 
 class FactorStream:
-    """Sequential factor source for one Monte Carlo chain.
+    """Sequential factor source for one Monte Carlo chain: an ensemble and
+    the Generator its draws come from, and no other state.
 
     Yields raw matrix data (the complex embedding for beta = 4), drawn BLOCK
     steps at a time by the ensemble's ``panel``, or ``factors`` for whole
-    factors.  Every step takes the next draw of the stream, inverse steps
-    included.  Step t's type is entry t of _step_types(spec, N) for every
-    stream; rectangular panels, whose shape follows the type, read it from
-    the stream's copy of the schedule, which keeps the type counts and
-    ``last_type``, the type of the last step drawn (None before the first).
-    A stream is drawn by one call of blocks, panels or factors.
+    factors.  Every step takes the next draw of the generator, inverse steps
+    included.  The caller hands in the quota-schedule types of the steps,
+    _step_types(spec, N), which a run computes once for all its streams;
+    the types of a call start at step 1, so a stream is drawn by one call
+    of blocks, panels or factors.
     """
 
     #: Always 0: no draw is ever skipped.  The benchmark's draw_alone
@@ -483,17 +479,10 @@ class FactorStream:
     def __init__(self, spec, rng):
         self.spec = spec
         self.rng = rng
-        self.last_type = None
-        self._counts = [0] * len(spec.proportions) if spec.proportions else None
 
-    def schedule(self, b):
-        """Type indices of the next b steps, a uint8 array; moves ``last_type``."""
-        types = _quota_schedule(self.spec.proportions, self._counts, b)
-        self.last_type = types[-1]
-        return types
-
-    def blocks(self, n):
-        """Yield n factors as (b, rows, cols) arrays of at most BLOCK steps.
+    def blocks(self, types):
+        """Yield the factors of the steps of ``types`` as (b, rows, cols)
+        arrays of at most BLOCK steps.
 
         A factor is the panel as wide as the factor (see Ensemble.width), so
         non-square rectangular factors, whose shape changes from step to
@@ -504,9 +493,10 @@ class FactorStream:
         steps (_inverse_steps) are inverted; one that is singular raises
         ArithmeticError naming its step (from 1).
         """
-        inverse = _inverse_steps(self.spec, n)
-        for done in range(0, n, BLOCK):
-            block = self.spec.factors(self, min(BLOCK, n - done))
+        inverse = _inverse_steps(self.spec, types)
+        for done in range(0, len(types), BLOCK):
+            block = self.spec.factors(self.rng, types[done:done + BLOCK],
+                                      types[done - 1] if done else None)
             if inverse is not None:
                 steps = np.flatnonzero(inverse[done:done + len(block)])
                 try:
@@ -522,16 +512,17 @@ class FactorStream:
                     raise
             yield block
 
-    def panels(self, n, k):
-        """Yield the panels of n steps (see Ensemble.panel) as (b, rows, cols)
-        arrays of at most BLOCK steps.  Like the factors, they do not
-        depend on BLOCK."""
-        for done in range(0, n, BLOCK):
-            yield self.spec.panel(self, min(BLOCK, n - done), k)
+    def panels(self, types, k):
+        """Yield the panels of the steps of ``types`` (see Ensemble.panel) as
+        (b, rows, cols) arrays of at most BLOCK steps.  Like the factors,
+        they do not depend on BLOCK."""
+        for done in range(0, len(types), BLOCK):
+            yield self.spec.panel(self.rng, types[done:done + BLOCK], k,
+                                  types[done - 1] if done else None)
 
     def factors(self, n):
-        """Yield n factors one by one."""
-        for block in self.blocks(n):
+        """Yield the first n factors one by one."""
+        for block in self.blocks(_step_types(self.spec, n)):
             yield from block
 
 

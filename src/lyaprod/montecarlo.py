@@ -27,9 +27,11 @@ reversal; the identity of the inverse law in the theory module), so the
 step's increments are the log|diag R| of J G^H J negated in reversed
 order, truncated to k: run_chain factors J G^H J and flips the logs on the
 steps that ensembles._inverse_steps marks.  Ensembles that mix factor
-types keep their quota schedule; the law of a step's increments depends on
-its own type only, so they are independent, not identically distributed,
-and estimate reduces them type by type.
+types follow the deterministic quota schedule, one array of step types per
+run (ensembles._step_types) that every stream of the run is handed; the law
+of a step's increments depends on its own type only, so they are
+independent, not identically distributed, and estimate reduces them type
+by type.
 
 product_chain steps the product itself with that explicit frame, one
 np.linalg.qr (LAPACK's Householder QR) per step, and stays the reference
@@ -109,7 +111,9 @@ def run_chain(spec, k_max, N, rngs):
     """Run one chain per Generator in ``rngs``, N steps each, all together.
 
     Chain c draws its panels (see Ensemble.panel) from its own FactorStream
-    on rngs[c].  The columns of each block of BLOCK steps of the C streams
+    on rngs[c].  The step types, ensembles._step_types(spec, N), are
+    computed once: they mark the inverse steps, and every chain's panels
+    follow them.  The columns of each block of BLOCK steps of the C streams
     are copied into one (k, rows, b, C) array (the even columns only for
     beta = 4; J G^H J for an inverse step's G, see Ensemble.panel), and the
     Gram-Schmidt kernel (ensembles._orthonormalize) factors all of it; half
@@ -119,17 +123,15 @@ def run_chain(spec, k_max, N, rngs):
 
     Returns the (C, N, k_max) per-step log-volume increments, chain c in the
     order of ``rngs``: a view of a C-ordered (k_max, C, N) array, the layout
-    estimate reduces.  For ensembles that mix factor types every chain
-    follows the same deterministic quota schedule, so step t's type is entry
-    t of ensembles._step_types(spec, N) (see FactorStream).
-    The increments have the law of product_chain's (see the module
-    docstring), not its values.
+    estimate reduces.  The increments have the law of product_chain's (see
+    the module docstring), not its values.
     """
     k_max, N, streams = _start(spec, k_max, N, rngs)
-    inverse = _inverse_steps(spec, N)
+    types = _step_types(spec, N)
+    inverse = _inverse_steps(spec, types)
     by_index = np.empty((k_max, len(streams), N))
     done = 0
-    for panels in zip(*(stream.panels(N, k_max) for stream in streams)):
+    for panels in zip(*(stream.panels(types, k_max) for stream in streams)):
         flip = None if inverse is None else inverse[done:done + len(panels[0])]
         rdiag2 = _orthonormalize(_batch_last(panels, spec.beta, flip), spec.beta)
         with np.errstate(divide="ignore"):
@@ -160,11 +162,12 @@ def product_chain(spec, k_max, N, rngs):
     enters the product and the R diagonals are those of the true product.
     """
     k_max, N, streams = _start(spec, k_max, N, rngs)
+    types = _step_types(spec, N)
     by_index = np.empty((k_max, len(streams), N))
     k = 2 * k_max if spec.beta == 4 else k_max
     frames = None
     done = 0
-    for blocks in zip(*(stream.blocks(N) for stream in streams)):
+    for blocks in zip(*(stream.blocks(types) for stream in streams)):
         steps = np.stack(blocks, axis=1)
         rdiag = np.empty(steps.shape[:2] + (k,))
         for step, out in zip(steps, rdiag):
@@ -295,7 +298,7 @@ def stability_exponents(spec, N, rng):
         raise ValueError("stability exponents require square factors")
 
     # N <= STABILITY_STEP_CAP, so all factors together are a few hundred KiB
-    m = np.concatenate(list(FactorStream(spec, rng).blocks(N)))
+    m = np.concatenate(list(FactorStream(spec, rng).blocks(_step_types(spec, N))))
     with np.errstate(invalid="ignore"):
         # a NaN factor gives a NaN log-determinant, rejected just below
         signs, logdets = np.linalg.slogdet(m)

@@ -50,7 +50,6 @@ __all__ = [
     "residue_j_sums",
     "kargin_top",
     "kargin_mu1",
-    "kargin_variance1",
 ]
 
 #: Minimum pairwise relative separation required by the determinant formulas.
@@ -166,15 +165,16 @@ def sigma_variance1_complex(spec):
     return 0.25 * (trigamma(1.0) + quad_term - lin_term**2)
 
 
-def _low_cut(c):
-    """Lower end a < 0 with c e^a (2 + |a|) <= TAIL_BOUND.
+def _low_cut(log_c):
+    """Lower end a < 0 with c e^a (2 + |a|) <= TAIL_BOUND, from log c.
 
     |g - f| <= c e^s everywhere, with c = max(1, (beta/2) sum 1/y_i), and
-    int_{-inf}^a e^s (1 + |s|) ds = e^a (2 - a) for a < 0.
+    int_{-inf}^a e^s (1 + |s|) ds = e^a (2 - a) for a < 0.  log c stays
+    finite where the sum itself overflows (a tiny y_i).
     """
-    a = math.log(TAIL_BOUND / c)
+    a = math.log(TAIL_BOUND) - log_c
     for _ in range(3):
-        a = math.log(TAIL_BOUND / (c * (2.0 - a)))
+        a = math.log(TAIL_BOUND) - log_c - math.log(2.0 - a)
     return a
 
 
@@ -212,7 +212,7 @@ def j_integrals(beta, spec):
     half_beta = 0.5 * beta
     logy = np.log(y)
 
-    lo = _low_cut(max(1.0, half_beta * float(np.sum(1.0 / y))))
+    lo = _low_cut(max(0.0, math.log(half_beta) + float(np.logaddexp.reduce(-logy))))
     hi = _high_cut(max(0.0, float(logy[-1])), min(1.0, half_beta * spec.d))
     k = np.arange(math.floor(lo / LOG_STEP), math.ceil(hi / LOG_STEP) + 1)
     s = k * LOG_STEP
@@ -262,8 +262,3 @@ def kargin_top(beta, spec):
 def kargin_mu1(beta, spec):
     """Largest Lyapunov exponent, any beta: mu_1 = (-gamma + log(2/beta) - J1)/2."""
     return kargin_top(beta, spec)[0]
-
-
-def kargin_variance1(beta, spec):
-    """Top variance, any beta: N sigma_1^2 = (pi^2/6 - J2 - J1^2)/4."""
-    return kargin_top(beta, spec)[1]

@@ -17,7 +17,7 @@ from lyaprod.ensembles import (GaussianInverseMixture, GeneralSigmaGaussian,
 from lyaprod.montecarlo import (estimate, spectral_ratio_samples,
                                 stability_exponents)
 from lyaprod.sigma import (SigmaSpec, j_integrals, kargin_mu1,
-                           kargin_variance1, residue_j_sums,
+                           kargin_top, residue_j_sums,
                            sigma_spectrum_complex, sigma_variance1_complex)
 from lyaprod.theory import (RectangularSpec, gaussian_spectrum,
                             mixture_spectrum, rectangular_spectrum,
@@ -46,7 +46,7 @@ def test_criterion_2_general_sigma_variance():
     exact = math.pi**2 / 24.0 - (4.0 / 9.0) * math.log(2.0) ** 2
     direct = sigma_variance1_complex(spec)
     assert abs(direct - exact) <= 1e-12
-    via_contour = kargin_variance1(2, spec)
+    via_contour = kargin_top(2, spec)[1]
     assert abs(via_contour - exact) <= 1e-8
     report("criterion 2", f"N*s2_1 = {direct:.12f} (exact {exact:.12f})")
 
@@ -82,7 +82,7 @@ def test_criterion_4_cross_formula_consistency():
                 break
         spec = SigmaSpec(tuple(y))
         worst_mu = max(worst_mu, abs(kargin_mu1(2, spec) - sigma_spectrum_complex(spec)[0]))
-        worst_var = max(worst_var, abs(kargin_variance1(2, spec) - sigma_variance1_complex(spec)))
+        worst_var = max(worst_var, abs(kargin_top(2, spec)[1] - sigma_variance1_complex(spec)))
     assert worst_mu <= 1e-8 and worst_var <= 1e-8
 
     worst_j = 0.0

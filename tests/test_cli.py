@@ -182,7 +182,7 @@ class TestTheoryRows:
         rows = theory_rows(spec)
         assert len(calls) == 1
         assert rows == [(1, sigma.kargin_mu1(4, spec.sigma_inv_eigenvalues),
-                         sigma.kargin_variance1(4, spec.sigma_inv_eigenvalues))]
+                         sigma.kargin_top(4, spec.sigma_inv_eigenvalues)[1])]
 
 
 class TestCommands:
@@ -392,6 +392,42 @@ class TestMainEndToEnd:
         # needs no distinct eigenvalues
         for beta in (1, 4):
             assert main(["theory", "--ensemble", repeated % beta]) == 0
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_compare_constant_increments_exit_2(self, beta, capsys):
+        # n = 0 truncated unitaries are unitary: mu = 0 and N sigma^2 = 0
+        # exactly, and the Monte Carlo sees rounding noise alone, whose z
+        # grows like sqrt(N); a zero theory variance has no z-score
+        spec = '{"kind":"truncated_unitary","beta":%d,"d":3,"n":0}' % beta
+        assert main(["compare", "--ensemble", spec, "--N", "2000", "--chains", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: n_sigma2 theory at index 1 is 0")
+        assert main(["theory", "--ensemble", spec]) == 0
+
+    @pytest.mark.parametrize("beta", [1, 4])
+    def test_general_sigma_smallest_double_eigenvalue(self, beta, tmp_path, capsys):
+        # sum 1/y_i overflows; the quadrature gives the y_1 -> 0 limit (see
+        # tests/test_sigma.py), and a run whose entries overflow exits 2
+        spec = ('{"kind":"general_sigma_gaussian","beta":%d,'
+                '"sigma_inv_eigenvalues":[5e-324,1.0]}' % beta)
+        out = tmp_path / "theory.json"
+        assert main(["theory", "--ensemble", spec, "--format", "json",
+                     "--out", str(out)]) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["mu"] == sigma.kargin_mu1(beta, (5e-324, 1.0))
+        capsys.readouterr()
+        assert main(["compare", "--ensemble", spec, "--N", "100", "--k-max", "1"]) == 2
+        assert capsys.readouterr().err == "error: non-finite increment at step 1\n"
+
+    @pytest.mark.parametrize("command", ["theory", "compare"])
+    @pytest.mark.parametrize("beta", [1, 4])
+    def test_general_sigma_quadrature_failure_exits_2(self, command, beta, capsys):
+        spec = ('{"kind":"general_sigma_gaussian","beta":%d,'
+                '"sigma_inv_eigenvalues":[1e300,1e300]}' % beta)
+        extra = ["--N", "100", "--k-max", "1"] if command == "compare" else []
+        assert main([command, "--ensemble", spec] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the general-covariance quadrature failed")
+        assert err.count("\n") == 1
 
     def test_compare_single_step_exits_2(self, capsys):
         assert main(["compare", "--ensemble", GAUSS_21, "--N", "1"]) == 2

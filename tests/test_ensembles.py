@@ -31,7 +31,7 @@ def first_factor(spec, rng):
 
 def schedule(spec, n):
     """The types of a stream's first n steps."""
-    return _quota_schedule(spec.proportions, [0] * len(spec.proportions), n)
+    return ens._step_types(spec, n)
 
 
 class TestGaussianSampling:
@@ -98,8 +98,8 @@ class TestHaarSampling:
         rng = chain_rng(203, 0)
         haar = ens._haar_columns(2, 2, 2, rng, size=100_000)
         monkeypatch.setattr(ens, "BLOCK", 100_000)
-        stream = FactorStream(TruncatedUnitary(2, 2, 2), rng)
-        truncated = next(stream.blocks(100_000))
+        spec = TruncatedUnitary(2, 2, 2)
+        truncated = next(FactorStream(spec, rng).blocks(schedule(spec, 100_000)))
         for u in (haar, truncated):
             phases = np.angle(u[:, 0, 0])
             p = stats.kstest(phases, stats.uniform(loc=-math.pi, scale=2 * math.pi).cdf).pvalue
@@ -229,7 +229,7 @@ def one_at_a_time(spec, n, rng):
     if isinstance(spec, InverseGaussian):
         types = [1] * n
     else:
-        types = _quota_schedule((spec.alpha_plus, 1.0 - spec.alpha_plus), [0, 0], n)
+        types = _quota_schedule((spec.alpha_plus, 1.0 - spec.alpha_plus), n)
     out = []
     for t in types:
         g = ens._gaussian_data(spec.beta, spec.d, spec.d, rng)
@@ -261,14 +261,15 @@ class TestInverseStreams:
         # factors invert the draws of inverse steps; panels are the draws,
         # d columns wide whatever k, on every step
         n = 40
+        types = schedule(spec, n)
         g = ens._gaussian_data(spec.beta, spec.d, spec.d, chain_rng(50, 1), size=n)
-        inverse = np.ones(n, dtype=bool) if spec.proportions is None else schedule(spec, n) == 1
-        np.testing.assert_array_equal(ens._inverse_steps(spec, n), inverse)
+        inverse = np.ones(n, dtype=bool) if spec.proportions is None else types == 1
+        np.testing.assert_array_equal(ens._inverse_steps(spec, types), inverse)
         want_factors = g.copy()
         want_factors[inverse] = ens._invert(spec.beta, g[inverse])
         monkeypatch.setattr(ens, "BLOCK", block)
-        factors = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).blocks(n)))
-        panels = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).panels(n, 1)))
+        factors = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).blocks(types)))
+        panels = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).panels(types, 1)))
         np.testing.assert_array_equal(factors, want_factors)
         np.testing.assert_array_equal(panels, g)
         np.testing.assert_array_equal(factors, one_at_a_time(spec, n, chain_rng(50, 1)))
@@ -299,19 +300,19 @@ class TestMixtureSchedule:
         gaussian = np.cumsum(ens._step_types(GaussianInverseMixture(1, 2, alpha), 3000) == 0)
         n = np.arange(1, gaussian.size + 1)
         assert np.abs(gaussian - alpha * n).max() <= 1.0 + 1e-9
-        # a stream's own copy of the schedule, advanced block by block by
-        # rectangular panels, counts the same types
+        # the schedule is a function of the proportions alone: rectangular
+        # offset classes in the same shares take the same types
         shapes = RectangularSpec(((0, alpha), (1, 1.0 - alpha)))
-        stream = FactorStream(RectangularGaussian(1, 2, shapes), chain_rng(52, 0))
-        list(stream.factors(3000))
-        assert stream._counts == [gaussian[-1], 3000 - gaussian[-1]]
+        rectangular = ens._step_types(RectangularGaussian(1, 2, shapes), 3000)
+        np.testing.assert_array_equal(np.cumsum(rectangular == 0), gaussian)
 
     @pytest.mark.parametrize("alpha,kind", [(0.0, 1), (1.0, 0)])
     def test_pure_proportions_use_one_type(self, alpha, kind):
         spec = GaussianInverseMixture(2, 2, alpha)
-        assert list(ens._step_types(spec, 50)) == [kind] * 50
-        assert list(ens._inverse_steps(spec, 50)) == [kind == 1] * 50
-        factors = np.concatenate(list(FactorStream(spec, chain_rng(53, 0)).blocks(50)))
+        types = ens._step_types(spec, 50)
+        assert list(types) == [kind] * 50
+        assert list(ens._inverse_steps(spec, types)) == [kind == 1] * 50
+        factors = np.concatenate(list(FactorStream(spec, chain_rng(53, 0)).blocks(types)))
         g = ens._gaussian_data(2, 2, 2, chain_rng(53, 0), size=50)
         np.testing.assert_array_equal(factors, ens._invert(2, g) if kind == 1 else g)
 
@@ -340,9 +341,33 @@ def step_by_step_schedule(proportions, steps):
     return out
 
 
+class TestOneCallStreams:
+    """A stream keeps its ensemble and its generator and nothing else: the
+    types of every call start at step 1, for mixture and rectangular streams
+    alike."""
+
+    @pytest.mark.parametrize("spec", [GaussianInverseMixture(2, 2, 0.4),
+                                      RectangularGaussian(2, 2, HALF_HALF)],
+                             ids=lambda s: s.kind)
+    def test_second_call_restarts_the_schedule(self, spec):
+        stream = FactorStream(spec, chain_rng(59, 0))
+        first, second = list(stream.factors(3)), list(stream.factors(3))
+        assert vars(stream).keys() == {"spec", "rng"}
+        # the same as two new streams on the stream's generator
+        rng = chain_rng(59, 0)
+        again = [f for _ in range(2) for f in FactorStream(spec, rng).factors(3)]
+        np.testing.assert_array_equal(first + second, again)
+        # one call of six steps goes on with the schedule instead (types
+        # 1, 0, 1, 0, 1, 1 and 0, 1, 0, 1, 0, 1), so the second call differs
+        # from its last three factors
+        whole = list(FactorStream(spec, chain_rng(59, 0)).factors(6))
+        np.testing.assert_array_equal(whole[:3], first)
+        assert not np.array_equal(whole[3:], second)
+
+
 class TestRectangularSchedule:
     def test_half_half_alternates(self):
-        seq = _quota_schedule(HALF_HALF.proportions, [0, 0], 6)
+        seq = _quota_schedule(HALF_HALF.proportions, 6)
         assert [HALF_HALF.offsets[s] for s in seq] == [0, 1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("shapes", [
@@ -351,7 +376,7 @@ class TestRectangularSchedule:
         RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5))),
     ])
     def test_prefix_frequencies_within_one_over_n(self, shapes):
-        seq = _quota_schedule(shapes.proportions, [0] * len(shapes.shapes), 5000)
+        seq = _quota_schedule(shapes.proportions, 5000)
         counts = {g: 0 for g in shapes.offsets}
         for i, off in enumerate((shapes.offsets[s] for s in seq), start=1):
             counts[off] += 1
@@ -361,18 +386,12 @@ class TestRectangularSchedule:
     @pytest.mark.parametrize("proportions", [
         (0.5, 0.5), (1 / 3, 2 / 3), (0.1, 0.9), (0.2, 0.3, 0.5), (0.25, 0.0, 0.75),
     ])
-    def test_blockwise_matches_step_loop(self, proportions):
+    def test_whole_run_matches_step_loop(self, proportions):
         steps = 1_000_003
         expected = step_by_step_schedule(proportions, steps)
-        for blocks in ((256,), (97,), (1000, 1, 33, 256)):
-            counts = [0] * len(proportions)
-            seq = []
-            for b in itertools.cycle(blocks):
-                seq += list(_quota_schedule(proportions, counts, min(b, steps - len(seq))))
-                if len(seq) == steps:
-                    break
-            assert seq == expected
-            assert counts == [expected.count(s) for s in range(len(proportions))]
+        seq = _quota_schedule(proportions, steps)
+        assert seq.dtype == np.uint8
+        assert seq.tolist() == expected
 
     def test_256_offset_classes_run_and_257_are_rejected(self):
         # the schedule's type indices are uint8, so 256 classes is the limit
@@ -418,7 +437,7 @@ class TestRectangularSchedule:
         k = 2
         monkeypatch.setattr(ens, "BLOCK", 4)
         stream = FactorStream(spec, chain_rng(57, beta))
-        panels = np.concatenate(list(stream.panels(10, k)))
+        panels = np.concatenate(list(stream.panels(schedule(spec, 10), k)))
         rng = chain_rng(57, beta)
         scale = 2 if beta == 4 else 1
         assert panels.shape == (10, scale * spec.width, scale * k)

@@ -9,7 +9,7 @@ from scipy import stats
 from lyaprod.ensembles import (ENSEMBLES, Ensemble, FactorStream, GaussianInverseMixture,
                                GeneralSigmaGaussian, InverseGaussian,
                                RectangularGaussian, StandardGaussian,
-                               TruncatedUnitary, _gaussian_data, _quota_schedule,
+                               TruncatedUnitary, _gaussian_data, _step_types,
                                chain_rng, is_quaternion_structured)
 from lyaprod import ensembles, montecarlo
 from lyaprod.montecarlo import (estimate, product_chain, run_chain,
@@ -52,7 +52,7 @@ def identity_frame(spec, k_max):
 
 def schedule(spec, n):
     """The types of the first n steps of every stream of ``spec``."""
-    return _quota_schedule(spec.proportions, [0] * len(spec.proportions), n)
+    return _step_types(spec, n)
 
 
 def reference_qr_chains(spec, k_max, N, rngs):
@@ -84,7 +84,7 @@ def sequential_stability(spec, N, rng):
     log_scales = []
     log_dets = []
     det_phases = []
-    for block in FactorStream(spec, rng).blocks(N):
+    for block in FactorStream(spec, rng).blocks(schedule(spec, N)):
         signs, logdets = np.linalg.slogdet(block)
         for a in block:
             prod = a @ prod
@@ -121,9 +121,9 @@ class BrokenGaussian(Ensemble):
     fill = 0.0
     columns = slice(None)
 
-    def panel(self, stream, b, k):
-        g = _gaussian_data(self.beta, self.d, k, stream.rng, size=b)
-        g[min(2, b - 1), :, self.columns] = self.fill
+    def panel(self, rng, types, k, previous):
+        g = _gaussian_data(self.beta, self.d, k, rng, size=len(types))
+        g[min(2, len(types) - 1), :, self.columns] = self.fill
         return g
 
 
@@ -164,11 +164,11 @@ class PoisonedStream(FactorStream):
     poison_step = None
     fill = np.nan
 
-    def blocks(self, n):
-        return self._poisoned(super().blocks(n))
+    def blocks(self, types):
+        return self._poisoned(super().blocks(types))
 
-    def panels(self, n, k):
-        return self._poisoned(super().panels(n, k))
+    def panels(self, types, k):
+        return self._poisoned(super().panels(types, k))
 
     def _poisoned(self, blocks):
         done = 0
@@ -263,7 +263,7 @@ class TestStepKernel:
 
         monkeypatch.setattr(ensembles, "_gaussian_data", zero_singular)
         monkeypatch.setattr(ensembles, "BLOCK", 4)
-        for call in (lambda: list(FactorStream(spec, rngs()[0]).blocks(12)),
+        for call in (lambda: list(FactorStream(spec, rngs()[0]).blocks(schedule(spec, 12))),
                      lambda: product_chain(spec, 2, 12, rngs())):
             with pytest.raises(ArithmeticError, match=f"^singular factor at step {step}$"):
                 call()
@@ -318,7 +318,7 @@ class TestGramSchmidtKernel:
             # tall: the Gaussian whose Q a truncated panel keeps
             _gaussian_data(beta, d + 4, k, rng, size=512),
             # zero-padded rows
-            next(FactorStream(rectangular, rng).panels(512, k)),
+            next(FactorStream(rectangular, rng).panels(schedule(rectangular, 512), k)),
         ] + [with_singular_values(beta, d + 1, k, kappa, rng, 64)
              for kappa in (1e2, 1e6, 1e12) if k > 1]
         for panels in stacks:
@@ -331,7 +331,7 @@ class TestGramSchmidtKernel:
     def test_q_orthonormal(self, beta, rows, k):
         # with n = 0 a truncated panel is the whole Q of a rows x k Gaussian
         spec = TruncatedUnitary(beta, rows, 0)
-        q = next(FactorStream(spec, chain_rng(91, rows + k)).panels(512, k))
+        q = next(FactorStream(spec, chain_rng(91, rows + k)).panels(schedule(spec, 512), k))
         gram = np.conj(np.swapaxes(q, -1, -2)) @ q
         assert np.abs(gram - np.eye(q.shape[-1])).max() <= 1e-13
         if beta == 4:
@@ -376,13 +376,14 @@ class TestInverseSteps:
         monkeypatch.setattr(ensembles, "BLOCK", 64)
         N, chains = 250, 2
         got = run_chain(spec, k, N, [chain_rng(63, c) for c in range(chains)])
-        factors = np.stack([np.concatenate(list(FactorStream(spec, chain_rng(63, c)).blocks(N)))
+        types = schedule(spec, N)
+        factors = np.stack([np.concatenate(list(FactorStream(spec, chain_rng(63, c)).blocks(types)))
                             for c in range(chains)])
         first_k = factors[..., :2 * k if spec.beta == 4 else k]
         assert np.abs(got - lapack_logs(first_k, spec.beta)).max() <= 1e-10
         if spec.proportions is not None:
             # Gaussian steps: the kernel on their first k columns, bit for bit
-            gaussian = schedule(spec, N) == 0
+            gaussian = types == 0
             for c in range(chains):
                 np.testing.assert_array_equal(
                     got[c, gaussian], kernel_logs(first_k[c, gaussian].copy(), spec.beta))
@@ -396,7 +397,7 @@ class TestInverseSteps:
         monkeypatch.setattr(ensembles, "_invert", refuse)
         # whole factors are true inverses, so the patch reaches them
         with pytest.raises(RuntimeError, match="inverted a matrix"):
-            next(FactorStream(spec, chain_rng(64, 0)).blocks(8))
+            next(FactorStream(spec, chain_rng(64, 0)).blocks(schedule(spec, 8)))
         res = run_chain(spec, 2, 300, [chain_rng(64, c) for c in range(2)])
         assert np.all(np.isfinite(res))
         est = estimate(spec, 2, 300, 2, 64)
@@ -410,7 +411,7 @@ class TestInverseSteps:
 
         monkeypatch.setattr(np.linalg, "slogdet", refuse)
         monkeypatch.setattr(np.linalg, "cond", refuse)
-        next(FactorStream(spec, chain_rng(66, 0)).blocks(8))
+        next(FactorStream(spec, chain_rng(66, 0)).blocks(schedule(spec, 8)))
         est = estimate(spec, 2, 300, 2, 66)
         assert np.all(np.isfinite(est.mu_hat))
 

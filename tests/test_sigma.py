@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6, digamma, trigamma
 import lyaprod
 from lyaprod.sigma import (DistinctnessError, QuadratureError, SigmaSpec,
-                           j_integrals, kargin_mu1, kargin_variance1,
+                           j_integrals, kargin_mu1, kargin_top,
                            residue_j_sums, sigma_spectrum_complex,
                            sigma_variance1_complex)
 from lyaprod.theory import gaussian_spectrum
@@ -261,13 +261,13 @@ class TestKarginRoute:
         assert mu1 == pytest.approx(0.5 * (math.log(2.0) - EULER_GAMMA), abs=1e-9)
 
     def test_variance_matches_trigamma(self):
-        v = kargin_variance1(2, SigmaSpec((1.0, 1.0, 1.0)))
+        v = kargin_top(2, SigmaSpec((1.0, 1.0, 1.0)))[1]
         assert v == pytest.approx(0.25 * trigamma(3.0), abs=1e-9)
-        v = kargin_variance1(4, SigmaSpec((1.0,)))
+        v = kargin_top(4, SigmaSpec((1.0,)))[1]
         assert v == pytest.approx(0.25 * trigamma(2.0), abs=1e-9)
 
     def test_contour_route_variance_value(self):
-        v = kargin_variance1(2, SigmaSpec((1.0, 0.25)))
+        v = kargin_top(2, SigmaSpec((1.0, 0.25)))[1]
         assert v == pytest.approx(0.19769884385952266, abs=1e-8)
 
     def test_cross_formula_consistency(self):
@@ -276,7 +276,7 @@ class TestKarginRoute:
             spec = random_distinct_spec(rng, int(rng.integers(1, 6)))
             assert kargin_mu1(2, spec) == pytest.approx(
                 sigma_spectrum_complex(spec)[0], abs=1e-8)
-            assert kargin_variance1(2, spec) == pytest.approx(
+            assert kargin_top(2, spec)[1] == pytest.approx(
                 sigma_variance1_complex(spec), abs=1e-8)
 
     def test_all_beta_gaussian_reduction(self):
@@ -286,7 +286,20 @@ class TestKarginRoute:
                 spec = SigmaSpec((1.0,) * d)
                 th = gaussian_spectrum(beta, d)
                 assert kargin_mu1(beta, spec) == pytest.approx(th.mu[0], abs=1e-9)
-                assert kargin_variance1(beta, spec) == pytest.approx(th.n_sigma2[0], abs=1e-9)
+                assert kargin_top(beta, spec)[1] == pytest.approx(th.n_sigma2[0], abs=1e-9)
+
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_smallest_double_eigenvalue(self, beta):
+        # as y_1 -> 0 the top row of Sigma^{1/2} G dominates, so
+        # mu_1 -> -(1/2) log y_1 + (psi(beta/2) + log(2/beta))/2 and
+        # N sigma_1^2 -> psi'(beta/2)/4; sum 1/y_i overflows at y_1 = 5e-324,
+        # so the quadrature's low cut comes from its log
+        from scipy.special import digamma as psi, polygamma
+        mu, var = kargin_top(beta, SigmaSpec((5e-324, 1.0)))
+        assert mu == pytest.approx(
+            -0.5 * math.log(5e-324) + 0.5 * (psi(beta / 2) + math.log(2 / beta)), abs=1e-9)
+        assert var == pytest.approx(0.25 * polygamma(1, beta / 2), abs=1e-9)
 
 
 class TestScaleCovariance:
@@ -313,5 +326,5 @@ class TestScaleCovariance:
         scaled = SigmaSpec(tuple(c * v for v in ys))
         assert kargin_mu1(2, scaled) == pytest.approx(
             kargin_mu1(2, spec) - 0.5 * math.log(c), abs=1e-9)
-        assert kargin_variance1(2, scaled) == pytest.approx(
-            kargin_variance1(2, spec), abs=1e-9)
+        assert kargin_top(2, scaled)[1] == pytest.approx(
+            kargin_top(2, spec)[1], abs=1e-9)
