@@ -86,9 +86,9 @@ class Ensemble:
     ``kind`` is the JSON name of the ensemble.  ``width`` is the column count
     of a whole factor: d, or D = d + max(offsets) for rectangular factors,
     which come zero-padded to D x D (only the explicit product of
-    stability_exponents needs width == d).  ``proportions`` gives the shares
-    of the factor types of an ensemble that mixes types on the deterministic
-    quota schedule (None when all factors are identically distributed).
+    stability_exponents needs width == d).  ``proportions`` gives the share
+    of each factor type on the deterministic quota schedule, 0 for a type
+    that never occurs (None when there is one type).
     Every kind draws through ``panel``; truncated unitaries also override
     ``factors``.
     """
@@ -109,9 +109,7 @@ class Ensemble:
     @property
     def signs(self):
         """The sign of the increments of each quota-schedule type (one entry
-        when the factors are identically distributed): -1 marks the inverse
-        steps (see panel).  TheorySpectrum.laws of inverse_gaussian differs:
-        it keeps the mixture's zero-share Gaussian entry first."""
+        when there is one type): -1 marks the inverse steps (see panel)."""
         return (1,) * len(self.proportions or (1,))
 
     def panel(self, rng, types, k, previous):
@@ -173,7 +171,9 @@ class InverseGaussian(Ensemble):
     d: int
 
     kind = "inverse_gaussian"
-    signs = (-1,)
+    #: the mixture at Gaussian share 0: type t has the law TheorySpectrum.laws[t]
+    proportions = (0.0, 1.0)
+    signs = (1, -1)
 
 
 @dataclass(frozen=True)
@@ -412,17 +412,18 @@ def _quota_schedule(proportions, steps):
     priority, ties by position), so prefix frequencies track the proportions
     to within one occurrence.  The j-th pick of type s (from 0) falls due at
     (j + 0.5)/p_s, so the schedule is the ``steps`` smallest due times in
-    order, ties by position; a type with p_s = 0 is never picked.
+    order, ties by position; a type with p_s = 0 is never picked.  Of T live
+    types, floor(t p_s + 1/2) picks of type s, at least t - T/2 in all, fall
+    due by time t, so type s takes at most floor(t p_s + 1/2) of the steps
+    for t = steps + T/2 (one more candidate each absorbs rounding).
     """
-    due, types = [], []
-    for s, p in enumerate(proportions):
-        if p > 0:
-            # at most ``steps`` picks of one type fit in the schedule
-            due.append((np.arange(steps) + 0.5) / p)
-            types.append(np.full(steps, s, dtype=np.uint8))
+    live = [s for s, p in enumerate(proportions) if p > 0]
+    horizon = steps + 0.5 * len(live)
+    picks = [math.floor(horizon * proportions[s] + 0.5) + 1 for s in live]
+    due = [(np.arange(n) + 0.5) / proportions[s] for s, n in zip(live, picks)]
     # a stable sort keeps equal due times in type order
     order = np.argsort(np.concatenate(due), kind="stable")[:steps]
-    return np.concatenate(types)[order]
+    return np.repeat(np.array(live, dtype=np.uint8), picks)[order]
 
 
 def _step_types(spec, n):

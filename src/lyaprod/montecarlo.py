@@ -239,11 +239,10 @@ def estimate(spec, k_max, N, chains, master_seed):
     # index-major, so every sum below runs over contiguous memory and numpy
     # sums it pairwise; no copy for the layout run_chain returns
     xi = np.ascontiguousarray(run_chain(spec, k_max, N, rngs).transpose(2, 0, 1))
-    if spec.proportions is None:
-        steps = [slice(None)]
-    else:
-        types = _step_types(spec, xi.shape[2])
-        steps = [types == t for t in np.unique(types)]
+    types = _step_types(spec, xi.shape[2])
+    occurring = np.flatnonzero(np.bincount(types))
+    # a type that fills the run is read through a view of xi, in its layout
+    steps = [slice(None)] if len(occurring) == 1 else [types == t for t in occurring]
     mu_hat = xi.mean(axis=(1, 2))
     n_sigma2 = _within_type_variance(xi, steps)
     return McEstimate(

@@ -5,10 +5,10 @@ The covariance enters only through the eigenvalues y_1..y_d of Sigma^{-1}
 
 Two independent routes are provided and cross-checked in the tests:
 
-* complex entries (beta = 2) only: the full spectrum from a ratio of a
-  modified Vandermonde determinant to the Vandermonde determinant, and the
-  top variance from its explicit cofactor expansion (both require distinct
-  eigenvalues);
+* complex entries (beta = 2) only: the full spectrum and the top variance
+  from the one matrix L = V diag(log y) V^-1, V_pl = y_l^p, the logarithm
+  of the companion-type matrix V diag(y) V^-1 (see sigma_spectrum_complex;
+  distinct eigenvalues only);
 * any beta in {1, 2, 4}: the top exponent and variance from the real
   integrals
 
@@ -112,57 +112,56 @@ class JPair:
     J2: float
 
 
-def _inverse_cofactor_weights(y):
-    """prod_{l != j} (1 - y_j / y_l) for each j (inverse weights)."""
-    y = np.asarray(y)
-    out = np.empty(len(y))
-    for j in range(len(y)):
-        others = np.delete(y, j)
-        out[j] = np.prod(1.0 - y[j] / others)
-    return out
+def _log_matrix(spec):
+    """L = V diag(log y) V^-1, V_pl = y_l^p (p, l from 0), for distinct y.
 
-
-def sigma_spectrum_complex(spec):
-    """Full Lyapunov spectrum for beta = 2 and general covariance.
-
-    mu_k is a ratio of the Vandermonde determinant in y with row k replaced
-    by (log y_j) y_j^(k-1) to the plain Vandermonde determinant, scaled by
-    -1/2, plus psi(k)/2.  k = 1 uses the explicit cofactor expansion; the
-    other rows go through sign/log determinants of the full matrices.
+    Row l of V^-1 is the Lagrange polynomial prod_{m != l} (x - y_m)/(y_l - y_m):
+    W_lq = (-1)^(d-1-q) e_{d-1-q}(y without y_l) / prod_{m != l} (y_l - y_m),
+    e_j from the all-positive recurrence e_j(S + {z}) = e_j(S) + z e_{j-1}(S).
+    On z = y / y_max it returns L(z) + log(y_max) I = D L(y) D^-1 (D =
+    diag(y_max^-p): same diagonal and L_ij L_ji), with the logs centred on
+    c = (log y_min + log y_max)/2, which halves the largest term of each sum.
     """
     if not isinstance(spec, SigmaSpec):
         spec = SigmaSpec(tuple(spec))
     spec.require_distinct()
     y = np.asarray(spec.y)
     d = spec.d
-    logy = np.log(y)
+    z = y / y[-1]
+    e = np.zeros((d, d))  # e[l, j] = e_j(z without z_l)
+    e[:, 0] = 1.0
+    for m in range(d):
+        grow = z[m] * e[:, :-1]
+        grow[m] = 0.0
+        e[:, 1:] += grow
+    diff = z[:, None] - z
+    np.fill_diagonal(diff, 1.0)
+    w = e[:, ::-1] * (-1.0) ** np.arange(d - 1, -1, -1) / np.prod(diff, axis=1)[:, None]
+    log_y = np.log(y)
+    c = 0.5 * float(log_y[0] + log_y[-1])
+    return (z ** np.arange(d)[:, None] * (log_y - c)) @ w + c * np.eye(d)
 
-    weights = _inverse_cofactor_weights(y)
-    mu = [(-0.5) * float(np.sum(logy / weights)) + 0.5 * digamma(1.0)]
 
-    if d > 1:
-        vander = np.vander(y, N=d, increasing=True).T  # rows i: y_j**(i-1)
-        sign_v, logdet_v = np.linalg.slogdet(vander)
-        for k in range(2, d + 1):
-            mod = vander.copy()
-            mod[k - 1] = logy * y ** (k - 1)
-            sign_m, logdet_m = np.linalg.slogdet(mod)
-            ratio = 0.0 if sign_m == 0 else float(sign_m * sign_v) * math.exp(float(logdet_m - logdet_v))
-            mu.append(-0.5 * ratio + 0.5 * digamma(float(k)))
-    return tuple(mu)
+def sigma_spectrum_complex(spec):
+    """Full Lyapunov spectrum for beta = 2 and general covariance.
+
+    mu_k = psi(k)/2 - r_k/2, r_k the ratio of the Vandermonde determinant in
+    y with row k replaced by (log y_j) y_j^(k-1) to the plain one.  Cramer's
+    rule makes r_k the diagonal entry L_kk of L = V diag(log y) V^-1
+    (_log_matrix), built on z = y / y_max so that no power of y overflows.
+    V^-1 divides by the differences y_l - y_m, so the eigenvalues must be
+    distinct (DistinctnessError).
+    """
+    return tuple(-0.5 * float(r) + 0.5 * digamma(float(k))
+                 for k, r in enumerate(np.diagonal(_log_matrix(spec)), start=1))
 
 
 def sigma_variance1_complex(spec):
-    """N sigma_1^2 for beta = 2 and general covariance (distinct eigenvalues)."""
-    if not isinstance(spec, SigmaSpec):
-        spec = SigmaSpec(tuple(spec))
-    spec.require_distinct()
-    y = np.asarray(spec.y)
-    logy = np.log(y)
-    weights = _inverse_cofactor_weights(y)
-    quad_term = float(np.sum(logy**2 / weights))
-    lin_term = float(np.sum(logy / weights))
-    return 0.25 * (trigamma(1.0) + quad_term - lin_term**2)
+    """N sigma_1^2 for beta = 2 and general covariance (distinct eigenvalues):
+    (psi'(1) + (L^2)_11 - L_11^2)/4, L from _log_matrix, summed as
+    sum_{j > 1} L_1j L_j1 so that the diagonal never enters."""
+    log_matrix = _log_matrix(spec)
+    return 0.25 * (trigamma(1.0) + float(log_matrix[0, 1:] @ log_matrix[1:, 0]))
 
 
 def _low_cut(log_c):

@@ -418,6 +418,19 @@ class TestMainEndToEnd:
         assert main(["compare", "--ensemble", spec, "--N", "100", "--k-max", "1"]) == 2
         assert capsys.readouterr().err == "error: non-finite increment at step 1\n"
 
+    def test_general_sigma_complex_wide_spectrum(self, tmp_path):
+        # powers of y up to y^2 = 1e600 overflow a double; L is built on
+        # y / y_max, so every row is finite (see tests/test_sigma.py)
+        spec = ('{"kind":"general_sigma_gaussian","beta":2,'
+                '"sigma_inv_eigenvalues":[1.0,1e200,1e300]}')
+        out = tmp_path / "theory.json"
+        assert main(["theory", "--ensemble", spec, "--format", "json",
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["i"] for row in rows] == [1, 2, 3]
+        assert all(math.isfinite(row["mu"]) for row in rows)
+        assert math.isfinite(rows[0]["n_sigma2"])
+
     @pytest.mark.parametrize("command", ["theory", "compare"])
     @pytest.mark.parametrize("beta", [1, 4])
     def test_general_sigma_quadrature_failure_exits_2(self, command, beta, capsys):

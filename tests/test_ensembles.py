@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,16 @@ def step_by_step_schedule(proportions, steps):
     return out
 
 
+def every_candidate_schedule(proportions, steps):
+    """The quota schedule from ``steps`` due times (j + 0.5)/p of every live
+    type, the smallest ``steps`` of them in stable order: T x steps
+    candidates, which always hold every pick."""
+    live = [s for s, p in enumerate(proportions) if p > 0]
+    due = np.concatenate([(np.arange(steps) + 0.5) / proportions[s] for s in live])
+    order = np.argsort(due, kind="stable")[:steps]
+    return np.repeat(np.array(live, dtype=np.uint8), steps)[order]
+
+
 class TestOneCallStreams:
     """A stream keeps its ensemble and its generator and nothing else: the
     types of every call start at step 1, for mixture and rectangular streams
@@ -392,6 +403,33 @@ class TestRectangularSchedule:
         seq = _quota_schedule(proportions, steps)
         assert seq.dtype == np.uint8
         assert seq.tolist() == expected
+
+    def test_matches_every_candidate_schedule(self):
+        # random shares, some zero, from spread to one dominant type, and
+        # step counts from 0 up: the bounded candidate lists lose no pick
+        rng = np.random.default_rng(60)
+        for _ in range(400):
+            types = int(rng.integers(1, 12))
+            p = rng.dirichlet(np.full(types, rng.choice([0.2, 1.0, 5.0])))
+            if types > 1 and rng.random() < 0.3:
+                p[rng.integers(types)] = 0.0
+                p /= p.sum()
+            proportions = tuple(float(v) for v in p)
+            steps = int(rng.integers(0, 2000))
+            np.testing.assert_array_equal(_quota_schedule(proportions, steps),
+                                          every_candidate_schedule(proportions, steps))
+
+    def test_memory_is_linear_in_steps_plus_types(self):
+        # T x N due times would be 195 MiB for 256 classes at N = 1e5; the
+        # schedule needs about N + T/2 of them
+        tracemalloc.start()
+        try:
+            seq = _quota_schedule((1 / 256,) * 256, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.bincount(seq).tolist() == [391] * 160 + [390] * 96
+        assert peak <= 8 * 2**20, peak
 
     def test_256_offset_classes_run_and_257_are_rejected(self):
         # the schedule's type indices are uint8, so 256 classes is the limit

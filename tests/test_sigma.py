@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,32 @@ def random_distinct_spec(rng, d, lo=0.2, hi=5.0, min_sep=0.05):
         y = np.sort(rng.uniform(lo, hi, size=d))
         if d == 1 or np.all((y[1:] - y[:-1]) / y[1:] > min_sep):
             return SigmaSpec(tuple(y))
+
+
+def sweep_spectrum(rng, d, lo=0.2, hi=5.0, min_gap=0.05):
+    """Eigenvalues drawn log-uniformly from [lo, hi], pairwise relative gaps
+    of at least min_gap (the general-covariance grid of theory-sweep)."""
+    while True:
+        y = np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi), size=d)))
+        if np.all((y[1:] - y[:-1]) / y[1:] >= min_gap):
+            return tuple(float(v) for v in y)
+
+
+def mp_spectrum_complex(y, digits=50):
+    """mu_k = psi(k)/2 - L_kk/2 from L = V diag(log y) V^-1, V_pl = y_l^p,
+    formed and inverted in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        ys = [mpmath.mpf(v) for v in y]
+        vander = mpmath.matrix([[v ** p for v in ys] for p in range(len(ys))])
+        log_matrix = vander * mpmath.diag([mpmath.log(v) for v in ys]) * vander ** -1
+        return [float(mpmath.digamma(k + 1) / 2 - log_matrix[k, k] / 2) for k in range(len(ys))]
+
+
+def trace_identity(y):
+    """sum_k mu_k = sum_k psi(k)/2 - (1/2) sum_k log y_k at beta = 2."""
+    return (math.fsum(0.5 * digamma(k) for k in range(1, len(y) + 1))
+            - 0.5 * math.fsum(math.log(v) for v in y))
 
 
 def mp_j_integrals(beta, y, digits=20):
@@ -113,6 +140,32 @@ class TestSpectrumComplex:
             sigma_spectrum_complex(SigmaSpec((1.0, 1.0)))
 
 
+#: beta = 2 spectra some of whose powers y^p over- or underflow a double.
+WIDE_SPECTRA = [(5e-324, 1.0), (1e-300, 1e-10, 1.0), (1.0, 1e200, 1e300)]
+
+
+class TestComplexWideAndAccurate:
+    @pytest.mark.parametrize("y", WIDE_SPECTRA, ids=repr)
+    def test_wide_spectra_match_quadrature_and_trace(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = sigma_spectrum_complex(y)
+            var = sigma_variance1_complex(y)
+        assert all(math.isfinite(v) for v in mu) and math.isfinite(var)
+        mu1, var1 = kargin_top(2, y)
+        assert abs(mu[0] - mu1) <= 1e-8 and abs(var - var1) <= 1e-8
+        assert abs(math.fsum(mu) - trace_identity(y)) <= 1e-9
+
+    def test_d10_sweep_spectra_match_50_digit_matrix(self):
+        rng = np.random.default_rng(24)
+        worst = 0.0
+        for _ in range(60):
+            y = sweep_spectrum(rng, 10)
+            got = sigma_spectrum_complex(y)
+            worst = max(worst, max(abs(a - b) for a, b in zip(got, mp_spectrum_complex(y))))
+        assert worst <= 1e-9, worst
+
+
 class TestVariance1Complex:
     def test_quarter_scale_value(self):
         v = sigma_variance1_complex(SigmaSpec((1.0, 0.25)))
@@ -194,17 +247,20 @@ def test_cli_import_leaves_out_scipy_integrate():
     src = str(Path(lyaprod.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    # no module of the package imports scipy (see also the test below)
+    # no module of the package imports scipy (see also the test below), nor
+    # mpmath, which only the tests use
     code = ("import sys, lyaprod.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules]"
+            " + [m for m in sys.modules if m.partition('.')[0] == 'mpmath'])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
 def test_compare_leaves_out_scipy_linalg_and_integrate():
-    # both kernels, the stability run and the theory step with numpy alone:
-    # no module under scipy is loaded
+    # both kernels, the stability run and the theory steps, real and complex
+    # general covariance, with numpy alone: no module under scipy or mpmath
+    # is loaded
     src = str(Path(lyaprod.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -218,7 +274,9 @@ def test_compare_leaves_out_scipy_linalg_and_integrate():
             "stability_exponents(StandardGaussian(2, 2), 50, chain_rng(5, 1))\n"
             "main(['theory', '--ensemble', '{\"kind\":\"general_sigma_gaussian\",\"beta\":1,"
             "\"sigma_inv_eigenvalues\":[0.5,2.0]}', '--out', os.devnull])\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+            "main(['theory', '--ensemble', '{\"kind\":\"general_sigma_gaussian\",\"beta\":2,"
+            "\"sigma_inv_eigenvalues\":[0.5,2.0,3.0]}', '--out', os.devnull])\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'mpmath')))")
     specs = ['{"kind":"standard_gaussian","beta":2,"d":2}',
              '{"kind":"truncated_unitary","beta":1,"d":2,"n":2}']
     out = subprocess.run([sys.executable, "-c", code, *specs], env=env,
