@@ -12,7 +12,7 @@ from .theory import (RectangularSpec, TheorySpectrum,
                      gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
                      truncated_unitary_spectrum)
 from .sigma import (JPair, SigmaSpec, j_integrals, kargin_mu1, kargin_top,
-                    residue_j_sums, sigma_spectrum_complex, sigma_variance1_complex)
+                    residue_j_sums, sigma_spectrum_complex)
 from .ensembles import (ENSEMBLES, Ensemble, FactorStream,
                         GaussianInverseMixture, GeneralSigmaGaussian,
                         InverseGaussian, RectangularGaussian, StandardGaussian,
@@ -26,7 +26,7 @@ __all__ = [
     "TheorySpectrum", "RectangularSpec",
     "gaussian_spectrum", "rectangular_spectrum", "mixture_spectrum",
     "truncated_unitary_spectrum",
-    "SigmaSpec", "JPair", "sigma_spectrum_complex", "sigma_variance1_complex",
+    "SigmaSpec", "JPair", "sigma_spectrum_complex",
     "j_integrals", "residue_j_sums", "kargin_top", "kargin_mu1",
     "Ensemble", "ENSEMBLES",
     "StandardGaussian", "GeneralSigmaGaussian", "InverseGaussian",

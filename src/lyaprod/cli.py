@@ -28,7 +28,7 @@ from . import __version__
 from .ensembles import ENSEMBLES, chain_rng
 from .montecarlo import estimate, spectral_ratio_samples
 from .sigma import (DistinctnessError, QuadratureError, SigmaSpec, kargin_top,
-                    sigma_spectrum_complex, sigma_variance1_complex)
+                    sigma_spectrum_complex)
 from .theory import (RectangularSpec, _check_int,
                      gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
                      truncated_unitary_spectrum)
@@ -134,51 +134,37 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def theory_rows(spec):
-    """(i, mu_i, N sigma_i^2 or None) rows for every index the theory covers."""
+    """The TheorySpectrum of ``spec``, over the indices 1..m its theory covers."""
     try:
-        rows = _THEORY[spec.kind]
+        spectrum = _THEORY[spec.kind]
     except KeyError:
         raise CliError(f"no closed form registered for {spec!r}")
-    return rows(spec)
+    return spectrum(spec)
 
 
-def _spectrum_rows(th):
-    return [(i + 1, th.mu[i], th.n_sigma2[i]) for i in range(th.d)]
-
-
-def _general_sigma_rows(spec):
+def _general_sigma_spectrum(spec):
+    # Real and quaternion entries: the unitary-group integral behind L has no
+    # orthogonal/symplectic analogue, so only mu_1 is known (contour route).
     y = spec.sigma_inv_eigenvalues
-    if spec.beta == 2:
-        try:
-            mu = sigma_spectrum_complex(y)
-            var1 = sigma_variance1_complex(y)
-        except DistinctnessError as exc:
-            raise CliError(f"the beta=2 general-covariance formulas need distinct "
-                           f"Sigma^-1 eigenvalues: {exc}")
-        return [(k + 1, mu[k], var1 if k == 0 else None) for k in range(spec.d)]
-    # Real and quaternion entries: the unitary-group integral behind the
-    # full-spectrum determinant formula has no orthogonal/symplectic
-    # analogue, so only the largest exponent is available (contour route).
     try:
-        return [(1, *kargin_top(spec.beta, y))]
+        return sigma_spectrum_complex(y) if spec.beta == 2 else kargin_top(spec.beta, y)
+    except DistinctnessError as exc:
+        raise CliError(f"the beta=2 general-covariance formulas need distinct "
+                       f"Sigma^-1 eigenvalues: {exc}")
     except QuadratureError as exc:
         raise CliError(f"the general-covariance quadrature failed: {exc}")
 
 
-#: The rows of each ensemble kind.  The entries look the closed forms up
+#: The spectrum of each ensemble kind.  The entries look the closed forms up
 #: among this module's globals at call time, so a wrapper set on those names
 #: (bench/layers.py sets one) sees every call theory_rows makes.
 _THEORY = {
-    "standard_gaussian": lambda s: _spectrum_rows(gaussian_spectrum(s.beta, s.d)),
-    "inverse_gaussian": lambda s: _spectrum_rows(
-        mixture_spectrum(s.beta, s.d, 0.0)),
-    "gaussian_inverse_mixture": lambda s: _spectrum_rows(
-        mixture_spectrum(s.beta, s.d, s.alpha_plus)),
-    "rectangular_gaussian": lambda s: _spectrum_rows(
-        rectangular_spectrum(s.beta, s.d, s.shapes)),
-    "truncated_unitary": lambda s: _spectrum_rows(
-        truncated_unitary_spectrum(s.beta, s.d, s.n)),
-    "general_sigma_gaussian": _general_sigma_rows,
+    "standard_gaussian": lambda s: gaussian_spectrum(s.beta, s.d),
+    "inverse_gaussian": lambda s: mixture_spectrum(s.beta, s.d, 0.0),
+    "gaussian_inverse_mixture": lambda s: mixture_spectrum(s.beta, s.d, s.alpha_plus),
+    "rectangular_gaussian": lambda s: rectangular_spectrum(s.beta, s.d, s.shapes),
+    "truncated_unitary": lambda s: truncated_unitary_spectrum(s.beta, s.d, s.n),
+    "general_sigma_gaussian": _general_sigma_spectrum,
 }
 
 
@@ -188,9 +174,10 @@ _THEORY = {
 
 def cmd_theory(config):
     t0 = time.perf_counter()
-    rows = [dict(zip(THEORY_HEADER, r)) for r in theory_rows(config.ensemble)]
+    th = theory_rows(config.ensemble)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return rows, {"seed": config.seed, "wall_ms": wall_ms, "redraws": 0, "version": __version__}
+    rows = [dict(zip(THEORY_HEADER, r)) for r in zip(range(1, th.d + 1), th.mu, th.n_sigma2)]
+    return rows, _meta(config.seed, wall_ms)
 
 
 def _run_estimate(config):
@@ -214,32 +201,28 @@ def cmd_simulate(config):
                   est.partial_sum_mu[i], est.partial_sum_n_sigma2[i])))
         for i in range(config.k_max)
     ]
-    return rows, _meta(config, wall_ms)
+    return rows, _meta(config.seed, wall_ms, config.chains * config.N)
 
 
-def _covered(theory, k_max):
-    """Theory rows by index; a CliError unless they cover indices 1..k_max,
-    none with a zero variance: constant increments leave the Monte Carlo
-    only rounding noise, so a z-score would grow like sqrt(N)."""
-    covered = {i: (mu, ns2) for i, mu, ns2 in theory}
-    missing = [i for i in range(1, k_max + 1) if i not in covered]
-    if missing:
+def _covered(th, k_max):
+    """A CliError unless the spectrum ``th`` covers indices 1..k_max, none
+    with a zero variance: constant increments leave the Monte Carlo only
+    rounding noise, so a z-score would grow like sqrt(N)."""
+    m = len(th.mu)
+    if k_max > m:
         raise CliError(
-            f"theory covers only indices {sorted(covered)} for this ensemble; "
-            f"rerun with k_max <= {max(covered)} (missing {missing})")
-    for i in range(1, k_max + 1):
-        if covered[i][1] == 0:
-            raise CliError(f"n_sigma2 theory at index {i} is 0: the increments are "
-                           "constant, so there is no z-score to gate")
-    return covered
+            f"theory covers only indices {list(range(1, m + 1))} for this ensemble; "
+            f"rerun with k_max <= {m} (missing {list(range(m + 1, k_max + 1))})")
+    if 0 in th.n_sigma2[:k_max]:
+        raise CliError(f"n_sigma2 theory at index {th.n_sigma2.index(0) + 1} is 0: the "
+                       "increments are constant, so there is no z-score to gate")
 
 
-def comparison_rows(theory, est, k_max):
-    """Join theory rows with an McEstimate; z = (mu_mc - mu_theory) / se."""
-    covered = _covered(theory, k_max)
+def comparison_rows(th, est, k_max):
+    """Join the spectrum ``th``, which covers indices 1..k_max (_covered),
+    with an McEstimate; z = (mu_mc - mu_theory) / se."""
     rows = []
-    for i in range(1, k_max + 1):
-        mu_t, ns2_t = covered[i]
+    for i, mu_t, ns2_t in zip(range(1, k_max + 1), th.mu, th.n_sigma2):
         mu_mc = float(est.mu_hat[i - 1])
         se = float(est.se_mu[i - 1])
         if not se > 0.0:
@@ -256,12 +239,12 @@ def comparison_rows(theory, est, k_max):
 
 
 def cmd_compare(config):
-    theory = theory_rows(config.ensemble)
-    _covered(theory, config.k_max)  # fail before the estimate, not after it
+    th = theory_rows(config.ensemble)
+    _covered(th, config.k_max)  # fail before the estimate, not after it
     est, wall_ms = _run_estimate(config)
-    rows = comparison_rows(theory, est, config.k_max)
+    rows = comparison_rows(th, est, config.k_max)
     status = 1 if any(abs(r["z"]) > Z_GATE for r in rows) else 0
-    return rows, _meta(config, wall_ms), status
+    return rows, _meta(config.seed, wall_ms, config.chains * config.N), status
 
 
 def cmd_ratio(beta, d, samples, seed):
@@ -274,17 +257,17 @@ def cmd_ratio(beta, d, samples, seed):
     wall_ms = (time.perf_counter() - t0) * 1e3
     rows = [dict(zip(RATIO_HEADER, (int(beta), int(d), int(samples), float(ratios.mean()),
                                     float(ratios.min()), 2.0)))]
-    return rows, {"seed": int(seed), "wall_ms": wall_ms, "redraws": 0, "version": __version__}
+    return rows, _meta(int(seed), wall_ms)
 
 
-def _meta(config, wall_ms):
-    """Run metadata; steps_per_s counts chain-steps (chains x N) per second of the estimate.
-
-    redraws is always 0, as for theory and ratio: no draw is ever skipped.
-    The benchmark's worker (bench/worker.py) still reads it."""
-    return {"seed": config.seed, "wall_ms": wall_ms, "redraws": 0,
-            "version": __version__,
-            "steps_per_s": config.chains * config.N / (wall_ms * 1e-3)}
+def _meta(seed, wall_ms, steps=None):
+    """Run metadata of every command; with ``steps``, the chain-steps (chains
+    x N) of an estimate, also steps_per_s.  redraws is always 0 (no draw is
+    ever skipped); the benchmark's worker (bench/worker.py) still reads it."""
+    meta = {"seed": seed, "wall_ms": wall_ms, "redraws": 0, "version": __version__}
+    if steps is not None:
+        meta["steps_per_s"] = steps / (wall_ms * 1e-3)
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +275,6 @@ def _meta(config, wall_ms):
 # ---------------------------------------------------------------------------
 
 def _fmt(value):
-    if value is None:
-        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".15g")

@@ -3,14 +3,14 @@
 The covariance enters only through the eigenvalues y_1..y_d of Sigma^{-1}
 (unitary invariance), so a SigmaSpec is just that eigenvalue list.
 
-Two independent routes are provided and cross-checked in the tests:
+Two independent routes, each returning a TheorySpectrum, are cross-checked:
 
-* complex entries (beta = 2) only: the full spectrum and the top variance
-  from the one matrix L = V diag(log y) V^-1, V_pl = y_l^p, the logarithm
-  of the companion-type matrix V diag(y) V^-1 (see sigma_spectrum_complex;
-  distinct eigenvalues only);
-* any beta in {1, 2, 4}: the top exponent and variance from the real
-  integrals
+* complex entries (beta = 2) only: every exponent mu_k and variance
+  N sigma_k^2 from the one matrix L = V diag(log y) V^-1, V_pl = y_l^p,
+  the logarithm of the companion-type matrix V diag(y) V^-1 (see
+  sigma_spectrum_complex; distinct, unclustered eigenvalues only);
+* any beta in {1, 2, 4}: the top exponent and variance (kargin_top) from
+  the real integrals
 
       J1 = -int_0^inf (chi_{x in (0,1)} - prod_i (1 + x/y_i)^(-beta/2)) dx / x
       J2 = 2 int_0^inf (chi_{x in (0,1)} - prod_i (1 + x/y_i)^(-beta/2)) log(x)/x dx + pi^2/3
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import EULER_GAMMA, PI2_OVER_6, digamma, harmonic, trigamma
-from .theory import _check_beta, _check_int, _check_real
+from .theory import TheorySpectrum, _check_beta, _check_int, _check_real
 
 __all__ = [
     "SigmaSpec",
@@ -45,7 +45,6 @@ __all__ = [
     "DistinctnessError",
     "QuadratureError",
     "sigma_spectrum_complex",
-    "sigma_variance1_complex",
     "j_integrals",
     "residue_j_sums",
     "kargin_top",
@@ -54,6 +53,9 @@ __all__ = [
 
 #: Minimum pairwise relative separation required by the determinant formulas.
 DISTINCTNESS_TOL = 1e-8
+
+#: Largest admitted rounding error bound on a diagonal entry of L (_log_matrix).
+LOG_MATRIX_TOL = 1e-4
 
 #: Absolute error target for each J integral.
 QUADRATURE_TARGET = 1e-10
@@ -121,6 +123,11 @@ def _log_matrix(spec):
     On z = y / y_max it returns L(z) + log(y_max) I = D L(y) D^-1 (D =
     diag(y_max^-p): same diagonal and L_ij L_ji), with the logs centred on
     c = (log y_min + log y_max)/2, which halves the largest term of each sum.
+
+    Row l of W has relative error at most r_l = eps (4d + sum_{m != l} (z_l +
+    z_m) / |z_l - z_m|), so L_kk errs by at most sum_l |z_l^k (log y_l - c)
+    W_lk| r_l; clustered y that pass require_distinct can push that bound
+    past LOG_MATRIX_TOL, which raises DistinctnessError.
     """
     if not isinstance(spec, SigmaSpec):
         spec = SigmaSpec(tuple(spec))
@@ -139,29 +146,36 @@ def _log_matrix(spec):
     w = e[:, ::-1] * (-1.0) ** np.arange(d - 1, -1, -1) / np.prod(diff, axis=1)[:, None]
     log_y = np.log(y)
     c = 0.5 * float(log_y[0] + log_y[-1])
-    return (z ** np.arange(d)[:, None] * (log_y - c)) @ w + c * np.eye(d)
+    left = z ** np.arange(d)[:, None] * (log_y - c)
+    spread = (z[:, None] + z) / np.abs(diff)
+    np.fill_diagonal(spread, 0.0)
+    bound = np.finfo(float).eps * float(
+        (np.abs(left * w.T) @ (4 * d + spread.sum(axis=1))).max())
+    if bound > LOG_MATRIX_TOL:
+        raise DistinctnessError(f"eigenvalues {spec.y!r} too clustered: the error bound "
+                                f"{bound:.3e} on L exceeds {LOG_MATRIX_TOL}")
+    return left @ w + c * np.eye(d)
 
 
 def sigma_spectrum_complex(spec):
-    """Full Lyapunov spectrum for beta = 2 and general covariance.
+    """Full Lyapunov spectrum and variances for beta = 2 and general covariance.
 
     mu_k = psi(k)/2 - r_k/2, r_k the ratio of the Vandermonde determinant in
     y with row k replaced by (log y_j) y_j^(k-1) to the plain one.  Cramer's
     rule makes r_k the diagonal entry L_kk of L = V diag(log y) V^-1
     (_log_matrix), built on z = y / y_max so that no power of y overflows.
-    V^-1 divides by the differences y_l - y_m, so the eigenvalues must be
-    distinct (DistinctnessError).
+    The same L gives N sigma_k^2 = (psi'(1) + H^(2)_(k-1) + sum_{j != k} L_kj
+    L_jk)/4 (the increments' joint Mellin transform, twice log-differentiated).
+    Clustered eigenvalues raise DistinctnessError: V^-1 divides by y_l - y_m.
     """
-    return tuple(-0.5 * float(r) + 0.5 * digamma(float(k))
-                 for k, r in enumerate(np.diagonal(_log_matrix(spec)), start=1))
-
-
-def sigma_variance1_complex(spec):
-    """N sigma_1^2 for beta = 2 and general covariance (distinct eigenvalues):
-    (psi'(1) + (L^2)_11 - L_11^2)/4, L from _log_matrix, summed as
-    sum_{j > 1} L_1j L_j1 so that the diagonal never enters."""
-    log_matrix = _log_matrix(spec)
-    return 0.25 * (trigamma(1.0) + float(log_matrix[0, 1:] @ log_matrix[1:, 0]))
+    lm = _log_matrix(spec)  # L
+    lt, d, psi1 = lm.T, len(lm), trigamma(1.0)  # lt[k] is column k of L
+    # off[k] = sum_{j != k} L_kj L_jk, from the two sides of the diagonal
+    off = [float(lm[k, :k].dot(lt[k, :k]) + lm[k, k + 1:].dot(lt[k, k + 1:])) for k in range(d)]
+    return TheorySpectrum(
+        beta=2, d=d,
+        mu=tuple(-0.5 * float(lm[k, k]) + 0.5 * digamma(float(k + 1)) for k in range(d)),
+        n_sigma2=tuple(0.25 * (psi1 + harmonic(k, 2) + off[k]) for k in range(d)))
 
 
 def _low_cut(log_c):
@@ -250,14 +264,18 @@ def residue_j_sums(beta, d):
 
 
 def kargin_top(beta, spec):
-    """(mu_1, N sigma_1^2) for any beta from one evaluation of the J integrals:
-    mu_1 = (-gamma + log(2/beta) - J1)/2 and N sigma_1^2 = (pi^2/6 - J2 - J1^2)/4."""
+    """The spectrum of index 1 alone, for any beta, from one evaluation of the
+    J integrals: mu_1 = (-gamma + log(2/beta) - J1)/2 and
+    N sigma_1^2 = (pi^2/6 - J2 - J1^2)/4."""
     beta = _check_beta(beta)
+    if not isinstance(spec, SigmaSpec):
+        spec = SigmaSpec(tuple(spec))
     pair = j_integrals(beta, spec)
-    return (0.5 * (-EULER_GAMMA + math.log(2.0 / beta) - pair.J1),
-            0.25 * (PI2_OVER_6 - pair.J2 - pair.J1 * pair.J1))
+    return TheorySpectrum(beta=beta, d=spec.d,
+                          mu=(0.5 * (-EULER_GAMMA + math.log(2.0 / beta) - pair.J1),),
+                          n_sigma2=(0.25 * (PI2_OVER_6 - pair.J2 - pair.J1 * pair.J1),))
 
 
 def kargin_mu1(beta, spec):
     """Largest Lyapunov exponent, any beta: mu_1 = (-gamma + log(2/beta) - J1)/2."""
-    return kargin_top(beta, spec)[0]
+    return kargin_top(beta, spec).mu[0]

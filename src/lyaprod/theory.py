@@ -108,9 +108,9 @@ def _check_truncation(n):
 
 @dataclass(frozen=True)
 class TheorySpectrum:
-    """Exact Lyapunov exponents mu (descending) and N-scaled variances, and
-    ``laws``, entry t the increment law of quota-schedule type t (see
-    _law_spectrum)."""
+    """Exact Lyapunov exponents mu (descending) and N-scaled variances of the
+    indices 1..m, 1 <= m <= d, that a theory route covers, and ``laws``,
+    entry t the increment law of quota-schedule type t (see _law_spectrum)."""
 
     beta: int
     d: int
@@ -119,8 +119,8 @@ class TheorySpectrum:
     laws: tuple = ()
 
     def __post_init__(self):
-        if len(self.mu) != self.d or len(self.n_sigma2) != self.d:
-            raise ValueError("mu and n_sigma2 must both have length d")
+        if not 1 <= len(self.mu) == len(self.n_sigma2) <= self.d:
+            raise ValueError("mu and n_sigma2 must have one length m, 1 <= m <= d")
 
 
 @dataclass(frozen=True)

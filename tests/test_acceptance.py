@@ -18,7 +18,7 @@ from lyaprod.montecarlo import (estimate, spectral_ratio_samples,
                                 stability_exponents)
 from lyaprod.sigma import (SigmaSpec, j_integrals, kargin_mu1,
                            kargin_top, residue_j_sums,
-                           sigma_spectrum_complex, sigma_variance1_complex)
+                           sigma_spectrum_complex)
 from lyaprod.theory import (RectangularSpec, gaussian_spectrum,
                             mixture_spectrum, rectangular_spectrum,
                             truncated_unitary_spectrum)
@@ -44,9 +44,9 @@ def test_criterion_1_truncated_unitary_closed_forms():
 def test_criterion_2_general_sigma_variance():
     spec = SigmaSpec((1.0, 0.25))
     exact = math.pi**2 / 24.0 - (4.0 / 9.0) * math.log(2.0) ** 2
-    direct = sigma_variance1_complex(spec)
+    direct = sigma_spectrum_complex(spec).n_sigma2[0]
     assert abs(direct - exact) <= 1e-12
-    via_contour = kargin_top(2, spec)[1]
+    via_contour = kargin_top(2, spec).n_sigma2[0]
     assert abs(via_contour - exact) <= 1e-8
     report("criterion 2", f"N*s2_1 = {direct:.12f} (exact {exact:.12f})")
 
@@ -81,8 +81,9 @@ def test_criterion_4_cross_formula_consistency():
             if d == 1 or np.all((y[1:] - y[:-1]) / y[1:] > 0.02):
                 break
         spec = SigmaSpec(tuple(y))
-        worst_mu = max(worst_mu, abs(kargin_mu1(2, spec) - sigma_spectrum_complex(spec)[0]))
-        worst_var = max(worst_var, abs(kargin_top(2, spec)[1] - sigma_variance1_complex(spec)))
+        th = sigma_spectrum_complex(spec)
+        worst_mu = max(worst_mu, abs(kargin_mu1(2, spec) - th.mu[0]))
+        worst_var = max(worst_var, abs(kargin_top(2, spec).n_sigma2[0] - th.n_sigma2[0]))
     assert worst_mu <= 1e-8 and worst_var <= 1e-8
 
     worst_j = 0.0

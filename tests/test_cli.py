@@ -18,6 +18,7 @@ from lyaprod.ensembles import (ENSEMBLES, FactorStream, StandardGaussian,
                                TruncatedUnitary, chain_rng)
 from lyaprod.montecarlo import estimate
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6
+from lyaprod.theory import TheorySpectrum
 
 TRUNC = '{"kind":"truncated_unitary","beta":2,"d":2,"n":2}'
 GAUSS_21 = '{"kind":"standard_gaussian","beta":2,"d":1}'
@@ -133,7 +134,7 @@ class TestRegistry:
         spec = ensemble_from_dict(obj)
         assert type(spec) is cls
         assert json.dumps(ensemble_to_dict(spec)) == json.dumps(obj)
-        assert len(theory_rows(spec)) >= 1
+        assert len(theory_rows(spec).mu) >= 1
         assert len(list(FactorStream(spec, chain_rng(60, 0)).factors(3))) == 3
 
 
@@ -141,32 +142,41 @@ class TestTheoryRows:
     def test_table_covers_every_kind(self):
         assert set(cli._THEORY) == set(ENSEMBLES)
 
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+    def test_every_kind_returns_one_spectrum_type(self, kind, beta):
+        # one result type for every theory route: a TheorySpectrum covering
+        # indices 1..m, m <= d, with a number (never None) for each
+        obj = dict(TestRegistry.EXAMPLES[kind], beta=beta)
+        th = theory_rows(ensemble_from_dict(obj))
+        assert type(th) is TheorySpectrum and th.beta == beta
+        assert 1 <= len(th.mu) == len(th.n_sigma2) <= th.d
+        assert all(isinstance(v, float) and math.isfinite(v) for v in th.mu + th.n_sigma2)
+
     def test_truncated_exact_values(self):
-        rows = theory_rows(ensemble_from_dict(json.loads(TRUNC)))
-        assert rows[0][0] == 1
-        assert rows[0][1] == pytest.approx(-5.0 / 12.0, abs=1e-13)
-        assert rows[0][2] == pytest.approx(13.0 / 144.0, abs=1e-13)
-        assert rows[1][1] == pytest.approx(-0.75, abs=1e-13)
-        assert rows[1][2] == pytest.approx(0.3125, abs=1e-13)
+        th = theory_rows(ensemble_from_dict(json.loads(TRUNC)))
+        assert th.mu == pytest.approx((-5.0 / 12.0, -0.75), abs=1e-13)
+        assert th.n_sigma2 == pytest.approx((13.0 / 144.0, 0.3125), abs=1e-13)
 
     def test_scalar_gaussian(self):
-        rows = theory_rows(StandardGaussian(2, 1))
-        assert rows == [(1, pytest.approx(-EULER_GAMMA / 2, abs=1e-14),
-                         pytest.approx(PI2_OVER_6 / 4, abs=1e-14))]
+        th = theory_rows(StandardGaussian(2, 1))
+        assert (th.mu, th.n_sigma2) == (pytest.approx((-EULER_GAMMA / 2,), abs=1e-14),
+                                        pytest.approx((PI2_OVER_6 / 4,), abs=1e-14))
 
     def test_general_sigma_complex_full_spectrum(self):
+        # at beta = 2 every index has a variance, none an empty CSV field
         spec = ensemble_from_dict({"kind": "general_sigma_gaussian", "beta": 2,
                                    "sigma_inv_eigenvalues": [1.0, 0.25]})
-        rows = theory_rows(spec)
-        assert len(rows) == 2
-        assert rows[0][2] == pytest.approx(0.19769884385952266, abs=1e-12)
-        assert rows[1][2] is None  # only the top variance has a closed form
+        th = theory_rows(spec)
+        assert len(th.mu) == 2
+        assert th.n_sigma2[0] == pytest.approx(0.19769884385952266, abs=1e-12)
+        assert th.n_sigma2[1] == pytest.approx(0.447699, abs=1e-6)
 
     def test_general_sigma_real_single_row(self):
         spec = ensemble_from_dict({"kind": "general_sigma_gaussian", "beta": 1,
                                    "sigma_inv_eigenvalues": [1.0, 0.25]})
-        rows = theory_rows(spec)
-        assert len(rows) == 1 and rows[0][0] == 1
+        th = theory_rows(spec)
+        assert len(th.mu) == len(th.n_sigma2) == 1 and th.d == 2
 
     def test_general_sigma_real_runs_quadrature_once(self, monkeypatch):
         calls = []
@@ -179,10 +189,9 @@ class TestTheoryRows:
         monkeypatch.setattr(sigma, "j_integrals", counted)
         spec = ensemble_from_dict({"kind": "general_sigma_gaussian", "beta": 4,
                                    "sigma_inv_eigenvalues": [1.0, 0.25]})
-        rows = theory_rows(spec)
+        th = theory_rows(spec)
         assert len(calls) == 1
-        assert rows == [(1, sigma.kargin_mu1(4, spec.sigma_inv_eigenvalues),
-                         sigma.kargin_top(4, spec.sigma_inv_eigenvalues)[1])]
+        assert th == sigma.kargin_top(4, spec.sigma_inv_eigenvalues)
 
 
 class TestCommands:
@@ -209,7 +218,7 @@ class TestCommands:
         # harness self-test: join a simulation against the wrong dimension's
         # theory and require a loud z-score
         est = estimate(StandardGaussian(2, 2), 2, 20_000, 1, 8)
-        wrong = theory_rows(StandardGaussian(2, 3))[:2]
+        wrong = theory_rows(StandardGaussian(2, 3))
         rows = comparison_rows(wrong, est, 2)
         assert any(abs(r["z"]) > Z_GATE for r in rows)
 
@@ -428,8 +437,7 @@ class TestMainEndToEnd:
                      "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["rows"]
         assert [row["i"] for row in rows] == [1, 2, 3]
-        assert all(math.isfinite(row["mu"]) for row in rows)
-        assert math.isfinite(rows[0]["n_sigma2"])
+        assert all(math.isfinite(row["mu"]) and math.isfinite(row["n_sigma2"]) for row in rows)
 
     @pytest.mark.parametrize("command", ["theory", "compare"])
     @pytest.mark.parametrize("beta", [1, 4])

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6, digamma, trigamma
 import lyaprod
+from lyaprod.cli import main
+from lyaprod.ensembles import GeneralSigmaGaussian, chain_rng
+from lyaprod.montecarlo import run_chain
 from lyaprod.sigma import (DistinctnessError, QuadratureError, SigmaSpec,
                            j_integrals, kargin_mu1, kargin_top,
-                           residue_j_sums, sigma_spectrum_complex,
-                           sigma_variance1_complex)
+                           residue_j_sums, sigma_spectrum_complex)
 from lyaprod.theory import gaussian_spectrum
 
 
@@ -35,14 +37,19 @@ def sweep_spectrum(rng, d, lo=0.2, hi=5.0, min_gap=0.05):
 
 
 def mp_spectrum_complex(y, digits=50):
-    """mu_k = psi(k)/2 - L_kk/2 from L = V diag(log y) V^-1, V_pl = y_l^p,
-    formed and inverted in mpmath."""
+    """(mu, N sigma^2) lists: mu_k = psi(k)/2 - L_kk/2 and N sigma_k^2 =
+    (psi'(1) + H^(2)_(k-1) + (L^2)_kk - L_kk^2)/4, from L = V diag(log y)
+    V^-1, V_pl = y_l^p, formed and inverted in mpmath."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
         ys = [mpmath.mpf(v) for v in y]
         vander = mpmath.matrix([[v ** p for v in ys] for p in range(len(ys))])
         log_matrix = vander * mpmath.diag([mpmath.log(v) for v in ys]) * vander ** -1
-        return [float(mpmath.digamma(k + 1) / 2 - log_matrix[k, k] / 2) for k in range(len(ys))]
+        square = log_matrix * log_matrix
+        mu = [float(mpmath.digamma(k + 1) / 2 - log_matrix[k, k] / 2) for k in range(len(ys))]
+        var = [float((mpmath.psi(1, 1) + mpmath.fsum(mpmath.mpf(s) ** -2 for s in range(1, k + 1))
+                      + square[k, k] - log_matrix[k, k] ** 2) / 4) for k in range(len(ys))]
+        return mu, var
 
 
 def trace_identity(y):
@@ -104,14 +111,14 @@ class TestSigmaSpec:
 
 class TestSpectrumComplex:
     def test_two_eigenvalue_closed_form(self):
-        mu = sigma_spectrum_complex(SigmaSpec((1.0, 0.25)))
+        mu = sigma_spectrum_complex(SigmaSpec((1.0, 0.25))).mu
         expected = (4.0 / 3.0) * math.log(2.0) - EULER_GAMMA / 2.0
         assert mu[0] == pytest.approx(expected, abs=1e-10)
         assert mu[0] == pytest.approx(0.6355884082958272, abs=1e-10)
 
     def test_scalar_case(self):
         for c in (0.5, 1.0, 3.0):
-            mu = sigma_spectrum_complex(SigmaSpec((c,)))
+            mu = sigma_spectrum_complex(SigmaSpec((c,))).mu
             assert mu[0] == pytest.approx(-0.5 * math.log(c) - EULER_GAMMA / 2.0, abs=1e-13)
 
     def test_symmetric_in_eigenvalues(self):
@@ -121,7 +128,7 @@ class TestSpectrumComplex:
     def test_identity_covariance_matches_gaussian(self):
         # y -> 1 limit: perturb slightly around 1 and compare with the
         # standard complex Gaussian spectrum
-        mu = sigma_spectrum_complex(SigmaSpec((1.0, 1.0001)))
+        mu = sigma_spectrum_complex(SigmaSpec((1.0, 1.0001))).mu
         th = gaussian_spectrum(2, 2)
         assert mu[0] == pytest.approx(th.mu[0], abs=1e-3)
         assert mu[1] == pytest.approx(th.mu[1], abs=1e-3)
@@ -130,7 +137,7 @@ class TestSpectrumComplex:
         # sum_k mu_k = sum_k psi(k)/2 + (1/2) log det Sigma
         rng = np.random.default_rng(3)
         spec = random_distinct_spec(rng, 4)
-        mu = sigma_spectrum_complex(spec)
+        mu = sigma_spectrum_complex(spec).mu
         expected = sum(0.5 * digamma(k) for k in range(1, 5)) \
             - 0.5 * math.fsum(math.log(v) for v in spec.y)
         assert math.fsum(mu) == pytest.approx(expected, abs=1e-9)
@@ -149,38 +156,89 @@ class TestComplexWideAndAccurate:
     def test_wide_spectra_match_quadrature_and_trace(self, y):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mu = sigma_spectrum_complex(y)
-            var = sigma_variance1_complex(y)
-        assert all(math.isfinite(v) for v in mu) and math.isfinite(var)
-        mu1, var1 = kargin_top(2, y)
-        assert abs(mu[0] - mu1) <= 1e-8 and abs(var - var1) <= 1e-8
-        assert abs(math.fsum(mu) - trace_identity(y)) <= 1e-9
+            th = sigma_spectrum_complex(y)
+        assert all(math.isfinite(v) for v in th.mu + th.n_sigma2)
+        top = kargin_top(2, y)
+        assert abs(th.mu[0] - top.mu[0]) <= 1e-8
+        assert abs(th.n_sigma2[0] - top.n_sigma2[0]) <= 1e-8
+        assert abs(math.fsum(th.mu) - trace_identity(y)) <= 1e-9
 
     def test_d10_sweep_spectra_match_50_digit_matrix(self):
         rng = np.random.default_rng(24)
-        worst = 0.0
+        worst_mu = worst_var = 0.0
         for _ in range(60):
             y = sweep_spectrum(rng, 10)
-            got = sigma_spectrum_complex(y)
-            worst = max(worst, max(abs(a - b) for a, b in zip(got, mp_spectrum_complex(y))))
-        assert worst <= 1e-9, worst
+            th = sigma_spectrum_complex(y)
+            mu, var = mp_spectrum_complex(y)
+            worst_mu = max(worst_mu, max(abs(a - b) for a, b in zip(th.mu, mu)))
+            worst_var = max(worst_var, max(abs(a - b) for a, b in zip(th.n_sigma2, var)))
+        assert worst_mu <= 1e-9 and worst_var <= 1e-9, (worst_mu, worst_var)
 
 
-class TestVariance1Complex:
-    def test_quarter_scale_value(self):
-        v = sigma_variance1_complex(SigmaSpec((1.0, 0.25)))
+#: Clustered beta = 2 spectra that require_distinct admits but no double
+#: precision L resolves: mu_1 of order -1e49, and mu off by 3.45 and 0.56.
+CLUSTERED_SPECTRA = {
+    "2e-8-d10": tuple(1.0 + 2e-8 * i for i in range(10)),
+    "1e-2-d10": tuple(1.0 + 0.01 * i for i in range(10)),
+    "1e-4-d5": tuple(1.0 + 1e-4 * i for i in range(5)),
+}
+
+
+class TestClusteredRefused:
+    @pytest.mark.parametrize("name", sorted(CLUSTERED_SPECTRA))
+    def test_refused(self, name):
+        spec = SigmaSpec(CLUSTERED_SPECTRA[name])
+        spec.require_distinct()  # the cheap pre-check admits it
+        with pytest.raises(DistinctnessError, match="too clustered"):
+            sigma_spectrum_complex(spec)
+
+    @pytest.mark.parametrize("name", sorted(CLUSTERED_SPECTRA))
+    def test_cli_exits_2(self, name, capsys):
+        spec = ('{"kind":"general_sigma_gaussian","beta":2,"sigma_inv_eigenvalues":%s}'
+                % list(CLUSTERED_SPECTRA[name]))
+        assert main(["theory", "--ensemble", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "too clustered" in err and err.count("\n") == 1
+
+    def test_sweep_spectra_admitted(self):
+        # the refusal bound stays far below its tolerance on the
+        # theory-sweep grid (eigenvalues in [0.2, 5], gaps >= 5%)
+        rng = np.random.default_rng(25)
+        for d in (8, 9, 10):
+            for _ in range(200):
+                sigma_spectrum_complex(sweep_spectrum(rng, d))
+
+
+class TestVariancesComplex:
+    def test_quarter_scale_values(self):
+        th = sigma_spectrum_complex(SigmaSpec((1.0, 0.25)))
         expected = PI2_OVER_6 / 4.0 - (4.0 / 9.0) * math.log(2.0) ** 2
-        assert v == pytest.approx(expected, abs=1e-13)
-        assert v == pytest.approx(0.19769884385952266, abs=1e-12)
+        assert th.n_sigma2[0] == pytest.approx(expected, abs=1e-13)
+        assert th.n_sigma2[0] == pytest.approx(0.19769884385952266, abs=1e-12)
+        # index 2 adds H^(2)_1 = 1 to psi'(1) and has the same L_12 L_21
+        assert th.n_sigma2[1] == pytest.approx(expected + 0.25, abs=1e-13)
 
     def test_scalar_case_scale_free(self):
         for c in (0.3, 1.0, 7.0):
-            assert sigma_variance1_complex(SigmaSpec((c,))) == \
-                pytest.approx(PI2_OVER_6 / 4.0, abs=1e-13)
+            assert sigma_spectrum_complex(SigmaSpec((c,))).n_sigma2 == \
+                pytest.approx((PI2_OVER_6 / 4.0,), abs=1e-13)
 
     def test_symmetric(self):
-        assert sigma_variance1_complex(SigmaSpec((2.0, 5.0))) == \
-            sigma_variance1_complex(SigmaSpec((5.0, 2.0)))
+        assert sigma_spectrum_complex(SigmaSpec((2.0, 5.0))) == \
+            sigma_spectrum_complex(SigmaSpec((5.0, 2.0)))
+
+    def test_run_chain_z_scores(self):
+        # every mean and every variance against 4 x 5e4 seeded increments;
+        # the variance's standard error comes from the fourth moment
+        y = (0.3, 1.0, 2.5)
+        th = sigma_spectrum_complex(y)
+        x = run_chain(GeneralSigmaGaussian(2, y), 3, 50_000,
+                      [chain_rng(20_251_019, c) for c in range(4)]).reshape(-1, 3)
+        n, mean, var = len(x), x.mean(axis=0), x.var(axis=0)
+        z_mu = (mean - th.mu) / np.sqrt(np.asarray(th.n_sigma2) / n)
+        fourth = ((x - mean) ** 4).mean(axis=0)
+        z_var = (var - th.n_sigma2) / np.sqrt((fourth - var ** 2) / n)
+        assert np.all(np.abs(z_mu) <= 4.0) and np.all(np.abs(z_var) <= 4.0), (z_mu, z_var)
 
 
 class TestJIntegrals:
@@ -319,23 +377,22 @@ class TestKarginRoute:
         assert mu1 == pytest.approx(0.5 * (math.log(2.0) - EULER_GAMMA), abs=1e-9)
 
     def test_variance_matches_trigamma(self):
-        v = kargin_top(2, SigmaSpec((1.0, 1.0, 1.0)))[1]
+        v = kargin_top(2, SigmaSpec((1.0, 1.0, 1.0))).n_sigma2[0]
         assert v == pytest.approx(0.25 * trigamma(3.0), abs=1e-9)
-        v = kargin_top(4, SigmaSpec((1.0,)))[1]
+        v = kargin_top(4, SigmaSpec((1.0,))).n_sigma2[0]
         assert v == pytest.approx(0.25 * trigamma(2.0), abs=1e-9)
 
     def test_contour_route_variance_value(self):
-        v = kargin_top(2, SigmaSpec((1.0, 0.25)))[1]
+        v = kargin_top(2, SigmaSpec((1.0, 0.25))).n_sigma2[0]
         assert v == pytest.approx(0.19769884385952266, abs=1e-8)
 
     def test_cross_formula_consistency(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
             spec = random_distinct_spec(rng, int(rng.integers(1, 6)))
-            assert kargin_mu1(2, spec) == pytest.approx(
-                sigma_spectrum_complex(spec)[0], abs=1e-8)
-            assert kargin_top(2, spec)[1] == pytest.approx(
-                sigma_variance1_complex(spec), abs=1e-8)
+            th = sigma_spectrum_complex(spec)
+            assert kargin_mu1(2, spec) == pytest.approx(th.mu[0], abs=1e-8)
+            assert kargin_top(2, spec).n_sigma2[0] == pytest.approx(th.n_sigma2[0], abs=1e-8)
 
     def test_all_beta_gaussian_reduction(self):
         # y = 1^d reduces to the standard Gaussian closed form for every beta
@@ -344,7 +401,7 @@ class TestKarginRoute:
                 spec = SigmaSpec((1.0,) * d)
                 th = gaussian_spectrum(beta, d)
                 assert kargin_mu1(beta, spec) == pytest.approx(th.mu[0], abs=1e-9)
-                assert kargin_top(beta, spec)[1] == pytest.approx(th.n_sigma2[0], abs=1e-9)
+                assert kargin_top(beta, spec).n_sigma2 == pytest.approx(th.n_sigma2[:1], abs=1e-9)
 
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
@@ -354,7 +411,8 @@ class TestKarginRoute:
         # N sigma_1^2 -> psi'(beta/2)/4; sum 1/y_i overflows at y_1 = 5e-324,
         # so the quadrature's low cut comes from its log
         from scipy.special import digamma as psi, polygamma
-        mu, var = kargin_top(beta, SigmaSpec((5e-324, 1.0)))
+        top = kargin_top(beta, SigmaSpec((5e-324, 1.0)))
+        (mu,), (var,) = top.mu, top.n_sigma2
         assert mu == pytest.approx(
             -0.5 * math.log(5e-324) + 0.5 * (psi(beta / 2) + math.log(2 / beta)), abs=1e-9)
         assert var == pytest.approx(0.25 * polygamma(1, beta / 2), abs=1e-9)
@@ -369,12 +427,11 @@ class TestScaleCovariance:
             c = float(rng.uniform(0.2, 4.0))
             scaled = SigmaSpec(tuple(c * v for v in spec.y))
             shift = -0.5 * math.log(c)
-            mu_a = sigma_spectrum_complex(spec)
-            mu_b = sigma_spectrum_complex(scaled)
-            for a, b in zip(mu_a, mu_b):
+            th_a = sigma_spectrum_complex(spec)
+            th_b = sigma_spectrum_complex(scaled)
+            for a, b in zip(th_a.mu, th_b.mu):
                 assert b == pytest.approx(a + shift, abs=1e-9)
-            assert sigma_variance1_complex(scaled) == pytest.approx(
-                sigma_variance1_complex(spec), abs=1e-9)
+            assert th_b.n_sigma2 == pytest.approx(th_a.n_sigma2, abs=1e-9)
 
     @given(st.floats(min_value=0.25, max_value=4.0),
            st.lists(st.floats(min_value=0.3, max_value=3.0), min_size=1, max_size=4))
@@ -384,5 +441,5 @@ class TestScaleCovariance:
         scaled = SigmaSpec(tuple(c * v for v in ys))
         assert kargin_mu1(2, scaled) == pytest.approx(
             kargin_mu1(2, spec) - 0.5 * math.log(c), abs=1e-9)
-        assert kargin_top(2, scaled)[1] == pytest.approx(
-            kargin_top(2, spec)[1], abs=1e-9)
+        assert kargin_top(2, scaled).n_sigma2 == pytest.approx(
+            kargin_top(2, spec).n_sigma2, abs=1e-9)

@@ -171,6 +171,15 @@ class TestTheorySpectrumType:
         with pytest.raises(ValueError):
             TheorySpectrum(beta=2, d=2, mu=(0.0,), n_sigma2=(0.0, 0.0))
 
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_covered_length_between_1_and_d(self, m):
+        with pytest.raises(ValueError):
+            TheorySpectrum(beta=2, d=2, mu=(0.0,) * m, n_sigma2=(0.0,) * m)
+
+    def test_leading_indices_only(self):
+        th = TheorySpectrum(beta=1, d=3, mu=(0.5,), n_sigma2=(0.25,))
+        assert (th.d, th.mu, th.n_sigma2) == (3, (0.5,), (0.25,))
+
     def test_partial_sums(self):
         th = truncated_unitary_spectrum(2, 2, 2)
         assert th.mu[0] + th.mu[1] == pytest.approx(-7.0 / 6.0, abs=1e-13)
