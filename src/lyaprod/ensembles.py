@@ -11,6 +11,11 @@ Conventions
   beta = c + d i.  A quaternion r x c matrix is therefore a 2r x 2c
   complex array satisfying M = J conj(M) J^{-1} exactly, where J is
   block-diagonal in [[0, 1], [-1, 0]].
+* Only whole factors are matrices (FactorStream.blocks).  The panels that
+  run_chain steps stay the raw (b, rows, cols, beta) normals of their draw
+  until _batch_last writes them, scaled, straight into the step kernel's
+  (cols, rows, b, C) layout: for beta = 4 only the even columns of the
+  embedding, alpha above -conj(beta), which stand for their pairs.
 * Haar columns come from QR of a Gaussian matrix with the diagonal phase
   correction Q -> Q diag(r_jj / |r_jj|) (plain QR is not Haar; Mezzadri,
   Notices AMS 54 (2007) 592).  For beta = 4 the phase-fixed complex QR of
@@ -89,8 +94,11 @@ class Ensemble:
     stability_exponents needs width == d).  ``proportions`` gives the share
     of each factor type on the deterministic quota schedule, 0 for a type
     that never occurs (None when there is one type).
-    Every kind draws through ``panel``; truncated unitaries also override
-    ``factors``.
+    Every kind draws through ``panel``; ``columns`` turns a block's draws,
+    once _batch_last has written them in the kernel's layout, into the
+    columns the kernel factors, and ``factors`` turns them into whole
+    matrices.  Rectangular factors override ``panel``, general covariance
+    ``columns`` and ``factors``, truncated unitaries all three.
     """
 
     beta: int
@@ -113,10 +121,12 @@ class Ensemble:
         return (1,) * len(self.proportions or (1,))
 
     def panel(self, rng, types, k, previous):
-        """The panels of the steps of quota-schedule ``types``, drawn from
-        ``rng``: a (len(types), rows, cols) array (twice the columns for the
-        quaternion embedding) of draws with the law of the first k columns
-        of a factor.  ``previous`` is the type of the step before them (None
+        """The raw draw of the steps of quota-schedule ``types`` from ``rng``:
+        a (len(types), rows, cols, beta) array of the real Gaussian
+        components of a rows x cols matrix per step, which _to_field maps to
+        field entries and _batch_last writes into the step kernel's layout.
+        For a Gaussian kind its matrix has the law of the first k columns of
+        a factor.  ``previous`` is the type of the step before them (None
         before step 1); only whole rectangular factors read it.  Every kind
         here is right-unitarily invariant, so a panel stands for
         A_n Q_{n-1}[:, :k] (see the montecarlo module).  Here it is the
@@ -130,12 +140,20 @@ class Ensemble:
         checked: a singular draw gives a zero R diagonal entry, which
         run_chain reports as a non-finite increment of its step.
         """
-        return _gaussian_data(self.beta, self.d, self.d if -1 in self.signs else k,
-                              rng, size=len(types))
+        cols = self.d if -1 in self.signs else k
+        return rng.standard_normal((len(types), self.d, cols, self.beta))
+
+    def columns(self, a):
+        """The columns the step kernel factors, from the (k, rows, b, C)
+        array that _batch_last wrote from this kind's panels, in place: the
+        array itself, whose columns have the law of A[:, :k]."""
+        return a
 
     def factors(self, rng, types, previous):
-        """The panels as wide as a factor."""
-        return self.panel(rng, types, self.width, previous)
+        """The whole factors of the steps of ``types``: the panels as wide as
+        a factor, mapped to field entries (the complex embedding for
+        beta = 4)."""
+        return _to_field(self.beta, self.panel(rng, types, self.width, previous))
 
 
 @dataclass(frozen=True)
@@ -155,8 +173,19 @@ class GeneralSigmaGaussian(Ensemble):
     def d(self):
         return self.sigma_inv_eigenvalues.d
 
-    def panel(self, rng, types, k, previous):
-        return _sigma_scale(self, super().panel(rng, types, k, previous))
+    @property
+    def _row_scale(self):
+        """The diagonal of Sigma^{1/2}, y^{-1/2}, on the rows of a matrix
+        (each repeated for the quaternion embedding)."""
+        scale = np.asarray(self.sigma_inv_eigenvalues.y) ** -0.5
+        return np.repeat(scale, 2) if self.beta == 4 else scale
+
+    def columns(self, a):
+        """Sigma^{1/2} G: the rows of the Gaussian columns scaled in place."""
+        return np.multiply(self._row_scale[:, None, None], a, out=a)
+
+    def factors(self, rng, types, previous):
+        return self._row_scale[:, None] * super().factors(rng, types, previous)
 
 
 @dataclass(frozen=True)
@@ -205,10 +234,10 @@ class RectangularGaussian(Ensemble):
         return self.shapes.proportions
 
     def panel(self, rng, types, k, previous):
-        """Gaussians of shape (d + nu_t, min(k, d + nu_{t-1})) from one draw
-        (nu_0 = 0), each in the top-left corner of a zero D x k panel.  For
-        k <= d a panel is a (d + nu_t) x k Gaussian padded with zero rows; for
-        k = D it is the whole factor.  The mask's True entries, in C order,
+        """The components of Gaussians of shape (d + nu_t, min(k, d + nu_{t-1}))
+        from one draw (nu_0 = 0), each in the top-left corner of a zero D x k
+        panel.  For k <= d a panel is a (d + nu_t) x k Gaussian padded with
+        zero rows; for k = D it is the whole factor.  The mask's True entries, in C order,
         run through each step's corner row by row, so the draw fills the
         panels as single draws would."""
         offsets = np.array(self.shapes.offsets)
@@ -219,7 +248,7 @@ class RectangularGaussian(Ensemble):
                 & (index[:k] < self.d + nus[:-1, None, None]))
         comps = np.zeros(mask.shape + (self.beta,))
         comps[mask] = rng.standard_normal((int(np.count_nonzero(mask)), self.beta))
-        return _to_field(self.beta, comps)
+        return comps
 
 
 @dataclass(frozen=True)
@@ -230,23 +259,23 @@ class TruncatedUnitary(Ensemble):
     kind = "truncated_unitary"
 
     def panel(self, rng, types, k, previous):
-        """The top rows of k Haar columns: Q of a (d + n) x k Gaussian.
+        """The components of a (d + n) x k Gaussian, whose Q is k Haar
+        columns (see columns)."""
+        return rng.standard_normal((len(types), self.d + self.n, k, self.beta))
 
-        Q comes from the Gram-Schmidt kernel (_orthonormalize), whose R has a
-        positive diagonal, so the columns are Haar without a phase fix, for
-        beta = 4 too (each odd column of the embedding is the partner of the
-        even one before it, so the panel is quaternion structured exactly).
-        """
-        g = _gaussian_data(self.beta, self.d + self.n, k, rng, size=len(types))
-        q = _batch_last([g], self.beta)[..., 0]
-        _orthonormalize(q, self.beta)
-        if self.beta != 4:
-            return q[:, :self.d].T
-        rows_first = q[:, :2 * self.d].transpose(1, 0, 2)
-        out = np.empty((len(types), 2 * self.d, 2 * k), dtype=np.complex128)
-        out[..., 0::2] = rows_first.transpose(2, 0, 1)
-        out[..., 1::2] = _partner(rows_first).transpose(2, 0, 1)
-        return out
+    def columns(self, a):
+        """The top d rows of k Haar columns: the Q of the Gaussians in ``a``,
+        all chains of a block orthonormalised in one call of the
+        Gram-Schmidt kernel (_orthonormalize).  Its R has a positive
+        diagonal, so the columns are Haar without a phase fix, for beta = 4
+        too (each even column of the embedding stands for its pair).  A
+        block of one step goes chain by chain: numpy sums a reduction
+        pairwise when it is the innermost loop, as the rows of one chain's
+        single step are, so this keeps each chain's Q bit for bit what it is
+        alone, as in every longer block."""
+        for q in (a,) if a.shape[2] > 1 else np.moveaxis(a, -1, 0):
+            _orthonormalize(q, self.beta)
+        return a[:, :2 * self.d if self.beta == 4 else self.d]
 
     def factors(self, rng, types, previous):
         """The top d rows of d Haar columns in dimension d + n, from
@@ -316,12 +345,23 @@ def _to_field(beta, comps):
     entries come out as the complex embedding.  ``comps`` is scaled in
     place; for beta = 1 and 2 the result is a view of it.
     """
+    if beta == 4:
+        return _embed_quaternion(comps)
+    return _field_pairs(beta, comps)[..., 0]
+
+
+def _field_pairs(beta, comps):
+    """(..., beta) real Gaussian components -> a view of them, scaled in
+    place, as the (..., beta // 2 or 1) entries of one column of their
+    field matrix: the entry for beta = 1 and 2, and for beta = 4 the
+    even-column pair of the embedding (see the module docstring), alpha
+    above -conj(beta), each float64 the one _embed_quaternion makes."""
     if beta == 1:
-        return comps[..., 0]
-    if beta == 2:
-        comps *= _SQRT_HALF
-        return comps.view(np.complex128)[..., 0]
-    return _embed_quaternion(comps)
+        return comps
+    comps *= _SQRT_HALF if beta == 2 else 0.5
+    if beta == 4:
+        np.negative(comps[..., 2], out=comps[..., 2])
+    return comps.view(np.complex128)
 
 
 def _gaussian_data(beta, rows, cols, rng, size=None):
@@ -343,24 +383,40 @@ def _haar_columns(beta, rows, k, rng, size=None):
 # Gram-Schmidt step kernel (batch axes last)
 # ---------------------------------------------------------------------------
 
+#: By beta, the ufunc that writes each row of a column pair of J G^H J
+#: from the reversed entries of _field_pairs (see _batch_last): their
+#: conjugate, but for beta = 4 alpha as it is above conj(-conj(beta)).
+_ADJOINT = {1: (np.conjugate,), 2: (np.conjugate,), 4: (np.positive, np.conjugate)}
+
+
 def _batch_last(panels, beta, inverse=None):
-    """(b, rows, cols) panels, one array per chain -> the C-ordered
-    (k, rows, b, C) array of their columns that _orthonormalize takes: all
-    columns, or the even ones of a quaternion embedding.  The square panels
-    G of the steps that ``inverse`` marks become J G^H J (see Ensemble.panel)
-    in the same copy, by indexing and conjugation only, so the embedding of
-    a quaternion matrix gives the embedding of one, exactly."""
-    step = 2 if beta == 4 else 1
-    cols = [p[..., ::step] for p in panels]
-    # np.stack would keep the panels' memory order, with the batch first
-    a = np.empty(cols[0].shape[::-1] + (len(cols),), dtype=cols[0].dtype)
-    for c, p in enumerate(panels):
+    """(b, rows, cols, beta) real Gaussian components (see Ensemble.panel),
+    one array per chain -> the C-ordered (cols, rows, b, C) array of the
+    columns of their field matrices that _orthonormalize takes (two rows
+    per quaternion row: the even columns of the embedding only).
+
+    Each panel is scaled in place (_field_pairs) and copied once, by
+    indexing and conjugation only, so every entry is the float64 that
+    _to_field makes.  For the square panels G of the steps that
+    ``inverse`` marks the copy writes J G^H J (see Ensemble.panel): column
+    j is row rows-1-j of G reversed, conjugated, which for the embedding of
+    a quaternion matrix is the embedding of one, exactly.
+    """
+    b, rows, cols = panels[0].shape[:3]
+    p = 2 if beta == 4 else 1
+    a = np.empty((cols, p * rows, b, len(panels)),
+                 dtype=np.float64 if beta == 1 else np.complex128)
+    by_pair = a.reshape(cols, rows, p, b, len(panels))
+    for c, g in enumerate(panels):
+        pairs = _field_pairs(beta, g)
+        out = by_pair[..., c]
         if inverse is None:
-            a[..., c] = cols[c].T
+            out[...] = pairs.transpose(2, 1, 3, 0)
         else:
-            # column j of J G^H J is row rows-1-j of G reversed, conjugated
-            np.copyto(a[..., c], cols[c].T, where=~inverse)
-            np.conjugate(p[:, ::-step, ::-1].transpose(1, 2, 0), out=a[..., c], where=inverse)
+            np.copyto(out, pairs.transpose(2, 1, 3, 0), where=~inverse)
+            reversed_ = pairs[:, ::-1, ::-1].transpose(1, 2, 3, 0)
+            for i, write in enumerate(_ADJOINT[beta]):
+                write(reversed_[:, :, i], out=out[:, :, i], where=inverse)
     return a
 
 
@@ -443,14 +499,6 @@ def _inverse_steps(spec, types):
     return np.array(spec.signs)[types] < 0
 
 
-def _sigma_scale(spec, g):
-    """Sigma^{1/2} G for a factor or a stack of factors."""
-    scale = np.asarray(spec.sigma_inv_eigenvalues.y) ** -0.5
-    if spec.beta == 4:
-        scale = np.repeat(scale, 2)
-    return scale[:, None] * g
-
-
 def _invert(beta, g):
     inv = np.linalg.inv(g)
     return _quaternion_symmetrize(inv) if beta == 4 else inv
@@ -464,10 +512,10 @@ class FactorStream:
     """Sequential factor source for one Monte Carlo chain: an ensemble and
     the Generator its draws come from, and no other state.
 
-    Yields raw matrix data (the complex embedding for beta = 4), drawn BLOCK
-    steps at a time by the ensemble's ``panel``, or ``factors`` for whole
-    factors.  Every step takes the next draw of the generator, inverse steps
-    included.  The caller hands in the quota-schedule types of the steps,
+    Yields, BLOCK steps at a time, the raw normals of the ensemble's
+    ``panel`` (panels), or whole factors as matrices, the complex embedding
+    for beta = 4 (blocks, factors).  Every step takes the next draw of the
+    generator, inverse steps included.  The caller hands in the quota-schedule types of the steps,
     _step_types(spec, N), which a run computes once for all its streams;
     the types of a call start at step 1, so a stream is drawn by one call
     of blocks, panels or factors.
@@ -492,7 +540,8 @@ class FactorStream:
         embedding).  The generator is consumed exactly as by drawing factor
         by factor, so BLOCK does not change the stream.  The draws of inverse
         steps (_inverse_steps) are inverted; one that is singular raises
-        ArithmeticError naming its step (from 1).
+        ArithmeticError naming its step (from 1).  A block of inverse
+        steps only is inverted whole.
         """
         inverse = _inverse_steps(self.spec, types)
         for done in range(0, len(types), BLOCK):
@@ -501,7 +550,10 @@ class FactorStream:
             if inverse is not None:
                 steps = np.flatnonzero(inverse[done:done + len(block)])
                 try:
-                    block[steps] = _invert(self.spec.beta, block[steps])
+                    if len(steps) == len(block):
+                        block = _invert(self.spec.beta, block)
+                    else:
+                        block[steps] = _invert(self.spec.beta, block[steps])
                 except np.linalg.LinAlgError:
                     # the first draw that np.linalg.inv rejects on its own
                     for s in steps:
@@ -514,9 +566,10 @@ class FactorStream:
             yield block
 
     def panels(self, types, k):
-        """Yield the panels of the steps of ``types`` (see Ensemble.panel) as
-        (b, rows, cols) arrays of at most BLOCK steps.  Like the factors,
-        they do not depend on BLOCK."""
+        """Yield the draws of the panels of the steps of ``types`` (see
+        Ensemble.panel), the per-block draw of run_chain: (b, rows, cols,
+        beta) arrays of real normals, at most BLOCK steps each.  Like the
+        factors, they do not depend on BLOCK."""
         for done in range(0, len(types), BLOCK):
             yield self.spec.panel(self.rng, types[done:done + BLOCK], k,
                                   types[done - 1] if done else None)

@@ -16,9 +16,13 @@ Commun. Math. Phys. 103 (1986) 121), and run_chain draws them that way: no
 frame, no product, one call of the Gram-Schmidt kernel per block of steps
 (ensembles._orthonormalize: modified Gram-Schmidt in numpy on a
 (k, rows, steps x chains) array, the batch last and contiguous, which at
-these sizes is faster than LAPACK's per-matrix QR).  Each kind draws its
-panel, the law of A[:, :k] (see Ensemble.panel); a whole factor is the
-panel as wide as the factor.  A rectangular panel is a (d + nu_t) x k
+these sizes is faster than LAPACK's per-matrix QR).  Each kind draws the
+raw normals of its panel (see Ensemble.panel), and one writer,
+ensembles._batch_last, scales them straight into the kernel's array, with
+no matrix in between; the kind's ``columns`` then gives the law of
+A[:, :k] (Sigma^{1/2} on the rows, or the top rows of Haar columns from
+one kernel call over the block).  A whole factor is the panel as wide as
+the factor, as a matrix.  A rectangular panel is a (d + nu_t) x k
 Gaussian padded with zero rows, which leave |diag R| unchanged.  An inverse
 step G^-1 is never inverted, and its Gaussian G is the next draw of the
 stream, with no condition check: its panel is G, d columns wide.  The QR
@@ -113,12 +117,14 @@ def run_chain(spec, k_max, N, rngs):
     Chain c draws its panels (see Ensemble.panel) from its own FactorStream
     on rngs[c].  The step types, ensembles._step_types(spec, N), are
     computed once: they mark the inverse steps, and every chain's panels
-    follow them.  The columns of each block of BLOCK steps of the C streams
-    are copied into one (k, rows, b, C) array (the even columns only for
-    beta = 4; J G^H J for an inverse step's G, see Ensemble.panel), and the
-    Gram-Schmidt kernel (ensembles._orthonormalize) factors all of it; half
-    the logs of its squared R diagonal, negated in reversed order on inverse
-    steps, and the finiteness check run once per block.  A singular inverse
+    follow them.  The raw normals of each block of BLOCK steps of the C
+    streams are written once, scaled, into one (k, rows, b, C) array
+    (ensembles._batch_last: the even columns only for beta = 4; J G^H J for
+    an inverse step's G, see Ensemble.panel), the kind's ``columns`` makes
+    the columns of its law there, and the Gram-Schmidt kernel
+    (ensembles._orthonormalize) factors all of them; half the logs of its
+    squared R diagonal, negated in reversed order on inverse steps, and the
+    finiteness check run once per block.  A singular inverse
     draw is not redrawn: its step fails that check.
 
     Returns the (C, N, k_max) per-step log-volume increments, chain c in the
@@ -133,7 +139,7 @@ def run_chain(spec, k_max, N, rngs):
     done = 0
     for panels in zip(*(stream.panels(types, k_max) for stream in streams)):
         flip = None if inverse is None else inverse[done:done + len(panels[0])]
-        rdiag2 = _orthonormalize(_batch_last(panels, spec.beta, flip), spec.beta)
+        rdiag2 = _orthonormalize(spec.columns(_batch_last(panels, spec.beta, flip)), spec.beta)
         with np.errstate(divide="ignore"):
             # a zero entry gives -inf (+inf once flipped), which _record
             # reports with its step
@@ -250,8 +256,19 @@ def estimate(spec, k_max, N, chains, master_seed):
         se_mu=np.sqrt(n_sigma2 / xi[0].size),
         n_sigma2_hat=n_sigma2,
         partial_sum_mu=np.cumsum(mu_hat),
-        partial_sum_n_sigma2=_within_type_variance(np.cumsum(xi, axis=0), steps),
+        partial_sum_n_sigma2=_within_type_variance(_partial_sums(xi), steps),
     )
+
+
+def _partial_sums(x):
+    """np.cumsum(x, axis=0), the same sums in the same order, by one add of
+    whole rows per index into one buffer (numpy's cumsum along a leading
+    axis is many times slower)."""
+    out = np.empty_like(x)
+    out[0] = x[0]
+    for i in range(1, len(x)):
+        np.add(out[i - 1], x[i], out=out[i])
+    return out
 
 
 def stability_exponents(spec, N, rng):

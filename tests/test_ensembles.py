@@ -247,6 +247,12 @@ def reversed_adjoint(g):
     return g[..., ::-1, ::-1].conj().swapaxes(-1, -2)
 
 
+def kernel_columns(g, beta):
+    """The (cols, rows, b) kernel layout of (b, rows, cols) field matrices:
+    every column, or the even ones of a quaternion embedding."""
+    return np.ascontiguousarray(g[..., ::2 if beta == 4 else 1].transpose(2, 1, 0))
+
+
 class TestInverseStreams:
     """Every inverse step takes the next Gaussian draw of its stream."""
 
@@ -259,11 +265,13 @@ class TestInverseStreams:
     @pytest.mark.parametrize("block", [1, 4, 257])
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_factors_and_panels_are_the_draws(self, spec, block, monkeypatch):
-        # factors invert the draws of inverse steps; panels are the draws,
-        # d columns wide whatever k, on every step
+        # factors invert the draws of inverse steps; panels are the draws'
+        # components, d columns wide whatever k, on every step
         n = 40
         types = schedule(spec, n)
+        comps = chain_rng(50, 1).standard_normal((n, spec.d, spec.d, spec.beta))
         g = ens._gaussian_data(spec.beta, spec.d, spec.d, chain_rng(50, 1), size=n)
+        np.testing.assert_array_equal(ens._to_field(spec.beta, comps.copy()), g)
         inverse = np.ones(n, dtype=bool) if spec.proportions is None else types == 1
         np.testing.assert_array_equal(ens._inverse_steps(spec, types), inverse)
         want_factors = g.copy()
@@ -272,27 +280,38 @@ class TestInverseStreams:
         factors = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).blocks(types)))
         panels = np.concatenate(list(FactorStream(spec, chain_rng(50, 1)).panels(types, 1)))
         np.testing.assert_array_equal(factors, want_factors)
-        np.testing.assert_array_equal(panels, g)
+        np.testing.assert_array_equal(panels, comps)
         np.testing.assert_array_equal(factors, one_at_a_time(spec, n, chain_rng(50, 1)))
 
     @pytest.mark.parametrize("steps", [1, 257])
     @pytest.mark.parametrize("mask", ["all", "none", "mixed"])
     @pytest.mark.parametrize("beta,d", list(itertools.product((1, 2, 4), (1, 2, 3))))
     def test_batch_copy_writes_reversed_adjoints(self, beta, d, mask, steps):
-        # _batch_last writes J G^H J of the marked steps in its one copy, bit
-        # for bit what it copies from reversed adjoints taken beforehand
+        # _batch_last writes J G^H J of the marked steps in its one pass, bit
+        # for bit the columns of reversed adjoints of the field matrices
+        # taken beforehand
         rng = chain_rng(51, 10 * beta + d)
-        panels = [ens._gaussian_data(beta, d, d, rng, size=steps) for _ in range(2)]
+        comps = [rng.standard_normal((steps, d, d, beta)) for _ in range(2)]
         inverse = {"all": np.ones(steps, dtype=bool), "none": np.zeros(steps, dtype=bool),
                    "mixed": rng.random(steps) < 0.5}[mask]
         want = []
-        for p in panels:
-            q = p.copy()
-            q[inverse] = reversed_adjoint(p[inverse])
-            want.append(q)
-        got = ens._batch_last(panels, beta, inverse)
-        np.testing.assert_array_equal(got, ens._batch_last(want, beta))
+        for c in comps:
+            g = ens._to_field(beta, c.copy())
+            g[inverse] = reversed_adjoint(g[inverse])
+            want.append(kernel_columns(g, beta))
+        got = ens._batch_last(comps, beta, inverse)
+        assert np.array_equal(bits(got), bits(np.stack(want, axis=-1)))
         assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 2), (2, 5)])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_batch_copy_writes_field_columns(self, beta, rows, cols):
+        # with no inverse steps every entry is the one _to_field makes
+        rng = chain_rng(52, beta)
+        comps = [rng.standard_normal((7, rows, cols, beta)) for _ in range(3)]
+        want = np.stack([kernel_columns(ens._to_field(beta, c.copy()), beta) for c in comps],
+                        axis=-1)
+        assert np.array_equal(bits(ens._batch_last(comps, beta)), bits(want))
 
 
 class TestMixtureSchedule:
@@ -469,21 +488,20 @@ class TestRectangularSchedule:
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_panels_take_successive_draws(self, beta, monkeypatch):
-        # a block of panels consumes the generator exactly as drawing each
-        # step's (d + nu_t) x k entries in turn would, below zero rows
+        # a block of panels consumes the generator exactly as drawing the
+        # components of each step's (d + nu_t) x k entries in turn would,
+        # above zero rows
         spec = RectangularGaussian(beta, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5))))
         k = 2
         monkeypatch.setattr(ens, "BLOCK", 4)
         stream = FactorStream(spec, chain_rng(57, beta))
         panels = np.concatenate(list(stream.panels(schedule(spec, 10), k)))
         rng = chain_rng(57, beta)
-        scale = 2 if beta == 4 else 1
-        assert panels.shape == (10, scale * spec.width, scale * k)
+        assert panels.shape == (10, spec.width, k, beta)
         for p, s in zip(panels, schedule(spec, 10)):
             r = spec.d + spec.shapes.offsets[s]
-            want = ens._to_field(beta, rng.standard_normal((r * k, beta)).reshape(r, k, beta))
-            assert np.array_equal(p[:scale * r], want)
-            assert not p[scale * r:].any()
+            assert np.array_equal(p[:r], rng.standard_normal((r * k, beta)).reshape(r, k, beta))
+            assert not p[r:].any()
 
 
 def bits(x):

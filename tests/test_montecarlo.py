@@ -112,18 +112,18 @@ def sequential_stability(spec, N, rng):
 
 @dataclass(frozen=True)
 class BrokenGaussian(Ensemble):
-    """Standard Gaussian factors, except that the ``columns`` of step 3 of
-    each block are all ``fill``."""
+    """Standard Gaussian factors, except that the components of the
+    ``broken`` columns of step 3 of each block are all ``fill``."""
 
     d: int
 
     kind = "broken_gaussian"
     fill = 0.0
-    columns = slice(None)
+    broken = slice(None)
 
     def panel(self, rng, types, k, previous):
-        g = _gaussian_data(self.beta, self.d, k, rng, size=len(types))
-        g[min(2, len(types) - 1), :, self.columns] = self.fill
+        g = super().panel(rng, types, k, previous)
+        g[min(2, len(types) - 1), :, self.broken] = self.fill
         return g
 
 
@@ -246,22 +246,23 @@ class TestStepKernel:
     @pytest.mark.parametrize("spec", [InverseGaussian(2, 2), GaussianInverseMixture(2, 2, 0.2)],
                              ids=lambda s: s.kind)
     def test_singular_inverse_draw_names_its_step(self, spec, step, monkeypatch):
-        # the Gaussian that step ``step`` of every stream draws is zeroed,
-        # wherever the blocks of 4 steps cut it, and nothing redraws it:
-        # whole factors fail to invert it, panels give a zero R entry
+        # the Gaussian that step ``step`` of every stream draws is zeroed in
+        # the per-block draw, wherever the blocks of 4 steps cut it, and
+        # nothing redraws it: whole factors fail to invert it, panels give a
+        # zero R entry
         rngs = lambda: [chain_rng(65, c) for c in range(3)]
         if spec.proportions is not None:
             assert schedule(spec, step)[-1] == 1
-        singular = [_gaussian_data(2, 2, 2, rng, size=step)[-1] for rng in rngs()]
-        draw = ensembles._gaussian_data
+        singular = [rng.standard_normal((step, 2, 2, 2))[-1] for rng in rngs()]
+        draw = type(spec).panel
 
-        def zero_singular(*args, **kwargs):
-            g = draw(*args, **kwargs)
+        def zero_singular(*args):
+            g = draw(*args)
             for z in singular:
-                g[(g == z).all(axis=(-2, -1))] = 0.0
+                g[(g == z).all(axis=(1, 2, 3))] = 0.0
             return g
 
-        monkeypatch.setattr(ensembles, "_gaussian_data", zero_singular)
+        monkeypatch.setattr(type(spec), "panel", zero_singular)
         monkeypatch.setattr(ensembles, "BLOCK", 4)
         for call in (lambda: list(FactorStream(spec, rngs()[0]).blocks(schedule(spec, 12))),
                      lambda: product_chain(spec, 2, 12, rngs())):
@@ -271,11 +272,16 @@ class TestStepKernel:
             run_chain(spec, 2, 12, rngs())
 
 
+def kernel_columns(g, beta):
+    """The (cols, rows, B) kernel layout of a (B, rows, cols) stack of field
+    matrices: every column, or the even ones of a quaternion embedding."""
+    return np.ascontiguousarray(g[..., ::2 if beta == 4 else 1].transpose(2, 1, 0))
+
+
 def kernel_logs(panels, beta):
-    """log|diag R| of a (B, rows, cols) stack of panels by the Gram-Schmidt
+    """log|diag R| of a (B, rows, cols) stack of matrices by the Gram-Schmidt
     kernel, (B, k); quaternion pairs count once."""
-    rdiag2 = ensembles._orthonormalize(ensembles._batch_last([panels], beta), beta)
-    return 0.5 * np.log(rdiag2[..., 0].T)
+    return 0.5 * np.log(ensembles._orthonormalize(kernel_columns(panels, beta), beta).T)
 
 
 def lapack_logs(panels, beta):
@@ -318,7 +324,8 @@ class TestGramSchmidtKernel:
             # tall: the Gaussian whose Q a truncated panel keeps
             _gaussian_data(beta, d + 4, k, rng, size=512),
             # zero-padded rows
-            next(FactorStream(rectangular, rng).panels(schedule(rectangular, 512), k)),
+            ensembles._to_field(beta, next(FactorStream(rectangular, rng).panels(
+                schedule(rectangular, 512), k))),
         ] + [with_singular_values(beta, d + 1, k, kappa, rng, 64)
              for kappa in (1e2, 1e6, 1e12) if k > 1]
         for panels in stacks:
@@ -329,9 +336,19 @@ class TestGramSchmidtKernel:
     @pytest.mark.parametrize("beta", [1, 2, 4])
     @pytest.mark.parametrize("rows,k", [(5, 3), (8, 1), (9, 6)])
     def test_q_orthonormal(self, beta, rows, k):
-        # with n = 0 a truncated panel is the whole Q of a rows x k Gaussian
+        # with n = 0 the columns of a truncated kind are the whole Q of a
+        # rows x k Gaussian, for two chains at once
         spec = TruncatedUnitary(beta, rows, 0)
-        q = next(FactorStream(spec, chain_rng(91, rows + k)).panels(schedule(spec, 512), k))
+        draws = [next(FactorStream(spec, chain_rng(91, rows + k + c)).panels(
+            schedule(spec, 512), k)) for c in range(2)]
+        cols = spec.columns(ensembles._batch_last(draws, beta))
+        if beta == 4:
+            # each even column of the embedding stands for its pair
+            pairs = np.empty((2 * k,) + cols.shape[1:], dtype=cols.dtype)
+            pairs[0::2] = cols
+            pairs[1::2] = [ensembles._partner(v) for v in cols]
+            cols = pairs
+        q = cols.transpose(2, 3, 1, 0)
         gram = np.conj(np.swapaxes(q, -1, -2)) @ q
         assert np.abs(gram - np.eye(q.shape[-1])).max() <= 1e-13
         if beta == 4:
@@ -342,13 +359,101 @@ class TestGramSchmidtKernel:
     def test_zero_column_names_its_step(self, beta, column, monkeypatch):
         # the kernel meets a zero column at step 3 of each block of 4; the
         # run stops there with the step named and no RuntimeWarning
-        monkeypatch.setattr(BrokenGaussian, "columns", 2 * column if beta == 4 else column)
+        monkeypatch.setattr(BrokenGaussian, "broken", column)
         monkeypatch.setattr(ensembles, "BLOCK", 4)
         rngs = [chain_rng(92, c) for c in range(2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match="non-finite increment at step 3$"):
                 run_chain(BrokenGaussian(beta, 3), 3, 10, rngs)
+
+
+def reversed_adjoint(g):
+    """J G^H J of each stacked matrix, J the order reversal."""
+    return g[..., ::-1, ::-1].conj().swapaxes(-1, -2)
+
+
+def matrix_columns(spec, rng, types, k, previous):
+    """The kernel columns, (k, rows, b), of one chain's block of steps by
+    way of field matrices: Gaussians from _gaussian_data (rectangular
+    corners drawn step by step and mapped by _to_field), Sigma^{1/2} on
+    their rows, the reversed adjoints of inverse steps, their even columns,
+    and for truncated unitaries a Haar QR of this chain alone."""
+    beta, b = spec.beta, len(types)
+    if isinstance(spec, RectangularGaussian):
+        offsets = np.array(spec.shapes.offsets)
+        nus = np.concatenate(([0 if previous is None else offsets[previous]], offsets[types]))
+        comps = np.zeros((b, spec.width, k, beta))
+        for s in range(b):
+            r, c = spec.d + nus[s + 1], min(k, spec.d + nus[s])
+            comps[s, :r, :c] = rng.standard_normal((r * c, beta)).reshape(r, c, beta)
+        return kernel_columns(ensembles._to_field(beta, comps), beta)
+    if isinstance(spec, TruncatedUnitary):
+        q = kernel_columns(_gaussian_data(beta, spec.d + spec.n, k, rng, size=b), beta)
+        ensembles._orthonormalize(q, beta)
+        return q[:, :2 * spec.d if beta == 4 else spec.d]
+    if isinstance(spec, GeneralSigmaGaussian):
+        scale = np.asarray(spec.sigma_inv_eigenvalues.y) ** -0.5
+        g = _gaussian_data(beta, spec.d, k, rng, size=b)
+        return kernel_columns(np.repeat(scale, 2 if beta == 4 else 1)[:, None] * g, beta)
+    # inverse kinds draw d columns whatever k
+    g = _gaussian_data(beta, spec.d, spec.d if -1 in spec.signs else k, rng, size=b)
+    inverse = np.array(spec.signs)[types] < 0
+    if inverse.any():
+        g[inverse] = reversed_adjoint(g[inverse])
+    return kernel_columns(g, beta)
+
+
+def matrix_route_chain(spec, k_max, N, rngs):
+    """run_chain's increments with the kernel columns of every block built
+    by matrix_columns: the kernel, the flip of inverse steps' logs and the
+    (C, N, k_max) layout as in run_chain."""
+    types = schedule(spec, N)
+    flips = np.array(spec.signs)[types] < 0
+    out = np.empty((len(rngs), N, k_max))
+    for done in range(0, N, ensembles.BLOCK):
+        block = types[done:done + ensembles.BLOCK]
+        previous = types[done - 1] if done else None
+        a = np.stack([matrix_columns(spec, rng, block, k_max, previous) for rng in rngs],
+                     axis=-1)
+        logs = 0.5 * np.log(ensembles._orthonormalize(a, spec.beta))
+        logs = np.where(flips[done:done + len(block), None], -logs[::-1], logs)
+        out[:, done:done + len(block)] = logs[:k_max].transpose(2, 1, 0)
+    return out
+
+
+#: Every kind at beta = 1, 2 and 4, d = 3: rectangular offsets wider than d,
+#: and truncated columns of 8 rows or more (8 or more float64 per column),
+#: which numpy sums pairwise over a batch of one.
+MATRIX_ROUTE_SPECS = [spec for beta in (1, 2, 4) for spec in (
+    StandardGaussian(beta, 3),
+    GeneralSigmaGaussian(beta, SigmaSpec((0.5, 1.0, 2.0))),
+    InverseGaussian(beta, 3),
+    GaussianInverseMixture(beta, 3, 0.4),
+    RectangularGaussian(beta, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5)))),
+    TruncatedUnitary(beta, 3, 5),
+)]
+
+
+class TestMatrixRoute:
+    """run_chain writes each block's normals straight into the kernel's
+    layout; every entry is the float64 that the route through field
+    matrices gives, so the increments are equal bit for bit."""
+
+    def test_cases_cover_every_kind_and_beta(self):
+        assert {(spec.kind, spec.beta) for spec in MATRIX_ROUTE_SPECS} == {
+            (kind, beta) for kind in ENSEMBLES for beta in (1, 2, 4)}
+
+    # each run ends on a block of one step
+    @pytest.mark.parametrize("block,N", [(4, 9), (257, 258)], ids=["block4", "block257"])
+    @pytest.mark.parametrize("chains", [1, 3], ids=["C1", "C3"])
+    @pytest.mark.parametrize("k", [1, 3], ids=["k1", "kd"])
+    @pytest.mark.parametrize("spec", MATRIX_ROUTE_SPECS, ids=lambda s: f"{s.kind}-beta{s.beta}")
+    def test_run_chain_is_the_matrix_route(self, spec, k, chains, block, N, monkeypatch):
+        monkeypatch.setattr(ensembles, "BLOCK", block)
+        got = run_chain(spec, k, N, [chain_rng(95, c) for c in range(chains)])
+        want = matrix_route_chain(spec, k, N, [chain_rng(95, c) for c in range(chains)])
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
 
 
 #: (spec, k): inverse Gaussians at every beta, d = 1, 2, 3, 5 and k = 1, d,
@@ -655,6 +760,12 @@ class TestRunChain:
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_partial_sums_are_cumsum_bit_for_bit(self, k):
+        x = np.random.default_rng(k).standard_normal((k, 3, 2001))
+        want = np.cumsum(x, axis=0)
+        assert np.array_equal(montecarlo._partial_sums(x).view(np.uint64), want.view(np.uint64))
+
     def test_partial_sum_mu_is_exact_cumsum(self):
         est = estimate(StandardGaussian(2, 3), 3, 2000, 2, 17)
         assert np.array_equal(est.partial_sum_mu, np.cumsum(est.mu_hat))
