@@ -272,7 +272,8 @@ class TruncatedUnitary(Ensemble):
         block of one step goes chain by chain: numpy sums a reduction
         pairwise when it is the innermost loop, as the rows of one chain's
         single step are, so this keeps each chain's Q bit for bit what it is
-        alone, as in every longer block."""
+        alone, as in every longer block.  Kernel reductions that did not
+        depend on the batch shape would make this case unnecessary."""
         for q in (a,) if a.shape[2] > 1 else np.moveaxis(a, -1, 0):
             _orthonormalize(q, self.beta)
         return a[:, :2 * self.d if self.beta == 4 else self.d]
@@ -540,8 +541,7 @@ class FactorStream:
         embedding).  The generator is consumed exactly as by drawing factor
         by factor, so BLOCK does not change the stream.  The draws of inverse
         steps (_inverse_steps) are inverted; one that is singular raises
-        ArithmeticError naming its step (from 1).  A block of inverse
-        steps only is inverted whole.
+        ArithmeticError naming its step (from 1).
         """
         inverse = _inverse_steps(self.spec, types)
         for done in range(0, len(types), BLOCK):
@@ -550,10 +550,7 @@ class FactorStream:
             if inverse is not None:
                 steps = np.flatnonzero(inverse[done:done + len(block)])
                 try:
-                    if len(steps) == len(block):
-                        block = _invert(self.spec.beta, block)
-                    else:
-                        block[steps] = _invert(self.spec.beta, block[steps])
+                    block[steps] = _invert(self.spec.beta, block[steps])
                 except np.linalg.LinAlgError:
                     # the first draw that np.linalg.inv rejects on its own
                     for s in steps:
