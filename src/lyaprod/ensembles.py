@@ -11,7 +11,10 @@ Conventions
   beta = c + d i.  A quaternion r x c matrix is therefore a 2r x 2c
   complex array satisfying M = J conj(M) J^{-1} exactly, where J is
   block-diagonal in [[0, 1], [-1, 0]].
-* Only whole factors are matrices (FactorStream.blocks).  The panels that
+* Every kind draws only through Ensemble.panel, and two maps read that one
+  draw: Ensemble.columns gives the step kernel's columns, and
+  Ensemble.factors gives whole factors from the draw as wide as a factor.
+  Only whole factors are matrices (FactorStream.blocks).  The panels that
   run_chain steps stay the raw (b, rows, cols, beta) normals of their draw
   until _batch_last writes them, scaled, straight into the step kernel's
   (cols, rows, b, C) layout: for beta = 4 only the even columns of the
@@ -26,7 +29,10 @@ Conventions
   at a time, and batched draws consume the underlying bit stream exactly
   like repeated single draws, so identical seeds give identical factor
   streams whatever BLOCK is.  No draw is skipped: step t takes the t-th
-  draw of its stream, inverse steps included.
+  draw of its stream, inverse steps included.  The step kernel gives each
+  lane of its batch, one step of one chain, the bits it has in any batch
+  (_orthonormalize), so neither BLOCK nor the chains a chain runs with
+  change its increments.
 """
 
 import math
@@ -94,11 +100,12 @@ class Ensemble:
     stability_exponents needs width == d).  ``proportions`` gives the share
     of each factor type on the deterministic quota schedule, 0 for a type
     that never occurs (None when there is one type).
-    Every kind draws through ``panel``; ``columns`` turns a block's draws,
-    once _batch_last has written them in the kernel's layout, into the
-    columns the kernel factors, and ``factors`` turns them into whole
-    matrices.  Rectangular factors override ``panel``, general covariance
-    ``columns`` and ``factors``, truncated unitaries all three.
+    Every kind draws only through ``panel``, and two maps read a block's
+    draw: ``columns`` turns it, once _batch_last has written it in the
+    kernel's layout, into the columns the kernel factors, and ``factors``
+    turns the draw of panels as wide as a factor into whole matrices.
+    Rectangular factors override ``panel``, general covariance ``columns``
+    and ``factors``, truncated unitaries all three.
     """
 
     beta: int
@@ -149,11 +156,11 @@ class Ensemble:
         array itself, whose columns have the law of A[:, :k]."""
         return a
 
-    def factors(self, rng, types, previous):
-        """The whole factors of the steps of ``types``: the panels as wide as
-        a factor, mapped to field entries (the complex embedding for
-        beta = 4)."""
-        return _to_field(self.beta, self.panel(rng, types, self.width, previous))
+    def factors(self, g):
+        """The whole factors of a block from ``g``, the draw of its panels as
+        wide as a factor: those panels mapped to field entries (the complex
+        embedding for beta = 4), scaling ``g`` in place."""
+        return _to_field(self.beta, g)
 
 
 @dataclass(frozen=True)
@@ -184,8 +191,8 @@ class GeneralSigmaGaussian(Ensemble):
         """Sigma^{1/2} G: the rows of the Gaussian columns scaled in place."""
         return np.multiply(self._row_scale[:, None, None], a, out=a)
 
-    def factors(self, rng, types, previous):
-        return self._row_scale[:, None] * super().factors(rng, types, previous)
+    def factors(self, g):
+        return self._row_scale[:, None] * super().factors(g)
 
 
 @dataclass(frozen=True)
@@ -266,24 +273,19 @@ class TruncatedUnitary(Ensemble):
     def columns(self, a):
         """The top d rows of k Haar columns: the Q of the Gaussians in ``a``,
         all chains of a block orthonormalised in one call of the
-        Gram-Schmidt kernel (_orthonormalize).  Its R has a positive
-        diagonal, so the columns are Haar without a phase fix, for beta = 4
-        too (each even column of the embedding stands for its pair).  A
-        block of one step goes chain by chain: numpy sums a reduction
-        pairwise when it is the innermost loop, as the rows of one chain's
-        single step are, so this keeps each chain's Q bit for bit what it is
-        alone, as in every longer block.  Kernel reductions that did not
-        depend on the batch shape would make this case unnecessary."""
-        for q in (a,) if a.shape[2] > 1 else np.moveaxis(a, -1, 0):
-            _orthonormalize(q, self.beta)
+        Gram-Schmidt kernel (_orthonormalize), which gives each chain's step
+        the bits it has alone.  Its R has a positive diagonal, so the
+        columns are Haar without a phase fix, for beta = 4 too (each even
+        column of the embedding stands for its pair)."""
+        _orthonormalize(a, self.beta)
         return a[:, :2 * self.d if self.beta == 4 else self.d]
 
-    def factors(self, rng, types, previous):
-        """The top d rows of d Haar columns in dimension d + n, from
-        np.linalg.qr with the phase fix (_haar_columns).  The stream of
-        whole factors, and product_chain with it, stays independent of the
-        Gram-Schmidt kernel."""
-        q = _haar_columns(self.beta, self.d + self.n, self.d, rng, size=len(types))
+    def factors(self, g):
+        """The top d rows of d Haar columns in dimension d + n: the
+        phase-fixed np.linalg.qr of the Gaussians of ``g`` (_haar_columns).
+        The stream of whole factors, and product_chain with it, stays
+        independent of the Gram-Schmidt kernel."""
+        q = _haar_columns(self.beta, super().factors(g))
         return q[:, :2 * self.d if self.beta == 4 else self.d]
 
 
@@ -370,11 +372,11 @@ def _gaussian_data(beta, rows, cols, rng, size=None):
     return _to_field(beta, rng.standard_normal(shape + (beta,)))
 
 
-def _haar_columns(beta, rows, k, rng, size=None):
-    """k orthonormal columns with the law of the first k of a rows x rows
-    Haar unitary: the Q of a rows x k Gaussian times the phases of R's
-    diagonal (see the module docstring)."""
-    q, r = np.linalg.qr(_gaussian_data(beta, rows, k, rng, size=size))
+def _haar_columns(beta, g):
+    """The Q of each rows x k Gaussian of ``g`` (field matrices) times the
+    phases of R's diagonal (see the module docstring): k orthonormal columns
+    with the law of the first k of a rows x rows Haar unitary."""
+    q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag / np.abs(diag))[..., None, :]
     return _quaternion_symmetrize(q) if beta == 4 else q
@@ -439,14 +441,24 @@ def _orthonormalize(a, beta):
     The MGS R factor is backward stable like the Householder one (Bjorck,
     BIT 7 (1967) 1; Bjorck & Paige, SIAM J. Matrix Anal. Appl. 13 (1992)
     176), and with the batch last and contiguous every operation runs over
-    the whole batch at once.  For beta = 4, ``a`` holds the even columns of
-    the embedding only: each is orthogonalised against the pairs
-    (q, _partner(q)) of the columns before it, and its entry is the squared
-    R diagonal entry of both columns of its pair.  A zero or non-finite
+    the whole batch at once.  Each lane of the batch (one step of one
+    chain) gets the bits it has in any wider batch: numpy sums a reduction
+    pairwise only when it is the innermost loop, as it is over the rows of a
+    batch of one lane, so such a batch runs as two copies of its lane, whose
+    rows are then summed one after another as in every wider batch.  For
+    beta = 4, ``a`` holds the even columns of the embedding only: each is
+    orthogonalised against the pairs (q, _partner(q)) of the columns before
+    it, and its entry is the squared R diagonal entry of both columns of its
+    pair.  A zero or non-finite
     column, or one whose squared norm overflows, gives a zero or non-finite
     entry, and NaN columns from there on, without a warning; callers check
     the entries.
     """
+    if a[0, 0].size == 1:
+        pair = np.concatenate((a, a), axis=-1)
+        diag = _orthonormalize(pair, beta)
+        a[...] = pair[..., :1]
+        return diag[..., :1]
     diag = np.empty(a.shape[:1] + a.shape[2:])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j, v in enumerate(a):
@@ -515,11 +527,12 @@ class FactorStream:
 
     Yields, BLOCK steps at a time, the raw normals of the ensemble's
     ``panel`` (panels), or whole factors as matrices, the complex embedding
-    for beta = 4 (blocks, factors).  Every step takes the next draw of the
-    generator, inverse steps included.  The caller hands in the quota-schedule types of the steps,
-    _step_types(spec, N), which a run computes once for all its streams;
-    the types of a call start at step 1, so a stream is drawn by one call
-    of blocks, panels or factors.
+    for beta = 4 (blocks, factors), which blocks maps from the panels as
+    wide as a factor (Ensemble.factors).  Every step takes the next draw of
+    the generator, inverse steps included.  The caller hands in the
+    quota-schedule types of the steps, _step_types(spec, N), which a run
+    computes once for all its streams; the types of a call start at step 1,
+    so a stream is drawn by one call of blocks, panels or factors.
     """
 
     #: Always 0: no draw is ever skipped.  The benchmark's draw_alone
@@ -534,19 +547,20 @@ class FactorStream:
         """Yield the factors of the steps of ``types`` as (b, rows, cols)
         arrays of at most BLOCK steps.
 
-        A factor is the panel as wide as the factor (see Ensemble.width), so
-        non-square rectangular factors, whose shape changes from step to
-        step, come zero-padded: each fills the top-left corner of a zero
-        D x D square, D = d + max(offsets) (twice that for the quaternion
-        embedding).  The generator is consumed exactly as by drawing factor
-        by factor, so BLOCK does not change the stream.  The draws of inverse
-        steps (_inverse_steps) are inverted; one that is singular raises
-        ArithmeticError naming its step (from 1).
+        A factor is the map (Ensemble.factors) of the panel as wide as the
+        factor (see Ensemble.width), so non-square rectangular factors,
+        whose shape changes from step to step, come zero-padded: each fills
+        the top-left corner of a zero D x D square, D = d + max(offsets)
+        (twice that for the quaternion embedding).  The generator is
+        consumed exactly as by drawing factor by factor, so BLOCK does not
+        change the stream.  The draws of inverse steps (_inverse_steps) are
+        inverted; one that is singular raises ArithmeticError naming its
+        step (from 1).
         """
         inverse = _inverse_steps(self.spec, types)
-        for done in range(0, len(types), BLOCK):
-            block = self.spec.factors(self.rng, types[done:done + BLOCK],
-                                      types[done - 1] if done else None)
+        done = 0
+        for g in self.panels(types, self.spec.width):
+            block = self.spec.factors(g)
             if inverse is not None:
                 steps = np.flatnonzero(inverse[done:done + len(block)])
                 try:
@@ -560,6 +574,7 @@ class FactorStream:
                             raise ArithmeticError(
                                 f"singular factor at step {done + s + 1}") from None
                     raise
+            done += len(block)
             yield block
 
     def panels(self, types, k):

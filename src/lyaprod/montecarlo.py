@@ -21,9 +21,10 @@ raw normals of its panel (see Ensemble.panel), and one writer,
 ensembles._batch_last, scales them straight into the kernel's array, with
 no matrix in between; the kind's ``columns`` then gives the law of
 A[:, :k] (Sigma^{1/2} on the rows, or the top rows of Haar columns from
-one kernel call over the block).  A whole factor is the panel as wide as
-the factor, as a matrix.  A rectangular panel is a (d + nu_t) x k
-Gaussian padded with zero rows, which leave |diag R| unchanged.  An inverse
+one kernel call over the block).  A whole factor is the kind's
+``factors`` map of the same draw, the panel as wide as the factor.  A
+rectangular panel is a (d + nu_t) x k Gaussian padded with zero rows,
+which leave |diag R| unchanged.  An inverse
 step G^-1 is never inverted, and its Gaussian G is the next draw of the
 stream, with no condition check: its panel is G, d columns wide.  The QR
 of G^-1 is read off that of the reversed adjoint J G^H J (J the order
@@ -125,7 +126,10 @@ def run_chain(spec, k_max, N, rngs):
     (ensembles._orthonormalize) factors all of them; half the logs of its
     squared R diagonal, negated in reversed order on inverse steps, and the
     finiteness check run once per block.  A singular inverse
-    draw is not redrawn: its step fails that check.
+    draw is not redrawn: its step fails that check.  The kernel gives each
+    step of each chain the bits it has in any batch, so every chain's
+    increments are, bit for bit, those of the chain run alone, whatever
+    BLOCK.
 
     Returns the (C, N, k_max) per-step log-volume increments, chain c in the
     order of ``rngs``: a view of a C-ordered (k_max, C, N) array, the layout
@@ -274,11 +278,12 @@ def _partial_sums(x):
 def stability_exponents(spec, N, rng):
     """Growth rates and phases of the eigenvalues of the product itself.
 
-    All N factors are drawn at once from FactorStream(spec, rng).blocks(N),
-    one batched slogdet checks them, and the product P_N = A_N ... A_1 is
-    reduced as a tree: each level multiplies neighbouring partial products
-    in one batched matmul, the later one on the left, and carries an odd
-    last one up unchanged, so about log2(N) matmuls form P_N.  Before the
+    All N factors are drawn at once, FactorStream(spec, rng).blocks of the
+    step types _step_types(spec, N), one batched slogdet checks them, and
+    the product P_N = A_N ... A_1 is reduced as a tree: each level
+    multiplies neighbouring partial products in one batched matmul, the
+    later one on the left, and carries an odd last one up unchanged, so
+    about log2(N) matmuls form P_N.  Before the
     first level and after every level each partial product is rescaled by
     the power of two 2^-e that brings its largest entry modulus into
     [1/2, 1).  Such a scale is exact, so the log of the dropped scale is the

@@ -35,6 +35,11 @@ def schedule(spec, n):
     return ens._step_types(spec, n)
 
 
+def haar(beta, rows, k, rng, size=None):
+    """Haar columns (_haar_columns) of rows x k Gaussians drawn from rng."""
+    return ens._haar_columns(beta, ens._gaussian_data(beta, rows, k, rng, size=size))
+
+
 class TestGaussianSampling:
     def test_real_second_moment(self):
         rng = chain_rng(100, 0)
@@ -76,20 +81,20 @@ class TestHaarSampling:
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_unitarity(self, beta):
         rng = chain_rng(200, beta)
-        u = ens._haar_columns(beta, 3, 3, rng)
+        u = haar(beta, 3, 3, rng)
         dev = np.abs(np.conj(u.T) @ u - np.eye(u.shape[0])).max()
         assert dev <= 1e-12
 
     def test_real_determinant_is_sign(self):
         rng = chain_rng(201, 0)
         for _ in range(20):
-            u = ens._haar_columns(1, 2, 2, rng)
+            u = haar(1, 2, 2, rng)
             assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
 
     def test_quaternion_structure_exact(self):
         rng = chain_rng(202, 0)
         for m in (1, 2, 4):
-            u = ens._haar_columns(4, m, m, rng)
+            u = haar(4, m, m, rng)
             assert is_quaternion_structured(u)
 
     def test_first_entry_phase_uniform(self, monkeypatch):
@@ -97,11 +102,11 @@ class TestHaarSampling:
         # the diagonal phase correction this test fails, for the Haar columns
         # and for the truncated factors drawn from them
         rng = chain_rng(203, 0)
-        haar = ens._haar_columns(2, 2, 2, rng, size=100_000)
+        columns = haar(2, 2, 2, rng, size=100_000)
         monkeypatch.setattr(ens, "BLOCK", 100_000)
         spec = TruncatedUnitary(2, 2, 2)
         truncated = next(FactorStream(spec, rng).blocks(schedule(spec, 100_000)))
-        for u in (haar, truncated):
+        for u in (columns, truncated):
             phases = np.angle(u[:, 0, 0])
             p = stats.kstest(phases, stats.uniform(loc=-math.pi, scale=2 * math.pi).cdf).pvalue
             assert p > 0.001
@@ -110,9 +115,9 @@ class TestHaarSampling:
     def test_left_invariance_chi_square(self, beta):
         # statistics of V U match U for a fixed unitary V
         rng = chain_rng(204, beta)
-        v = ens._haar_columns(beta, 2, 2, rng)
-        u_plain = ens._haar_columns(beta, 2, 2, rng, size=100_000)
-        u_mult = v @ ens._haar_columns(beta, 2, 2, rng, size=100_000)
+        v = haar(beta, 2, 2, rng)
+        u_plain = haar(beta, 2, 2, rng, size=100_000)
+        u_mult = v @ haar(beta, 2, 2, rng, size=100_000)
         a = np.abs(u_plain[:, 0, 0])
         b = np.abs(u_mult[:, 0, 0])
         edges = np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 21))
@@ -124,9 +129,9 @@ class TestHaarSampling:
     def test_quaternion_haar_invariance(self):
         # same check through the embedding for the symplectic case
         rng = chain_rng(205, 0)
-        v = ens._haar_columns(4, 2, 2, rng)
-        u_plain = ens._haar_columns(4, 2, 2, rng, size=30_000)
-        u_mult = v @ ens._haar_columns(4, 2, 2, rng, size=30_000)
+        v = haar(4, 2, 2, rng)
+        u_plain = haar(4, 2, 2, rng, size=30_000)
+        u_mult = v @ haar(4, 2, 2, rng, size=30_000)
         a = np.abs(u_plain[:, 0, 0])
         b = np.abs(u_mult[:, 0, 0])
         edges = np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 16))

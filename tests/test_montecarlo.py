@@ -158,21 +158,15 @@ SCHEDULED_SPECS = [
 
 
 class PoisonedStream(FactorStream):
-    """Factor stream whose factor or panel at step ``poison_step`` (from 1) is
-    all ``fill``."""
+    """Factor stream whose panel draw at step ``poison_step`` (from 1) is all
+    ``fill``, and so is its whole factor (blocks draws through panels)."""
 
     poison_step = None
     fill = np.nan
 
-    def blocks(self, types):
-        return self._poisoned(super().blocks(types))
-
     def panels(self, types, k):
-        return self._poisoned(super().panels(types, k))
-
-    def _poisoned(self, blocks):
         done = 0
-        for block in blocks:
+        for block in super().panels(types, k):
             if done < self.poison_step <= done + len(block):
                 block[self.poison_step - done - 1] = self.fill
             done += len(block)
@@ -294,8 +288,8 @@ def lapack_logs(panels, beta):
 def with_singular_values(beta, rows, k, kappa, rng, size):
     """``size`` rows x k panels U diag(s) V^dag, U and V Haar, s log-spaced
     from 1 down to 1/kappa (quaternion for beta = 4)."""
-    u = ensembles._haar_columns(beta, rows, k, rng, size=size)
-    v = ensembles._haar_columns(beta, k, k, rng, size=size)
+    u = ensembles._haar_columns(beta, _gaussian_data(beta, rows, k, rng, size=size))
+    v = ensembles._haar_columns(beta, _gaussian_data(beta, k, k, rng, size=size))
     s = np.logspace(0.0, -math.log10(kappa), k)
     p = (u * np.repeat(s, 2 if beta == 4 else 1)) @ np.conj(np.swapaxes(v, -1, -2))
     return ensembles._quaternion_symmetrize(p) if beta == 4 else p
@@ -454,6 +448,32 @@ class TestMatrixRoute:
         got = run_chain(spec, k, N, [chain_rng(95, c) for c in range(chains)])
         want = matrix_route_chain(spec, k, N, [chain_rng(95, c) for c in range(chains)])
         assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
+
+
+class TestLaneInvariance:
+    """A step of a chain is one lane of the kernel's batch, and it gets the
+    same bits in every batch: run alone or with other chains, in a block of
+    one step or of many.  numpy sums 8 or more float64 pairwise when the sum
+    over the rows is the innermost loop, as it is for a batch of one lane,
+    and row by row in a wider batch."""
+
+    #: Every kind at every beta (columns of 8 or more float64 at beta = 4,
+    #: for the rectangular kind at beta = 2 and the truncated at beta = 1),
+    #: and Gaussian columns of 10 and 8 float64 at beta = 2 and 1.
+    SPECS = MATRIX_ROUTE_SPECS + [StandardGaussian(2, 5), StandardGaussian(1, 8)]
+
+    # in blocks of 4, both runs end on a block of one step
+    @pytest.mark.parametrize("N", [1, 9])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-beta{s.beta}-d{s.d}")
+    def test_chains_together_alone_and_in_one_block_agree(self, spec, N, monkeypatch):
+        monkeypatch.setattr(ensembles, "BLOCK", 4)
+        together = run_chain(spec, 3, N, [chain_rng(96, c) for c in range(3)])
+        alone = [run_chain(spec, 3, N, [chain_rng(96, c)]) for c in range(3)]
+        monkeypatch.setattr(ensembles, "BLOCK", 256)
+        one_block = run_chain(spec, 3, N, [chain_rng(96, 0)])
+        bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+        np.testing.assert_array_equal(bits(together), bits(np.concatenate(alone)))
+        np.testing.assert_array_equal(bits(alone[0]), bits(one_block))
 
 
 #: (spec, k): inverse Gaussians at every beta, d = 1, 2, 3, 5 and k = 1, d,
@@ -759,6 +779,9 @@ class TestRunChain:
             call(bad)
 
 
+ESTIMATE_FIELDS = ("mu_hat", "se_mu", "n_sigma2_hat", "partial_sum_mu", "partial_sum_n_sigma2")
+
+
 class TestEstimate:
     @pytest.mark.parametrize("k", [1, 2, 10])
     def test_partial_sums_are_cumsum_bit_for_bit(self, k):
@@ -776,24 +799,25 @@ class TestEstimate:
         for i in range(2):
             assert est.mu_hat[i] >= est.mu_hat[i + 1] - 3.0 * est.se_mu[i + 1]
 
-    @pytest.mark.parametrize("spec,k", [
-        (GaussianInverseMixture(2, 2, 0.5), 2),
-        (StandardGaussian(4, 3), 3),
-        (StandardGaussian(1, 1), 1),
-        (RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5)))), 2),
-    ], ids=["mixture", "beta4_d3", "d1", "rectangular"])
-    def test_chains_stepped_together_match_single_chains(self, spec, k, monkeypatch):
+    @pytest.mark.parametrize("spec,k,N", [
+        (GaussianInverseMixture(2, 2, 0.5), 2, 3000),
+        (StandardGaussian(4, 3), 3, 3000),
+        (StandardGaussian(1, 1), 1, 3000),
+        (RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5)))), 2, 3000),
+        # one step, of columns of 10 float64 (see TestLaneInvariance)
+        (StandardGaussian(2, 5), 5, 1),
+    ], ids=["mixture", "beta4_d3", "d1", "rectangular", "beta2_d5-N1"])
+    def test_chains_stepped_together_match_single_chains(self, spec, k, N, monkeypatch):
         # estimate steps its four chains in one batched run_chain call; the
         # same chains run one at a time must give bit-identical results
-        together = estimate(spec, k, 3000, 4, 19)
+        together = estimate(spec, k, N, 4, 19)
 
         def one_at_a_time(spec, k_max, N, rngs, **kwargs):
             return np.concatenate([run_chain(spec, k_max, N, [rng], **kwargs) for rng in rngs])
 
         monkeypatch.setattr(montecarlo, "run_chain", one_at_a_time)
-        alone = estimate(spec, k, 3000, 4, 19)
-        for field in ("mu_hat", "se_mu", "n_sigma2_hat", "partial_sum_mu",
-                      "partial_sum_n_sigma2"):
+        alone = estimate(spec, k, N, 4, 19)
+        for field in ESTIMATE_FIELDS:
             assert np.array_equal(getattr(together, field), getattr(alone, field)), field
 
     def test_bit_identical_across_parallelism(self, monkeypatch):
@@ -831,12 +855,20 @@ class TestEstimate:
             assert np.abs(getattr(est, field) - want).max() <= 1e-13, field
         assert np.abs(est.mu_hat - res.mean(axis=(0, 1))).max() <= 1e-13
 
-    def test_block_size_invariance(self, monkeypatch):
+    @pytest.mark.parametrize("spec,k,N,chains", [
+        (StandardGaussian(2, 2), 2, 3000, 2),
+        # one chain whose last block of 64 steps has one step (N = 1 mod 64),
+        # of columns of 10 and 8 float64 (see TestLaneInvariance)
+        (StandardGaussian(2, 5), 5, 65, 1),
+        (StandardGaussian(1, 8), 8, 129, 1),
+    ], ids=["beta2_d2", "beta2_d5-N65", "beta1_d8-N129"])
+    def test_block_size_invariance(self, spec, k, N, chains, monkeypatch):
         monkeypatch.setattr(ensembles, "BLOCK", 64)
-        a = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20)
+        a = estimate(spec, k, N, chains, 20)
         monkeypatch.setattr(ensembles, "BLOCK", 1024)
-        b = estimate(StandardGaussian(2, 2), 2, 3000, 2, 20)
-        assert np.array_equal(a.mu_hat, b.mu_hat)
+        b = estimate(spec, k, N, chains, 20)
+        for field in ESTIMATE_FIELDS:
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_matches_theory_complex_gaussian(self):
         est = estimate(StandardGaussian(2, 2), 2, 50_000, 2, 21)
