@@ -252,7 +252,7 @@ def cmd_ratio(beta, d, samples, seed):
     t0 = time.perf_counter()
     try:
         ratios = spectral_ratio_samples(beta, d, samples, chain_rng(seed, 0))
-    except ValueError as exc:
+    except (MemoryError, ValueError) as exc:
         raise CliError(str(exc))
     wall_ms = (time.perf_counter() - t0) * 1e3
     rows = [dict(zip(RATIO_HEADER, (int(beta), int(d), int(samples), float(ratios.mean()),

@@ -454,17 +454,22 @@ class TestMainEndToEnd:
         assert main(["compare", "--ensemble", GAUSS_21, "--N", "1"]) == 2
         assert "two increments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    @pytest.mark.parametrize("n", ["100000000000000000", "1000000000000000000"],
-                             ids=["memory-error", "size-overflow"])
-    def test_run_beyond_address_space_exits_2(self, command, n, capsys):
+    @pytest.mark.parametrize("argv", [
+        [command, "--ensemble", '{"kind":"standard_gaussian","beta":2,"d":2}', "--N", n,
+         "--chains", "4", "--k-max", "2"]
+        for n in ("100000000000000000", "1000000000000000000")
+        for command in ("simulate", "compare")
+    ] + [["ratio", "--d", "300000000", "--samples", "1"]],
+        ids=[f"{error}-{command}" for error in ("memory-error", "size-overflow")
+             for command in ("simulate", "compare")] + ["memory-error-ratio"])
+    def test_run_beyond_address_space_exits_2(self, argv, capsys):
         # 2 x 4 x N float64 increments: 5.55 EiB for the first N, which numpy
         # fails to allocate, and a byte count past the int64 range for the
-        # second, which numpy rejects with a ValueError.  Both lie beyond the
-        # x86-64 address space, so every host refuses them.
-        gauss_22 = '{"kind":"standard_gaussian","beta":2,"d":2}'
-        assert main([command, "--ensemble", gauss_22, "--N", n, "--chains", "4",
-                     "--k-max", "2"]) == 2
+        # second, which numpy rejects with a ValueError.  The ratio run's
+        # d x d complex Gaussian takes 1.25 EiB, which numpy fails to
+        # allocate.  All lie beyond the x86-64 address space, so every host
+        # refuses them.
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
