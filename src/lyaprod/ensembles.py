@@ -579,9 +579,9 @@ class FactorStream:
 
     def panels(self, types, k):
         """Yield the draws of the panels of the steps of ``types`` (see
-        Ensemble.panel), the per-block draw of run_chain: (b, rows, cols,
-        beta) arrays of real normals, at most BLOCK steps each.  Like the
-        factors, they do not depend on BLOCK."""
+        Ensemble.panel), the one per-block draw of run_chain and of blocks:
+        (b, rows, cols, beta) arrays of real normals, at most BLOCK steps
+        each.  They do not depend on BLOCK."""
         for done in range(0, len(types), BLOCK):
             yield self.spec.panel(self.rng, types[done:done + BLOCK], k,
                                   types[done - 1] if done else None)
