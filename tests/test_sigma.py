@@ -80,6 +80,22 @@ def mp_j_integrals(beta, y, digits=20):
         return float(j1), float(j2)
 
 
+def logaddexp_j_integrals(beta, y):
+    """(J1, J2) from the trapezoid sum of j_integrals, on the same nodes,
+    with G and F formed by np.logaddexp."""
+    spec = SigmaSpec(y)
+    logy = np.log(spec.y)
+    half_beta = 0.5 * beta
+    lo = lyaprod.sigma._low_cut(max(0.0, math.log(half_beta) + float(np.logaddexp.reduce(-logy))))
+    hi = lyaprod.sigma._high_cut(max(0.0, float(logy[-1])), min(1.0, half_beta * spec.d))
+    step = lyaprod.sigma.LOG_STEP
+    s = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
+    big_g = np.logaddexp(0.0, s)
+    big_f = half_beta * np.sum(np.logaddexp(0.0, s[:, None] - logy), axis=1)
+    diff = -np.exp(-big_g) * np.expm1(big_g - big_f)
+    return -step * float(np.sum(diff)), 2.0 * step * float(np.sum(diff * s))
+
+
 HARD_SPECTRA = {
     "wide": (1e-6, 1.0, 1e6),
     "geometric12": tuple(float(v) for v in np.geomspace(1e-4, 1e4, 12)),
@@ -293,12 +309,30 @@ class TestJIntegrals:
         assert abs(q.J2 - r.J2) <= 1e-13
 
     def test_unreachable_target_raises(self, monkeypatch):
-        monkeypatch.setattr(lyaprod.sigma, "QUADRATURE_TARGET", 1e-30)
+        # at step 1 the step-halving estimate is about e^-(pi^2), far above the target
+        monkeypatch.setattr(lyaprod.sigma, "LOG_STEP", 1.0)
         with pytest.raises(QuadratureError) as info:
             j_integrals(1, SigmaSpec((0.5, 2.0)))
         estimate = info.value.estimate
-        assert math.isfinite(estimate) and 1e-30 < estimate <= 1e-10
+        assert math.isfinite(estimate) and estimate > lyaprod.sigma.QUADRATURE_TARGET
         assert f"{estimate:.3e}" in str(info.value)
+
+    @pytest.mark.parametrize("beta", [1, 4])
+    @pytest.mark.parametrize("name", sorted(HARD_SPECTRA))
+    def test_matches_logaddexp_formula(self, name, beta):
+        got = j_integrals(beta, SigmaSpec(HARD_SPECTRA[name]))
+        j1, j2 = logaddexp_j_integrals(beta, HARD_SPECTRA[name])
+        assert abs(got.J1 - j1) <= 1e-14
+        assert abs(got.J2 - j2) <= 1e-14
+
+
+def test_softplus_matches_logaddexp():
+    t = np.concatenate((np.linspace(-800.0, 800.0, 160_001), [0.0, -0.0, -745.2, -708.4, 709.8],
+                        np.geomspace(1e-300, 1.0, 301), -np.geomspace(1e-300, 1.0, 301)))
+    want = np.logaddexp(0.0, t)
+    got = lyaprod.sigma._softplus(t.copy())
+    assert got[0] == 0.0 and got[160_000] == 800.0  # both tails underflow
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
 
 
 def test_cli_import_leaves_out_scipy_integrate():
