@@ -283,11 +283,14 @@ def stability_exponents(spec, N, rng):
     the product P_N = A_N ... A_1 is reduced as a tree: each level
     multiplies neighbouring partial products in one batched matmul, the
     later one on the left, and carries an odd last one up unchanged, so
-    about log2(N) matmuls form P_N.  Before the
-    first level and after every level each partial product is rescaled by
-    the power of two 2^-e that brings its largest entry modulus into
-    [1/2, 1).  Such a scale is exact, so the log of the dropped scale is the
-    integer sum of the e times ln 2.  P_N is then eigendecomposed once.
+    about log2(N) matmuls form P_N.  Before the first level and after every
+    level each partial product is rescaled by the power of two 2^-e that
+    brings its largest real component (real or imaginary part) into
+    [1/2, 1), and P_N itself by the one that brings its largest entry
+    modulus there.  Such a scale is exact and commutes with the products,
+    so P_N does not depend on the intermediate ones, and the log of the
+    dropped scale is the integer sum of the e times ln 2.  P_N is then
+    eigendecomposed once.
     Returns d (lambda_k, theta_k) pairs sorted by descending lambda; for
     beta = 4 one representative per conjugate-degenerate pair is returned,
     with theta >= 0.
@@ -328,14 +331,18 @@ def stability_exponents(spec, N, rng):
     logdet_sum = math.fsum(logdets.tolist())
     det_phase = math.fsum(np.angle(signs).tolist())
 
+    tiny = np.finfo(np.float64).tiny
     exponent = 0
     while True:
-        scales = np.abs(m).max(axis=(-2, -1))
-        # a normal, finite scale keeps its power-of-two inverse finite
-        if not np.all((scales >= np.finfo(np.float64).tiny) & (scales < np.inf)):
+        parts = m.view(np.float64)  # real and imaginary parts side by side
+        # by the largest real component, and by the largest modulus at the end
+        scales = np.abs(m if len(m) == 1 else parts).max(axis=(-2, -1), keepdims=True)
+        # a normal, finite scale keeps its power-of-two inverse finite; a NaN
+        # fails both comparisons
+        if not (scales.min() >= tiny and scales.max() < np.inf):
             raise ArithmeticError("product collapsed to zero or overflowed")
         e = np.frexp(scales)[1]
-        m *= (2.0 ** -e)[:, None, None]
+        np.ldexp(parts, -e, out=parts)
         exponent += int(e.sum())
         if len(m) == 1:
             break

@@ -127,6 +127,23 @@ class BrokenGaussian(Ensemble):
         return g
 
 
+@dataclass(frozen=True)
+class SubnormalDiagonal(Ensemble):
+    """Real 2 x 2 factors diag(1, 2^-1070) and diag(2^-1070, 1) in turn:
+    each is nonsingular, but the product of a pair lies below the normal
+    range even after rescaling."""
+
+    d: int
+
+    kind = "subnormal_diagonal"
+
+    def factors(self, g):
+        f = np.zeros((len(g), 2, 2))
+        f[0::2] = np.diag([1.0, 2.0 ** -1070])
+        f[1::2] = np.diag([2.0 ** -1070, 1.0])
+        return f
+
+
 #: (spec, k_max, chains) covering every kind, each beta, k < d and k = d,
 #: non-square rectangular factors (one with offsets wider than d) and
 #: quaternion single-column frames.  Real d = 3 cases stop at k = 2: at
@@ -983,6 +1000,11 @@ class TestStabilityExponents:
         monkeypatch.setattr(BrokenGaussian, "fill", fill)
         with pytest.raises(ArithmeticError, match="singular factor in stability run"):
             stability_exponents(BrokenGaussian(2, 2), n, chain_rng(38, 0))
+
+    @pytest.mark.parametrize("n", [2, 3, 300])
+    def test_collapsed_product_rejected(self, n):
+        with pytest.raises(ArithmeticError, match="product collapsed to zero or overflowed"):
+            stability_exponents(SubnormalDiagonal(1, 2), n, chain_rng(39, 0))
 
     def test_rectangular_factors_rejected(self):
         spec = RectangularGaussian(2, 2, RectangularSpec(((0, 0.5), (1, 0.5))))
