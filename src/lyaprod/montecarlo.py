@@ -285,9 +285,8 @@ def stability_exponents(spec, N, rng):
     later one on the left, and carries an odd last one up unchanged, so
     about log2(N) matmuls form P_N.  Before the first level and after every
     level each partial product is rescaled by the power of two 2^-e that
-    brings its largest real component (real or imaginary part) into
-    [1/2, 1), and P_N itself by the one that brings its largest entry
-    modulus there.  Such a scale is exact and commutes with the products,
+    brings its largest real or imaginary part into [1/2, 1), and P_N
+    itself by the one that brings its largest entry modulus there.  Such a scale is exact and commutes with the products,
     so P_N does not depend on the intermediate ones, and the log of the
     dropped scale is the integer sum of the e times ln 2.  P_N is then
     eigendecomposed once.
@@ -335,7 +334,7 @@ def stability_exponents(spec, N, rng):
     exponent = 0
     while True:
         parts = m.view(np.float64)  # real and imaginary parts side by side
-        # by the largest real component, and by the largest modulus at the end
+        # by the largest real or imaginary part; P_N by its largest modulus
         scales = np.abs(m if len(m) == 1 else parts).max(axis=(-2, -1), keepdims=True)
         # a normal, finite scale keeps its power-of-two inverse finite; a NaN
         # fails both comparisons
