@@ -67,8 +67,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (FactorStream, chain_rng, _batch_last, _check_beta, _check_int,
-                        _gaussian_data, _inverse_steps, _orthonormalize, _step_types)
+from .ensembles import (FactorStream, chain_rng, _batch_last, _gaussian_data, _inverse_steps,
+                        _orthonormalize, _step_types)
+from .theory import _check_beta, _check_int
 
 __all__ = [
     "McEstimate",
@@ -94,7 +95,10 @@ class McEstimate:
     (divisor count-1, which is N times the variance of mu_hat for one
     chain), and se_mu[i] the standard error sqrt(n_sigma2_hat / total
     steps).  The partial-sum fields are the analogous statistics of the
-    per-step log-determinant increments sum_{i<=k} xi^(i).
+    per-step log-determinant increments sum_{i<=k} xi^(i); that variance is
+    the sum of the leading k x k block of the increments' covariance, whose
+    diagonal is n_sigma2_hat, so its rounding is absolute, about
+    eps * sum_{i,j<=k} |cov_ij|.
 
     For ensembles that mix factor types on a deterministic schedule
     (rectangular offsets, Gaussian/inverse mixtures) the variance is that of
@@ -216,63 +220,55 @@ def _record(by_index, done, logs):
     return done + logs.shape[1]
 
 
-def _within_type_variance(x, steps):
-    """Share-weighted var(ddof=1) of each type's samples of x, pooled over chains.
+def _within_type_covariance(x, steps):
+    """Share-weighted, ddof = 1 k x k covariance of each type's samples of x,
+    pooled over chains.
 
-    x is a C-ordered (k, C, N) array and ``steps`` selects each type's steps
-    on its last axis.  A type with a single sample adds 0.
+    x is a C-ordered (k, C, N) array, and ``steps`` holds each type's mask
+    over its last axis, or None alone for one type, which is centred in x
+    itself.  A type with a single sample adds 0.
     """
     k, chains, n = x.shape
-    var = np.zeros(k)
-    for sel in steps:
-        samples = x[..., sel]
-        count = samples[0].size
+    cov = np.zeros((k, k))
+    for mask in steps:
+        s = (x if mask is None else np.compress(mask, x, axis=2)).reshape(k, -1)
+        count = s.shape[1]
         if count > 1:
-            var += (count / (chains * n)) * samples.var(axis=(1, 2), ddof=1)
-    return var
+            s -= s.mean(axis=1, keepdims=True)
+            cov += (count / (chains * n) / (count - 1)) * (s @ s.T)
+    return cov
 
 
 def estimate(spec, k_max, N, chains, master_seed):
     """Estimate the top k_max exponents and variances from seeded chains.
 
     Chain c draws from chain_rng(master_seed, c).  One run_chain call steps
-    all chains together, and its (C, N, k_max) increments are reduced in one
-    pass: the grand mean, and the within-type variances of the increments
-    and of their partial sums over the index (see McEstimate), with the step
-    types taken from the quota schedule.
+    all chains together, and its (C, N, k_max) increments, centred in place,
+    are reduced to the grand mean and one within-type covariance (see
+    McEstimate), with the step types taken from the quota schedule.
     """
     chains = _check_int("chains", chains)
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
 
     rngs = [chain_rng(master_seed, c) for c in range(chains)]
-    # index-major, so every sum below runs over contiguous memory and numpy
-    # sums it pairwise; no copy for the layout run_chain returns
+    # index-major, so the means below run over contiguous memory, which numpy
+    # sums pairwise; no copy for the layout run_chain returns
     xi = np.ascontiguousarray(run_chain(spec, k_max, N, rngs).transpose(2, 0, 1))
     types = _step_types(spec, xi.shape[2])
     occurring = np.flatnonzero(np.bincount(types))
-    # a type that fills the run is read through a view of xi, in its layout
-    steps = [slice(None)] if len(occurring) == 1 else [types == t for t in occurring]
+    steps = [None] if len(occurring) == 1 else [types == t for t in occurring]
+    # before the reduction, which may centre xi in place
     mu_hat = xi.mean(axis=(1, 2))
-    n_sigma2 = _within_type_variance(xi, steps)
+    cov = _within_type_covariance(xi, steps)
+    n_sigma2 = cov.diagonal().copy()
     return McEstimate(
         mu_hat=mu_hat,
         se_mu=np.sqrt(n_sigma2 / xi[0].size),
         n_sigma2_hat=n_sigma2,
         partial_sum_mu=np.cumsum(mu_hat),
-        partial_sum_n_sigma2=_within_type_variance(_partial_sums(xi), steps),
+        partial_sum_n_sigma2=np.cumsum(np.cumsum(cov, axis=0), axis=1).diagonal().copy(),
     )
-
-
-def _partial_sums(x):
-    """np.cumsum(x, axis=0), the same sums in the same order, by one add of
-    whole rows per index into one buffer (numpy's cumsum along a leading
-    axis is many times slower)."""
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for i in range(1, len(x)):
-        np.add(out[i - 1], x[i], out=out[i])
-    return out
 
 
 def stability_exponents(spec, N, rng):

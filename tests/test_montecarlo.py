@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -171,6 +172,15 @@ KERNEL_CASES = [
 SCHEDULED_SPECS = [
     GaussianInverseMixture(2, 2, 0.4),
     RectangularGaussian(1, 3, RectangularSpec(((0, 0.2), (1, 0.3), (4, 0.5)))),
+]
+
+
+#: One i.i.d. kind, and a beta = 2 general Sigma whose indices are
+#: correlated: its partial-sum variances differ from the sums of the index
+#: variances by 0.4 and 0.9 (N = 2e4, two chains).
+REDUCTION_SPECS = [
+    StandardGaussian(1, 4),
+    GeneralSigmaGaussian(2, SigmaSpec((0.01, 1.0, 100.0))),
 ]
 
 
@@ -800,12 +810,6 @@ ESTIMATE_FIELDS = ("mu_hat", "se_mu", "n_sigma2_hat", "partial_sum_mu", "partial
 
 
 class TestEstimate:
-    @pytest.mark.parametrize("k", [1, 2, 10])
-    def test_partial_sums_are_cumsum_bit_for_bit(self, k):
-        x = np.random.default_rng(k).standard_normal((k, 3, 2001))
-        want = np.cumsum(x, axis=0)
-        assert np.array_equal(montecarlo._partial_sums(x).view(np.uint64), want.view(np.uint64))
-
     def test_partial_sum_mu_is_exact_cumsum(self):
         est = estimate(StandardGaussian(2, 3), 3, 2000, 2, 17)
         assert np.array_equal(est.partial_sum_mu, np.cumsum(est.mu_hat))
@@ -854,10 +858,12 @@ class TestEstimate:
         assert np.array_equal(together.n_sigma2_hat, grouped.n_sigma2_hat)
         assert np.array_equal(together.partial_sum_n_sigma2, grouped.partial_sum_n_sigma2)
 
-    @pytest.mark.parametrize("spec", SCHEDULED_SPECS, ids=["mixture", "rectangular-3"])
+    @pytest.mark.parametrize("spec", SCHEDULED_SPECS + REDUCTION_SPECS,
+                             ids=["mixture", "rectangular-3", "iid", "beta2-sigma-correlated"])
     def test_reduction_matches_direct_computation(self, spec):
         # per type, the two-pass sample variance of the rows of all chains,
-        # weighted by the type's share of the C x N steps
+        # weighted by the type's share of the C x N steps; an i.i.d. kind
+        # is centred in place in estimate's own buffer
         N, chains, k = 500, 3, spec.d
         est = estimate(spec, k, N, chains, 71)
         res = run_chain(spec, k, N, [chain_rng(71, c) for c in range(chains)])
@@ -871,6 +877,21 @@ class TestEstimate:
                 want += len(rows) / (chains * N) * (dev * dev).sum(axis=0) / (len(rows) - 1)
             assert np.abs(getattr(est, field) - want).max() <= 1e-13, field
         assert np.abs(est.mu_hat - res.mean(axis=(0, 1))).max() <= 1e-13
+
+    @pytest.mark.parametrize("spec,k,N,chains,copies", [
+        (StandardGaussian(1, 10), 10, 50_000, 1, 1.5),
+        (GaussianInverseMixture(2, 2, 0.5), 2, 200_000, 4, 2.5),
+    ], ids=["iid", "mixture"])
+    def test_traced_peak_is_bounded_by_the_increments(self, spec, k, N, chains, copies):
+        # the reduction centres the increments in place (one type) or in one
+        # masked copy per type, with no buffer of partial sums
+        tracemalloc.start()
+        try:
+            estimate(spec, k, N, chains, 73)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= copies * k * chains * N * 8, peak / (k * chains * N * 8)
 
     @pytest.mark.parametrize("spec,k,N,chains", [
         (StandardGaussian(2, 2), 2, 3000, 2),
