@@ -11,14 +11,16 @@ Conventions
   beta = c + d i.  A quaternion r x c matrix is therefore a 2r x 2c
   complex array satisfying M = J conj(M) J^{-1} exactly, where J is
   block-diagonal in [[0, 1], [-1, 0]].
-* Every kind draws only through Ensemble.panel, and two maps read that one
-  draw: Ensemble.columns gives the step kernel's columns, and
-  Ensemble.factors gives whole factors from the draw as wide as a factor.
-  Only whole factors are matrices (FactorStream.blocks).  The panels that
-  run_chain steps stay the raw (b, rows, cols, beta) normals of their draw
-  until _batch_last writes them, scaled, straight into the step kernel's
-  (cols, rows, b, C) layout: for beta = 4 only the even columns of the
-  embedding, alpha above -conj(beta), which stand for their pairs.
+* Every kind draws only through Ensemble.panel (general covariance scales
+  the rows of its draw there: Sigma^{1/2} G), and two maps read that one
+  draw, both through the one field map _field_pairs: Ensemble.columns
+  gives the step kernel's columns, and Ensemble.factors gives whole factors
+  from the draw as wide as a factor.  Only whole factors are matrices
+  (FactorStream.blocks, _to_field).  The panels that run_chain steps stay
+  the raw (b, rows, cols, beta) normals of their draw until _batch_last
+  writes them, scaled, straight into the step kernel's (cols, rows, b, C)
+  layout: for beta = 4 only the even columns of the embedding, alpha above
+  -conj(beta), which stand for their pairs.
 * Haar columns come from QR of a Gaussian matrix with the diagonal phase
   correction Q -> Q diag(r_jj / |r_jj|) (plain QR is not Haar; Mezzadri,
   Notices AMS 54 (2007) 592).  For beta = 4 the phase-fixed complex QR of
@@ -104,8 +106,8 @@ class Ensemble:
     draw: ``columns`` turns it, once _batch_last has written it in the
     kernel's layout, into the columns the kernel factors, and ``factors``
     turns the draw of panels as wide as a factor into whole matrices.
-    Rectangular factors override ``panel``, general covariance ``columns``
-    and ``factors``, truncated unitaries all three.
+    Rectangular factors and general covariance (Sigma^{1/2} G, its rows
+    scaled in the draw) override ``panel``, truncated unitaries all three.
     """
 
     beta: int
@@ -180,19 +182,12 @@ class GeneralSigmaGaussian(Ensemble):
     def d(self):
         return self.sigma_inv_eigenvalues.d
 
-    @property
-    def _row_scale(self):
-        """The diagonal of Sigma^{1/2}, y^{-1/2}, on the rows of a matrix
-        (each repeated for the quaternion embedding)."""
-        scale = np.asarray(self.sigma_inv_eigenvalues.y) ** -0.5
-        return np.repeat(scale, 2) if self.beta == 4 else scale
-
-    def columns(self, a):
-        """Sigma^{1/2} G: the rows of the Gaussian columns scaled in place."""
-        return np.multiply(self._row_scale[:, None, None], a, out=a)
-
-    def factors(self, g):
-        return self._row_scale[:, None] * super().factors(g)
+    def panel(self, rng, types, k, previous):
+        """Sigma^{1/2} G: the Gaussian draw with row i scaled in place by
+        y_i^{-1/2}, one scale for all beta components of an entry."""
+        g = super().panel(rng, types, k, previous)
+        g *= (np.asarray(self.sigma_inv_eigenvalues.y) ** -0.5)[:, None, None]
+        return g
 
 
 @dataclass(frozen=True)
@@ -322,21 +317,6 @@ def _quaternion_symmetrize(m):
     return 0.5 * (m + quaternion_dual(m))
 
 
-def _embed_quaternion(comps):
-    """(..., r, c, 4) real components -> (..., 2r, 2c) complex embedding.
-    Scales ``comps`` in place."""
-    comps *= 0.5
-    ab = comps.view(np.complex128)
-    a, b = ab[..., 0], ab[..., 1]
-    r, c = a.shape[-2], a.shape[-1]
-    out = np.empty(comps.shape[:-3] + (2 * r, 2 * c), dtype=np.complex128)
-    out[..., 0::2, 0::2] = a
-    out[..., 0::2, 1::2] = b
-    out[..., 1::2, 0::2] = -np.conj(b)
-    out[..., 1::2, 1::2] = np.conj(a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gaussian and Haar sampling (batched; stream-compatible with single draws)
 # ---------------------------------------------------------------------------
@@ -348,9 +328,17 @@ def _to_field(beta, comps):
     entries come out as the complex embedding.  ``comps`` is scaled in
     place; for beta = 1 and 2 the result is a view of it.
     """
-    if beta == 4:
-        return _embed_quaternion(comps)
-    return _field_pairs(beta, comps)[..., 0]
+    pairs = _field_pairs(beta, comps)
+    if beta != 4:
+        return pairs[..., 0]
+    # the pairs are the even columns, their partners J conj the odd ones
+    r, c = pairs.shape[-3:-1]
+    out = np.empty(pairs.shape[:-3] + (2 * r, 2 * c), dtype=np.complex128)
+    out[..., 0::2, 0::2] = pairs[..., 0]
+    out[..., 1::2, 0::2] = pairs[..., 1]
+    out[..., 0::2, 1::2] = -np.conj(pairs[..., 1])
+    out[..., 1::2, 1::2] = np.conj(pairs[..., 0])
+    return out
 
 
 def _field_pairs(beta, comps):
@@ -358,7 +346,7 @@ def _field_pairs(beta, comps):
     place, as the (..., beta // 2 or 1) entries of one column of their
     field matrix: the entry for beta = 1 and 2, and for beta = 4 the
     even-column pair of the embedding (see the module docstring), alpha
-    above -conj(beta), each float64 the one _embed_quaternion makes."""
+    above -conj(beta).  _to_field and _batch_last both write from it."""
     if beta == 1:
         return comps
     comps *= _SQRT_HALF if beta == 2 else 0.5
@@ -495,12 +483,19 @@ def _quota_schedule(proportions, steps):
     return np.repeat(np.array(live, dtype=np.uint8), picks)[order]
 
 
+def _live_types(spec):
+    """The quota-schedule types of ``spec`` with a non-zero share, in order."""
+    return [t for t, p in enumerate(spec.proportions or (1,)) if p > 0]
+
+
 def _step_types(spec, n):
     """The quota-schedule type of each of the first n steps of every stream
-    of ``spec``, all 0 for identically distributed factors.  A run computes
-    it once and hands it to each of its streams (see FactorStream)."""
-    if spec.proportions is None:
-        return np.zeros(n, dtype=np.uint8)
+    of ``spec``: all t when t is its one live type (_live_types), as for
+    identically distributed factors (t = 0).  A run computes it once and
+    hands it to each of its streams (see FactorStream)."""
+    live = _live_types(spec)
+    if len(live) == 1:
+        return np.full(n, live[0], dtype=np.uint8)
     return _quota_schedule(spec.proportions, n)
 
 

@@ -17,13 +17,13 @@ frame, no product, one call of the Gram-Schmidt kernel per block of steps
 (ensembles._orthonormalize: modified Gram-Schmidt in numpy on a
 (k, rows, steps x chains) array, the batch last and contiguous, which at
 these sizes is faster than LAPACK's per-matrix QR).  Each kind draws the
-raw normals of its panel (see Ensemble.panel), and one writer,
-ensembles._batch_last, scales them straight into the kernel's array, with
-no matrix in between; the kind's ``columns`` then gives the law of
-A[:, :k] (Sigma^{1/2} on the rows, or the top rows of Haar columns from
-one kernel call over the block).  A whole factor is the kind's
-``factors`` map of the same draw, the panel as wide as the factor.  A
-rectangular panel is a (d + nu_t) x k Gaussian padded with zero rows,
+raw normals of its panel (see Ensemble.panel; Sigma^{1/2} G scales their
+rows there), and one writer, ensembles._batch_last, scales them straight
+into the kernel's array, with no matrix in between; the kind's ``columns``
+then gives the law of A[:, :k] (for truncated unitaries the top rows of
+Haar columns from one kernel call over the block).  A whole factor is the
+kind's ``factors`` map of the same draw, the panel as wide as the factor.
+A rectangular panel is a (d + nu_t) x k Gaussian padded with zero rows,
 which leave |diag R| unchanged.  An inverse
 step G^-1 is never inverted, and its Gaussian G is the next draw of the
 stream, with no condition check: its panel is G, d columns wide.  The QR
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import (FactorStream, chain_rng, _batch_last, _gaussian_data, _inverse_steps,
-                        _orthonormalize, _step_types)
+                        _live_types, _orthonormalize, _step_types)
 from .theory import _check_beta, _check_int
 
 __all__ = [
@@ -195,8 +195,8 @@ def product_chain(spec, k_max, N, rngs):
     return by_index.transpose(1, 2, 0)
 
 
-def _start(spec, k_max, N, rngs):
-    """k_max and N as ints, checked, and the streams of a run."""
+def _check_run(spec, k_max, N):
+    """k_max and N of a run as ints, checked."""
     d = spec.d
     k_max = _check_int("k_max", k_max)
     N = _check_int("N", N)
@@ -204,6 +204,12 @@ def _start(spec, k_max, N, rngs):
         raise ValueError(f"k_max must satisfy 1 <= k_max <= d = {d}, got {k_max}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    return k_max, N
+
+
+def _start(spec, k_max, N, rngs):
+    """k_max and N as ints, checked, and the streams of a run."""
+    k_max, N = _check_run(spec, k_max, N)
     streams = [FactorStream(spec, rng) for rng in rngs]
     if not streams:
         raise ValueError("a run needs at least one Generator")
@@ -225,8 +231,8 @@ def _within_type_covariance(x, steps):
     pooled over chains.
 
     x is a C-ordered (k, C, N) array, and ``steps`` holds each type's mask
-    over its last axis, or None alone for one type, which is centred in x
-    itself.  A type with a single sample adds 0.
+    over its last axis, or None alone for one live type, which is centred in x
+    itself.  A type with a single sample, or none, adds 0.
     """
     k, chains, n = x.shape
     cov = np.zeros((k, k))
@@ -245,19 +251,28 @@ def estimate(spec, k_max, N, chains, master_seed):
     Chain c draws from chain_rng(master_seed, c).  One run_chain call steps
     all chains together, and its (C, N, k_max) increments, centred in place,
     are reduced to the grand mean and one within-type covariance (see
-    McEstimate), with the step types taken from the quota schedule.
+    McEstimate), with the step types taken from the quota schedule when
+    two or more types have a non-zero share (ensembles._live_types).  Sizes
+    whose increments cannot be allocated raise MemoryError or ValueError
+    before any chain starts.
     """
     chains = _check_int("chains", chains)
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
+    k_max, N = _check_run(spec, k_max, N)
+    # a run whose increments cannot be allocated fails here, not after
+    # building a Generator for each of its chains
+    np.empty((k_max, chains, N))
 
     rngs = [chain_rng(master_seed, c) for c in range(chains)]
     # index-major, so the means below run over contiguous memory, which numpy
     # sums pairwise; no copy for the layout run_chain returns
     xi = np.ascontiguousarray(run_chain(spec, k_max, N, rngs).transpose(2, 0, 1))
-    types = _step_types(spec, xi.shape[2])
-    occurring = np.flatnonzero(np.bincount(types))
-    steps = [None] if len(occurring) == 1 else [types == t for t in occurring]
+    live = _live_types(spec)
+    steps = [None]
+    if len(live) > 1:
+        types = _step_types(spec, N)
+        steps = [types == t for t in live]
     # before the reduction, which may centre xi in place
     mu_hat = xi.mean(axis=(1, 2))
     cov = _within_type_covariance(xi, steps)

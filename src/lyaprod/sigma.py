@@ -129,33 +129,38 @@ def _log_matrix(spec):
     Row l of W has relative error at most r_l = eps (4d + sum_{m != l} (z_l +
     z_m) / |z_l - z_m|), so L_kk errs by at most sum_l |z_l^k (log y_l - c)
     W_lk| r_l; clustered y that pass require_distinct can push that bound
-    past LOG_MATRIX_TOL, which raises DistinctnessError.
+    past LOG_MATRIX_TOL, and spectra whose z_l or differences underflow
+    make it NaN or infinite; both raise DistinctnessError.
     """
     if not isinstance(spec, SigmaSpec):
         spec = SigmaSpec(tuple(spec))
     spec.require_distinct()
     y = np.asarray(spec.y)
     d = spec.d
-    z = y / y[-1]
-    e = np.zeros((d, d))  # e[l, j] = e_j(z without z_l)
-    e[:, 0] = 1.0
-    for m in range(d):
-        grow = z[m] * e[:, :-1]
-        grow[m] = 0.0
-        e[:, 1:] += grow
-    diff = z[:, None] - z
-    np.fill_diagonal(diff, 1.0)
-    w = e[:, ::-1] * (-1.0) ** np.arange(d - 1, -1, -1) / np.prod(diff, axis=1)[:, None]
     log_y = np.log(y)
     c = 0.5 * float(log_y[0] + log_y[-1])
-    left = z ** np.arange(d)[:, None] * (log_y - c)
-    spread = (z[:, None] + z) / np.abs(diff)
-    np.fill_diagonal(spread, 0.0)
-    bound = np.finfo(float).eps * float(
-        (np.abs(left * w.T) @ (4 * d + spread.sum(axis=1))).max())
-    if bound > LOG_MATRIX_TOL:
+    # z_l or the products of z_l - z_m may underflow to 0, which leaves the
+    # bound NaN or infinite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = y / y[-1]
+        e = np.zeros((d, d))  # e[l, j] = e_j(z without z_l)
+        e[:, 0] = 1.0
+        for m in range(d):
+            grow = z[m] * e[:, :-1]
+            grow[m] = 0.0
+            e[:, 1:] += grow
+        diff = z[:, None] - z
+        np.fill_diagonal(diff, 1.0)
+        w = e[:, ::-1] * (-1.0) ** np.arange(d - 1, -1, -1) / np.prod(diff, axis=1)[:, None]
+        left = z ** np.arange(d)[:, None] * (log_y - c)
+        spread = (z[:, None] + z) / np.abs(diff)
+        np.fill_diagonal(spread, 0.0)
+        bound = np.finfo(float).eps * float(
+            (np.abs(left * w.T) @ (4 * d + spread.sum(axis=1))).max())
+    if not bound <= LOG_MATRIX_TOL:
+        excess = f"exceeds {LOG_MATRIX_TOL}" if math.isfinite(bound) else "is not finite"
         raise DistinctnessError(f"eigenvalues {spec.y!r} too clustered: the error bound "
-                                f"{bound:.3e} on L exceeds {LOG_MATRIX_TOL}")
+                                f"{bound:.3e} on L {excess}")
     return left @ w + c * np.eye(d)
 
 

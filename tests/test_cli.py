@@ -473,6 +473,24 @@ class TestMainEndToEnd:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_unallocatable_chains_fail_before_their_generators(self, monkeypatch, capsys):
+        # 2 x 10 x 1e18 float64 increments exceed numpy's largest array on
+        # any host; the run must refuse them before building a Generator per
+        # chain, which would not end
+        calls = []
+
+        def counting_chain_rng(master_seed, chain_index):
+            calls.append(chain_index)
+            if len(calls) > 1000:
+                raise AssertionError("a Generator per chain before the allocation")
+            return chain_rng(master_seed, chain_index)
+
+        monkeypatch.setattr(montecarlo, "chain_rng", counting_chain_rng)
+        assert main(["simulate", "--ensemble", '{"kind":"standard_gaussian","beta":2,"d":2}',
+                     "--N", "10", "--chains", str(10**18)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_failed_step_exits_2(self, command, monkeypatch, capsys):
         # a singular or non-finite step must not look like a failed comparison

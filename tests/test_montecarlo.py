@@ -397,8 +397,8 @@ def reversed_adjoint(g):
 def matrix_columns(spec, rng, types, k, previous):
     """The kernel columns, (k, rows, b), of one chain's block of steps by
     way of field matrices: Gaussians from _gaussian_data (rectangular
-    corners drawn step by step and mapped by _to_field), Sigma^{1/2} on
-    their rows, the reversed adjoints of inverse steps, their even columns,
+    corners drawn step by step and mapped by _to_field, general covariance
+    normals scaled by Sigma^{1/2} first), the reversed adjoints of inverse steps, their even columns,
     and for truncated unitaries a Haar QR of this chain alone."""
     beta, b = spec.beta, len(types)
     if isinstance(spec, RectangularGaussian):
@@ -414,9 +414,9 @@ def matrix_columns(spec, rng, types, k, previous):
         ensembles._orthonormalize(q, beta)
         return q[:, :2 * spec.d if beta == 4 else spec.d]
     if isinstance(spec, GeneralSigmaGaussian):
-        scale = np.asarray(spec.sigma_inv_eigenvalues.y) ** -0.5
-        g = _gaussian_data(beta, spec.d, k, rng, size=b)
-        return kernel_columns(np.repeat(scale, 2 if beta == 4 else 1)[:, None] * g, beta)
+        comps = rng.standard_normal((b, spec.d, k, beta))
+        comps *= (np.asarray(spec.sigma_inv_eigenvalues.y) ** -0.5)[:, None, None]
+        return kernel_columns(ensembles._to_field(beta, comps), beta)
     # inverse kinds draw d columns whatever k
     g = _gaussian_data(beta, spec.d, spec.d if -1 in spec.signs else k, rng, size=b)
     inverse = np.array(spec.signs)[types] < 0
@@ -881,7 +881,10 @@ class TestEstimate:
     @pytest.mark.parametrize("spec,k,N,chains,copies", [
         (StandardGaussian(1, 10), 10, 50_000, 1, 1.5),
         (GaussianInverseMixture(2, 2, 0.5), 2, 200_000, 4, 2.5),
-    ], ids=["iid", "mixture"])
+        # one live type and k = C = 1: no schedule and no mask
+        (StandardGaussian(1, 1), 1, 400_000, 1, 1.5),
+        (InverseGaussian(2, 2), 1, 200_000, 1, 1.5),
+    ], ids=["iid", "mixture", "iid-d1", "inverse"])
     def test_traced_peak_is_bounded_by_the_increments(self, spec, k, N, chains, copies):
         # the reduction centres the increments in place (one type) or in one
         # masked copy per type, with no buffer of partial sums

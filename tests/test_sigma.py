@@ -164,7 +164,8 @@ class TestSpectrumComplex:
 
 
 #: beta = 2 spectra some of whose powers y^p over- or underflow a double.
-WIDE_SPECTRA = [(5e-324, 1.0), (1e-300, 1e-10, 1.0), (1.0, 1e200, 1e300)]
+WIDE_SPECTRA = [(5e-324, 1.0), (1e-300, 1e-10, 1.0), (1.0, 1e200, 1e300), (1e-300, 1.0, 1e300),
+                (1e-100, 1e-50, 1.0, 1e50, 1e100)]
 
 
 class TestComplexWideAndAccurate:
@@ -223,6 +224,35 @@ class TestClusteredRefused:
         for d in (8, 9, 10):
             for _ in range(200):
                 sigma_spectrum_complex(sweep_spectrum(rng, d))
+
+
+#: Distinct beta = 2 spectra whose z = y / y_max, or the products of the
+#: differences z_l - z_m, underflow to 0, which leaves the bound on L NaN.
+UNDERFLOWING_SPECTRA = {
+    "1e-300-2e-300-1e300": (1e-300, 2e-300, 1e300),
+    "1e-250-to-1": (1e-250, 1e-200, 1e-150, 1.0),
+    "1e-300-1e-299-1e-298-1": (1e-300, 1e-299, 1e-298, 1.0),
+}
+
+
+class TestUnderflowRefused:
+    @pytest.mark.parametrize("name", sorted(UNDERFLOWING_SPECTRA))
+    def test_refused(self, name):
+        # refused with no RuntimeWarning, not returned as NaN rows
+        spec = SigmaSpec(UNDERFLOWING_SPECTRA[name])
+        spec.require_distinct()
+        with pytest.raises(DistinctnessError, match="is not finite"):
+            sigma_spectrum_complex(spec)
+
+    @pytest.mark.parametrize("name", sorted(UNDERFLOWING_SPECTRA))
+    def test_cli_exits_2(self, name, capsys):
+        spec = ('{"kind":"general_sigma_gaussian","beta":2,"sigma_inv_eigenvalues":%s}'
+                % list(UNDERFLOWING_SPECTRA[name]))
+        assert main(["theory", "--ensemble", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestVariancesComplex:
