@@ -26,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .ensembles import ENSEMBLES, chain_rng
-from .montecarlo import estimate, spectral_ratio_samples
+from .montecarlo import _check_run, estimate, spectral_ratio_samples
 from .sigma import (DistinctnessError, QuadratureError, SigmaSpec, kargin_top,
                     sigma_spectrum_complex)
-from .theory import (RectangularSpec, _check_int,
-                     gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
+from .specfun import _check_int
+from .theory import (RectangularSpec, gaussian_spectrum, mixture_spectrum, rectangular_spectrum,
                      truncated_unitary_spectrum)
 
 __all__ = ["RunConfig", "main", "cmd_theory", "cmd_simulate", "cmd_compare", "cmd_ratio"]
@@ -96,19 +96,14 @@ class RunConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
-        for name in ("N", "chains", "seed") + (("k_max",) if self.k_max is not None else ()):
-            try:
-                setattr(self, name, _check_int(name, getattr(self, name)))
-            except ValueError as exc:
-                raise CliError(str(exc))
-        if self.N < 1 or self.chains < 1:
-            raise CliError("N and chains must be positive")
-        if self.seed < 0:
-            raise CliError(f"seed must be >= 0, got {self.seed}")
         if self.k_max is None:
             self.k_max = self.ensemble.d
-        if not 1 <= self.k_max <= self.ensemble.d:
-            raise CliError(f"k_max must lie in [1, {self.ensemble.d}]")
+        try:
+            self.k_max, self.N = _check_run(self.ensemble, self.k_max, self.N)
+            self.chains = _check_int("chains", self.chains, 1)
+            self.seed = _check_int("seed", self.seed, 0)
+        except ValueError as exc:
+            raise CliError(str(exc))
         if self.output_format not in ("csv", "json"):
             raise CliError("output_format must be 'csv' or 'json'")
 

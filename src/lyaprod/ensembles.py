@@ -43,8 +43,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .sigma import SigmaSpec
-from .theory import (RectangularSpec, _check_beta, _check_dim, _check_int,
-                     _check_share, _check_truncation)
+from .specfun import _check_int
+from .theory import RectangularSpec, _check_beta, _check_dim, _check_share, _check_truncation
 
 __all__ = [
     "Ensemble",
@@ -75,7 +75,7 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 def _check_shapes(shapes):
     """``shapes`` as a RectangularSpec whose offset classes fit the uint8
     type indices of the quota schedule."""
-    shapes = shapes if isinstance(shapes, RectangularSpec) else RectangularSpec(tuple(shapes))
+    shapes = shapes if isinstance(shapes, RectangularSpec) else RectangularSpec(shapes)
     if len(shapes.shapes) > 256:
         raise ValueError(f"at most 256 offset classes are supported, got {len(shapes.shapes)}")
     return shapes
@@ -589,8 +589,6 @@ class FactorStream:
 
 def chain_rng(master_seed, chain_index):
     """Generator for one chain: PCG64 seeded by SeedSequence(master_seed, spawn_key=(chain_index,))."""
-    master_seed = _check_int("master_seed", master_seed)
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
-    ss = np.random.SeedSequence(master_seed, spawn_key=(_check_int("chain_index", chain_index),))
+    ss = np.random.SeedSequence(_check_int("master_seed", master_seed, 0),
+                                spawn_key=(_check_int("chain_index", chain_index, 0),))
     return np.random.default_rng(ss)

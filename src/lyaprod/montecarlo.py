@@ -69,7 +69,8 @@ import numpy as np
 
 from .ensembles import (FactorStream, chain_rng, _batch_last, _gaussian_data, _inverse_steps,
                         _live_types, _orthonormalize, _step_types)
-from .theory import _check_beta, _check_int
+from .specfun import _check_int
+from .theory import _check_beta
 
 __all__ = [
     "McEstimate",
@@ -199,11 +200,9 @@ def _check_run(spec, k_max, N):
     """k_max and N of a run as ints, checked."""
     d = spec.d
     k_max = _check_int("k_max", k_max)
-    N = _check_int("N", N)
+    N = _check_int("N", N, 1)
     if not 1 <= k_max <= d:
         raise ValueError(f"k_max must satisfy 1 <= k_max <= d = {d}, got {k_max}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
     return k_max, N
 
 
@@ -256,9 +255,7 @@ def estimate(spec, k_max, N, chains, master_seed):
     whose increments cannot be allocated raise MemoryError or ValueError
     before any chain starts.
     """
-    chains = _check_int("chains", chains)
-    if chains < 1:
-        raise ValueError(f"chains must be >= 1, got {chains}")
+    chains = _check_int("chains", chains, 1)
     k_max, N = _check_run(spec, k_max, N)
     # a run whose increments cannot be allocated fails here, not after
     # building a Generator for each of its chains
@@ -321,13 +318,11 @@ def stability_exponents(spec, N, rng):
     product is formed, and when a partial product collapses to zero (or
     below the normal floating-point range) or overflows.
     """
-    N = _check_int("N", N)
+    N = _check_int("N", N, 1)
     if N > STABILITY_STEP_CAP:
         raise ValueError(
             f"N = {N} exceeds the stability step cap {STABILITY_STEP_CAP}; the "
             "product becomes numerically rank deficient")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
     if spec.width != spec.d:
         raise ValueError("stability exponents require square factors")
 
@@ -400,12 +395,8 @@ def spectral_ratio_samples(beta, d, samples, rng):
     the mean ratio near 1.92 at d = 500, which is what is measured.
     """
     beta = _check_beta(beta)
-    d = _check_int("d", d)
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    samples = _check_int("samples", samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    d = _check_int("d", d, 2)
+    samples = _check_int("samples", samples, 1)
     out = np.empty(samples)
     for i in range(samples):
         x = _gaussian_data(beta, d, d, rng) / math.sqrt(d)

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, PI2_OVER_6, digamma, harmonic, trigamma
-from .theory import TheorySpectrum, _check_beta, _check_int, _check_real
+from .specfun import (EULER_GAMMA, PI2_OVER_6, _check_int, _check_real, digamma, harmonic,
+                      trigamma)
+from .theory import TheorySpectrum, _check_beta
 
 __all__ = [
     "SigmaSpec",

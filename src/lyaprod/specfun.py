@@ -1,12 +1,19 @@
-"""Digamma, trigamma and generalized harmonic numbers in double precision.
+"""Digamma, trigamma and generalized harmonic numbers in double precision,
+and the package's input checks.
 
 These are the building blocks of every closed-form exponent and variance in
 this package.  Evaluation shifts the argument above 8 by the recurrences
 psi(x) = psi(x+1) - 1/x and psi'(x) = psi'(x+1) + 1/x**2, then applies the
 standard asymptotic (Bernoulli-number) series.
+
+The input checks _check_int (an integer, with an optional lower bound) and
+_check_real (a real number) live here, in the module that every other one
+imports, and are the package's only checks of an integer or real it is
+given: floats, bools and strings are rejected, not truncated or converted.
 """
 
 import math
+import numbers
 
 __all__ = ["EULER_GAMMA", "PI2_OVER_6", "digamma", "trigamma", "harmonic"]
 
@@ -40,8 +47,26 @@ _TRIGAMMA_TAIL = (
 )
 
 
+def _check_int(name, value, low=None):
+    """``value`` as an int, at least ``low`` if given; floats, bools and
+    strings are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _check_real(name, value):
+    """``value`` as a float; bools and strings are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_domain(x, name):
-    x = float(x)
+    x = _check_real(name, x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} requires a finite argument > 0, got {x!r}")
     return x
@@ -90,7 +115,5 @@ def harmonic(m, order=1):
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    m = int(m)
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _check_int("m", m, 0)
     return math.fsum(1.0 / s**order for s in range(1, m + 1))

@@ -43,10 +43,9 @@ Var xi_i^(t) (by psi'); the deterministic schedule adds no variance.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .specfun import digamma, trigamma
+from .specfun import _check_int, _check_real, digamma, trigamma
 
 __all__ = [
     "VALID_BETA",
@@ -63,13 +62,6 @@ VALID_BETA = (1, 2, 4)
 _PROPORTION_TOL = 1e-12
 
 
-def _check_int(name, value):
-    """``value`` as an int; floats, bools and strings are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_beta(beta):
     beta = _check_int("beta", beta)
     if beta not in VALID_BETA:
@@ -78,17 +70,7 @@ def _check_beta(beta):
 
 
 def _check_dim(d):
-    d = _check_int("matrix dimension d", d)
-    if d < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {d}")
-    return d
-
-
-def _check_real(name, value):
-    """``value`` as a float; bools and strings are rejected, not converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return _check_int("matrix dimension d", d, 1)
 
 
 def _check_share(alpha_plus):
@@ -100,10 +82,7 @@ def _check_share(alpha_plus):
 
 
 def _check_truncation(n):
-    n = _check_int("truncation size n", n)
-    if n < 0:
-        raise ValueError(f"truncation size n must be >= 0, got {n}")
-    return n
+    return _check_int("truncation size n", n, 0)
 
 
 @dataclass(frozen=True)
@@ -130,14 +109,17 @@ class RectangularSpec:
     shapes: tuple  # of (offset, proportion) pairs
 
     def __post_init__(self):
-        shapes = tuple((_check_int("offset", g), _check_real("proportion", a))
-                       for g, a in self.shapes)
+        try:
+            shapes = tuple((g, a) for g, a in self.shapes)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"shapes must be (offset, proportion) pairs, got {self.shapes!r}") from None
+        shapes = tuple((_check_int("offset", g, 0), _check_real("proportion", a))
+                       for g, a in shapes)
         object.__setattr__(self, "shapes", shapes)
         if not shapes:
             raise ValueError("at least one (offset, proportion) pair is required")
         offsets = [g for g, _ in shapes]
-        if any(g < 0 for g in offsets):
-            raise ValueError("offsets must be non-negative integers")
         if len(set(offsets)) != len(offsets):
             raise ValueError("offsets must be pairwise distinct")
         # negated comparisons, so that a NaN proportion is rejected too
@@ -186,7 +168,7 @@ def rectangular_spectrum(beta, d, spec):
     """Spectrum when factor sizes carry offsets gamma_s in proportions alpha_s."""
     beta, d = _check_beta(beta), _check_dim(d)
     if not isinstance(spec, RectangularSpec):
-        spec = RectangularSpec(tuple(spec))
+        spec = RectangularSpec(spec)
     return _law_spectrum(beta, d, tuple((a, 1, _law_shapes(beta, d, g), None)
                                         for g, a in spec.shapes))
 

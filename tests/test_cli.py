@@ -83,6 +83,14 @@ class TestIntegerEnsembleFields:
         assert main(["theory", "--ensemble", json.dumps(obj)]) == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shapes", [[[0, 0.5, 7]], [0.5], "ab", {"0": 1}],
+                             ids=["triple", "bare-number", "string", "object"])
+    def test_malformed_shapes_exit_2_naming_the_field(self, shapes, capsys):
+        obj = {"kind": "rectangular_gaussian", "beta": 2, "d": 2, "shapes": shapes}
+        assert main(["theory", "--ensemble", json.dumps(obj)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "shapes" in err[0]
+
     def test_too_many_offset_classes_exit_2(self, capsys):
         obj = {"kind": "rectangular_gaussian", "beta": 2, "d": 1,
                "shapes": [[g, 1 / 257] for g in range(257)]}

@@ -102,6 +102,12 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic(3, 3)
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True], ids=["float", "integral-float", "bool"])
+    def test_rejects_non_integer_m(self, bad):
+        # m is a count: it is refused, not truncated (2.7 would give H_2)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            harmonic(bad)
+
 
 class TestDomainErrors:
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
@@ -113,3 +119,13 @@ class TestDomainErrors:
     def test_trigamma_rejects(self, bad):
         with pytest.raises(ValueError):
             trigamma(bad)
+
+    @pytest.mark.parametrize("bad", ["2", b"2", True], ids=["str", "bytes", "bool"])
+    @pytest.mark.parametrize("fn", [digamma, trigamma], ids=["digamma", "trigamma"])
+    def test_rejects_non_numbers(self, fn, bad):
+        with pytest.raises(ValueError, match=f"{fn.__name__} must be a number"):
+            fn(bad)
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma], ids=["digamma", "trigamma"])
+    def test_accepts_numpy_scalars(self, fn):
+        assert fn(np.float32(2)) == fn(np.int64(2)) == fn(2.0)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6, digamma, trigamma
+from lyaprod.cli import RunConfig
+from lyaprod.ensembles import StandardGaussian, chain_rng
+from lyaprod.montecarlo import estimate, run_chain, spectral_ratio_samples, stability_exponents
+from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6, digamma, harmonic, trigamma
 from lyaprod.theory import (RectangularSpec, TheorySpectrum,
                             gaussian_spectrum, mixture_spectrum,
                             rectangular_spectrum, truncated_unitary_spectrum)
@@ -183,3 +186,42 @@ class TestTheorySpectrumType:
     def test_partial_sums(self):
         th = truncated_unitary_spectrum(2, 2, 2)
         assert th.mu[0] + th.mu[1] == pytest.approx(-7.0 / 6.0, abs=1e-13)
+
+
+_SPEC = StandardGaussian(1, 2)
+
+# (id, call of one integer argument, its name in the error, its lower bound)
+INTEGER_ARGUMENTS = [
+    ("estimate-chains", lambda v: estimate(_SPEC, 1, 10, v, 1), "chains", 1),
+    ("estimate-N", lambda v: estimate(_SPEC, 1, v, 1, 1), "N", 1),
+    ("run_chain-N", lambda v: run_chain(_SPEC, 1, v, [chain_rng(1, 0)]), "N", 1),
+    ("stability_exponents-N", lambda v: stability_exponents(_SPEC, v, chain_rng(1, 0)), "N", 1),
+    ("spectral_ratio_samples-d",
+     lambda v: spectral_ratio_samples(1, v, 1, chain_rng(1, 0)), "d", 2),
+    ("spectral_ratio_samples-samples",
+     lambda v: spectral_ratio_samples(1, 2, v, chain_rng(1, 0)), "samples", 1),
+    ("chain_rng-master_seed", lambda v: chain_rng(v, 0), "master_seed", 0),
+    ("chain_rng-chain_index", lambda v: chain_rng(0, v), "chain_index", 0),
+    ("gaussian_spectrum-d", lambda v: gaussian_spectrum(1, v), "matrix dimension d", 1),
+    ("truncated_unitary_spectrum-n",
+     lambda v: truncated_unitary_spectrum(1, 2, v), "truncation size n", 0),
+    ("RectangularSpec-offset", lambda v: RectangularSpec(((v, 1.0),)), "offset", 0),
+    ("harmonic-m", lambda v: harmonic(v), "m", 0),
+    ("RunConfig-N", lambda v: RunConfig(_SPEC, N=v), "N", 1),
+    ("RunConfig-chains", lambda v: RunConfig(_SPEC, chains=v), "chains", 1),
+    ("RunConfig-seed", lambda v: RunConfig(_SPEC, seed=v), "seed", 0),
+]
+
+
+class TestIntegerArguments:
+    """Every public integer argument is refused unless it is an integer of at
+    least its lower bound; a float, bool or string is not truncated."""
+
+    @pytest.mark.parametrize("call,name,low", [case[1:] for case in INTEGER_ARGUMENTS],
+                             ids=[case[0] for case in INTEGER_ARGUMENTS])
+    def test_contract(self, call, name, low):
+        for bad in (2.0, True, "2"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                call(bad)
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {low - 1}$"):
+            call(low - 1)
