@@ -282,9 +282,14 @@ def render_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+#: One encoder for every document.  Without an indent, ``encode`` runs
+#: CPython's C encoder; numpy numbers go through ``default=float``.
+_ENCODE_JSON = json.JSONEncoder(default=float).encode
+
+
 def render_json(config_dict, rows, meta):
-    doc = {"config": config_dict, "rows": rows, "meta": meta}
-    return json.dumps(doc, indent=2, default=float) + "\n"
+    """The document ``{"config", "rows", "meta"}`` on one line."""
+    return _ENCODE_JSON({"config": config_dict, "rows": rows, "meta": meta}) + "\n"
 
 
 def _emit(text, out_path):

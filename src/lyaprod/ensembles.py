@@ -38,6 +38,7 @@ Conventions
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -81,13 +82,22 @@ def _check_shapes(shapes):
     return shapes
 
 
+def _check_sigma(y):
+    """``y`` as a SigmaSpec; a scalar, string or mapping is refused by name."""
+    if isinstance(y, SigmaSpec):
+        return y
+    if isinstance(y, (str, bytes, dict)) or not isinstance(y, Iterable):
+        raise ValueError(f"sigma_inv_eigenvalues must be a list of numbers, got {y!r}")
+    return SigmaSpec(tuple(y))
+
+
 #: Validation and normalization of every ensemble field, keyed by field name.
 _NORMALIZE = {
     "beta": _check_beta,
     "d": _check_dim,
     "n": _check_truncation,
     "alpha_plus": _check_share,
-    "sigma_inv_eigenvalues": lambda y: y if isinstance(y, SigmaSpec) else SigmaSpec(tuple(y)),
+    "sigma_inv_eigenvalues": _check_sigma,
     "shapes": _check_shapes,
 }
 

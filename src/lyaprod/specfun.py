@@ -49,17 +49,21 @@ _TRIGAMMA_TAIL = (
 
 def _check_int(name, value, low=None):
     """``value`` as an int, at least ``low`` if given; floats, bools and
-    strings are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    strings are rejected, not truncated.  A plain int skips the ABC test."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 
 def _check_real(name, value):
-    """``value`` as a float; bools and strings are rejected, not converted."""
+    """``value`` as a float; bools and strings are rejected, not converted.
+    A plain float skips the ABC test."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
@@ -113,6 +117,7 @@ def harmonic(m, order=1):
 
     The empty sum (m = 0) is 0.
     """
+    order = _check_int("order", order)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     m = _check_int("m", m, 0)

@@ -91,6 +91,14 @@ class TestIntegerEnsembleFields:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "shapes" in err[0]
 
+    @pytest.mark.parametrize("y", [5, "ab", {"a": 1}], ids=["scalar", "string", "object"])
+    def test_malformed_sigma_exit_2_naming_the_field(self, y, capsys):
+        obj = {"kind": "general_sigma_gaussian", "beta": 1, "sigma_inv_eigenvalues": y}
+        assert main(["theory", "--ensemble", json.dumps(obj)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert (len(err) == 1 and err[0].startswith("error:")
+                and "sigma_inv_eigenvalues" in err[0])
+
     def test_too_many_offset_classes_exit_2(self, capsys):
         obj = {"kind": "rectangular_gaussian", "beta": 2, "d": 1,
                "shapes": [[g, 1 / 257] for g in range(257)]}
@@ -563,6 +571,58 @@ class TestMainEndToEnd:
     def test_bad_k_max_exits_2(self):
         assert main(["simulate", "--ensemble", GAUSS_21, "--k-max", "5",
                      "--N", "10"]) == 2
+
+
+def _same_object(text, config, rows, meta):
+    """Whether ``text`` parses to the object of the indented layout of
+    ``(config, rows, meta)``.  The parsed objects are compared by repr, so
+    key order and int against float count, and NaN equals NaN."""
+    indented = json.dumps({"config": config, "rows": rows, "meta": meta},
+                          indent=2, default=float)
+    return repr(json.loads(text)) == repr(json.loads(indented))
+
+
+class TestJsonOutput:
+    """--format json writes each document on one line; it parses to the
+    object of the indented layout it replaced."""
+
+    @pytest.fixture
+    def documents(self, monkeypatch):
+        """The (config, rows, meta) of every render_json call."""
+        seen = []
+        render = cli.render_json
+        monkeypatch.setattr(cli, "render_json", lambda *doc: seen.append(doc) or render(*doc))
+        return seen
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--ensemble", TRUNC],
+        ["simulate", "--ensemble", GAUSS_21, "--N", "300", "--seed", "5"],
+        ["compare", "--ensemble", TRUNC, "--N", "500", "--chains", "2", "--seed", "5"],
+        ["ratio", "--d", "4", "--samples", "2"],
+    ], ids=["theory", "simulate", "compare", "ratio"])
+    def test_one_line_same_object(self, argv, documents, capsys):
+        assert main(argv + ["--format", "json"]) in (0, 1)
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        (doc,) = documents
+        assert _same_object(out, *doc)
+
+    def test_numpy_and_nan_values(self):
+        config = RunConfig(ensemble=StandardGaussian(2, 2)).to_dict()
+        rows = [{"i": np.int64(1), "mu": np.float64(0.1), "n_sigma2": math.nan},
+                {"i": 2, "mu": np.float64(math.nan), "n_sigma2": np.float32(0.5)}]
+        meta = {"seed": np.int64(3), "wall_ms": np.float64(1.25), "redraws": 0,
+                "version": lyaprod.__version__, "steps_per_s": math.inf}
+        text = cli.render_json(config, rows, meta)
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert _same_object(text, config, rows, meta)
+
+    def test_dump_config_stays_indented(self, documents, tmp_path):
+        dump = tmp_path / "c.json"
+        assert main(["theory", "--ensemble", TRUNC, "--format", "json",
+                     "--dump-config", str(dump), "--out", str(tmp_path / "x.json")]) == 0
+        ((run, _, _),) = documents
+        assert dump.read_bytes() == (json.dumps(run, indent=2) + "\n").encode()
 
 
 class TestRunConfigValidation:

@@ -1,11 +1,14 @@
 import math
+import numbers
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyaprod.specfun import EULER_GAMMA, PI2_OVER_6, digamma, harmonic, trigamma
+from lyaprod.specfun import (EULER_GAMMA, PI2_OVER_6, _check_int, _check_real, digamma,
+                             harmonic, trigamma)
 
 mpmath.mp.dps = 30
 
@@ -108,6 +111,12 @@ class TestHarmonic:
         with pytest.raises(ValueError, match="m must be an integer"):
             harmonic(bad)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, 2.0], ids=["bool", "one-float", "two-float"])
+    def test_rejects_non_integer_order(self, bad):
+        # order follows the integer rule (True gave H_m, 2.0 gave H_m^(2))
+        with pytest.raises(ValueError, match="order must be an integer"):
+            harmonic(3, bad)
+
 
 class TestDomainErrors:
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
@@ -129,3 +138,53 @@ class TestDomainErrors:
     @pytest.mark.parametrize("fn", [digamma, trigamma], ids=["digamma", "trigamma"])
     def test_accepts_numpy_scalars(self, fn):
         assert fn(np.float32(2)) == fn(np.int64(2)) == fn(2.0)
+
+
+class _IntSubclass(int):
+    pass
+
+
+def _abc_check_int(name, value, low=None):
+    # the ABC-only form of _check_int, without its fast path
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _abc_check_real(name, value):
+    # the ABC-only form of _check_real, without its fast path
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _outcome(check, *args):
+    """What a check does with ``args``: the type and repr of the value it
+    returns (repr, so NaN compares equal), or the message it raises."""
+    try:
+        value = check(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(value), repr(value)
+
+
+class TestCheckFastPaths:
+    """The exact-type fast paths of _check_int and _check_real accept,
+    convert and refuse exactly what the ABC tests alone do."""
+
+    INPUTS = [3, np.int64(3), True, False, 2.5, np.float64(2.5), np.float32(2.5),
+              Fraction(1, 2), "2", b"2", None, math.nan, _IntSubclass(3)]
+    IDS = ["int", "int64", "true", "false", "float", "float64", "float32", "fraction",
+           "str", "bytes", "none", "nan", "int-subclass"]
+
+    @pytest.mark.parametrize("low", [None, 0, 4], ids=["no-low", "low-0", "low-4"])
+    @pytest.mark.parametrize("value", INPUTS, ids=IDS)
+    def test_check_int(self, value, low):
+        assert _outcome(_check_int, "x", value, low) == _outcome(_abc_check_int, "x", value, low)
+
+    @pytest.mark.parametrize("value", INPUTS, ids=IDS)
+    def test_check_real(self, value):
+        assert _outcome(_check_real, "x", value) == _outcome(_abc_check_real, "x", value)
