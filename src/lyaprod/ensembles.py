@@ -38,7 +38,6 @@ Conventions
 """
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -82,22 +81,13 @@ def _check_shapes(shapes):
     return shapes
 
 
-def _check_sigma(y):
-    """``y`` as a SigmaSpec; a scalar, string or mapping is refused by name."""
-    if isinstance(y, SigmaSpec):
-        return y
-    if isinstance(y, (str, bytes, dict)) or not isinstance(y, Iterable):
-        raise ValueError(f"sigma_inv_eigenvalues must be a list of numbers, got {y!r}")
-    return SigmaSpec(tuple(y))
-
-
 #: Validation and normalization of every ensemble field, keyed by field name.
 _NORMALIZE = {
     "beta": _check_beta,
     "d": _check_dim,
     "n": _check_truncation,
     "alpha_plus": _check_share,
-    "sigma_inv_eigenvalues": _check_sigma,
+    "sigma_inv_eigenvalues": SigmaSpec.of,
     "shapes": _check_shapes,
 }
 
@@ -558,8 +548,9 @@ class FactorStream:
         the top-left corner of a zero D x D square, D = d + max(offsets)
         (twice that for the quaternion embedding).  The generator is
         consumed exactly as by drawing factor by factor, so BLOCK does not
-        change the stream.  The draws of inverse steps (_inverse_steps) are
-        inverted; one that is singular raises ArithmeticError naming its
+        change the stream.  The draws of a block's inverse steps
+        (_inverse_steps) are inverted in one call; if one is singular, the
+        first whose slogdet sign is 0 raises ArithmeticError naming its
         step (from 1).
         """
         inverse = _inverse_steps(self.spec, types)
@@ -571,14 +562,9 @@ class FactorStream:
                 try:
                     block[steps] = _invert(self.spec.beta, block[steps])
                 except np.linalg.LinAlgError:
-                    # the first draw that np.linalg.inv rejects on its own
-                    for s in steps:
-                        try:
-                            np.linalg.inv(block[s])
-                        except np.linalg.LinAlgError:
-                            raise ArithmeticError(
-                                f"singular factor at step {done + s + 1}") from None
-                    raise
+                    # slogdet runs inv's LU (getrf): sign 0 is its exact zero pivot
+                    s = steps[np.linalg.slogdet(block[steps])[0] == 0][0]
+                    raise ArithmeticError(f"singular factor at step {done + s + 1}") from None
             done += len(block)
             yield block
 

@@ -231,16 +231,19 @@ def _within_type_covariance(x, steps):
 
     x is a C-ordered (k, C, N) array, and ``steps`` holds each type's mask
     over its last axis, or None alone for one live type, which is centred in x
-    itself.  A type with a single sample, or none, adds 0.
+    itself.  A type with a single sample, or none, raises ValueError: it
+    has no variance to add.
     """
     k, chains, n = x.shape
     cov = np.zeros((k, k))
     for mask in steps:
         s = (x if mask is None else np.compress(mask, x, axis=2)).reshape(k, -1)
         count = s.shape[1]
-        if count > 1:
-            s -= s.mean(axis=1, keepdims=True)
-            cov += (count / (chains * n) / (count - 1)) * (s @ s.T)
+        if count < 2:
+            raise ValueError(f"a standard error needs at least two increments per index "
+                             f"and step type, got {count} (raise N or chains)")
+        s -= s.mean(axis=1, keepdims=True)
+        cov += (count / (chains * n) / (count - 1)) * (s @ s.T)
     return cov
 
 
@@ -253,7 +256,9 @@ def estimate(spec, k_max, N, chains, master_seed):
     McEstimate), with the step types taken from the quota schedule when
     two or more types have a non-zero share (ensembles._live_types).  Sizes
     whose increments cannot be allocated raise MemoryError or ValueError
-    before any chain starts.
+    before any chain starts, and a run in which a type with a non-zero
+    share has fewer than two increments over all chains raises ValueError
+    after them: it has no standard error.
     """
     chains = _check_int("chains", chains, 1)
     k_max, N = _check_run(spec, k_max, N)
@@ -331,8 +336,9 @@ def stability_exponents(spec, N, rng):
     with np.errstate(invalid="ignore"):
         # a NaN factor gives a NaN log-determinant, rejected just below
         signs, logdets = np.linalg.slogdet(m)
-    if not np.all((signs != 0) & np.isfinite(logdets)):
-        raise ArithmeticError("singular factor in stability run")
+    bad = (signs == 0) | ~np.isfinite(logdets)
+    if bad.any():
+        raise ArithmeticError(f"singular factor in stability run at step {bad.argmax() + 1}")
     logdet_sum = math.fsum(logdets.tolist())
     det_phase = math.fsum(np.angle(signs).tolist())
 

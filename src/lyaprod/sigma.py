@@ -1,7 +1,10 @@
 """General-covariance results for products A_i = Sigma^{1/2} G_i.
 
 The covariance enters only through the eigenvalues y_1..y_d of Sigma^{-1}
-(unitary invariance), so a SigmaSpec is just that eigenvalue list.
+(unitary invariance), so a SigmaSpec is just that eigenvalue list.  It is
+the one check of a Sigma spectrum: every function here, and the ensemble
+field sigma_inv_eigenvalues, takes its input through SigmaSpec.of, which
+refuses a bare number, a string, bytes or a mapping by name.
 
 Two independent routes, each returning a TheorySpectrum, are cross-checked:
 
@@ -34,6 +37,7 @@ Two independent routes, each returning a TheorySpectrum, are cross-checked:
 """
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +96,19 @@ class SigmaSpec:
     y: tuple
 
     def __post_init__(self):
+        if isinstance(self.y, (str, bytes, Mapping)) or not isinstance(self.y, Iterable):
+            raise ValueError(f"sigma_inv_eigenvalues must be a list of numbers, got {self.y!r}")
         y = tuple(sorted(_check_real("eigenvalue of Sigma^{-1}", v) for v in self.y))
         if not y:
             raise ValueError("at least one eigenvalue is required")
         if any(not math.isfinite(v) or v <= 0.0 for v in y):
             raise ValueError("all eigenvalues of Sigma^{-1} must be finite and > 0")
         object.__setattr__(self, "y", y)
+
+    @staticmethod
+    def of(y):
+        """``y`` as a SigmaSpec: a SigmaSpec unchanged, anything else checked."""
+        return y if isinstance(y, SigmaSpec) else SigmaSpec(y)
 
     @property
     def d(self):
@@ -133,8 +144,7 @@ def _log_matrix(spec):
     past LOG_MATRIX_TOL, and spectra whose z_l or differences underflow
     make it NaN or infinite; both raise DistinctnessError.
     """
-    if not isinstance(spec, SigmaSpec):
-        spec = SigmaSpec(tuple(spec))
+    spec = SigmaSpec.of(spec)
     spec.require_distinct()
     y = np.asarray(spec.y)
     d = spec.d
@@ -244,8 +254,7 @@ def j_integrals(beta, spec):
     Eigenvalues need not be distinct here.
     """
     beta = _check_beta(beta)
-    if not isinstance(spec, SigmaSpec):
-        spec = SigmaSpec(tuple(spec))
+    spec = SigmaSpec.of(spec)
     half_beta = 0.5 * beta
     shifts = np.log((1.0,) + spec.y)  # log 1 = 0, then log y_1..log y_d
     logy = shifts[1:]
@@ -296,8 +305,7 @@ def kargin_top(beta, spec):
     J integrals: mu_1 = (-gamma + log(2/beta) - J1)/2 and
     N sigma_1^2 = (pi^2/6 - J2 - J1^2)/4."""
     beta = _check_beta(beta)
-    if not isinstance(spec, SigmaSpec):
-        spec = SigmaSpec(tuple(spec))
+    spec = SigmaSpec.of(spec)
     pair = j_integrals(beta, spec)
     return TheorySpectrum(beta=beta, d=spec.d,
                           mu=(0.5 * (-EULER_GAMMA + math.log(2.0 / beta) - pair.J1),),

@@ -466,6 +466,23 @@ class TestMainEndToEnd:
         assert err.startswith("error: the general-covariance quadrature failed")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("ensemble,flags", [
+        (GAUSS_21, ["--N", "1"]),
+        # N = 3 schedules one inverse step, which alone has no variance
+        ('{"kind":"gaussian_inverse_mixture","beta":2,"d":2,"alpha_plus":0.5}',
+         ["--N", "3", "--chains", "1", "--seed", "5"]),
+    ], ids=["one-step", "one-inverse-step"])
+    def test_short_run_exits_2(self, command, ensemble, flags, capsys):
+        # a step type with fewer than two increments over all chains has no
+        # standard error: the reduction refuses it for every command
+        assert main([command, "--ensemble", ensemble, "--format", "json"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a standard error needs at least two increments per "
+                              "index and step type, got 1 ")
+        assert err.count("\n") == 1
+
     def test_compare_single_step_exits_2(self, capsys):
         assert main(["compare", "--ensemble", GAUSS_21, "--N", "1"]) == 2
         assert "two increments" in capsys.readouterr().err

@@ -293,6 +293,59 @@ class TestStepKernel:
             run_chain(spec, 2, 12, rngs())
 
 
+def replayed_singular_step(spec, types, rng):
+    """Oracle for the step FactorStream.blocks names: each inverse step's
+    draw inverted alone with np.linalg.inv, in order, until one fails; its
+    step (from 1), or None."""
+    block = np.concatenate([spec.factors(g) for g in FactorStream(spec, rng).panels(
+        types, spec.width)])
+    for s in np.flatnonzero(np.array(spec.signs)[types] < 0):
+        try:
+            np.linalg.inv(block[s])
+        except np.linalg.LinAlgError:
+            return s + 1
+    return None
+
+
+class TestSingularInverseDraws:
+    """FactorStream.blocks names the step of the first singular inverse draw
+    from one batched slogdet of the block's inverse steps: the step that
+    inverting each draw alone finds first."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "two"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("make", [lambda b, d: InverseGaussian(b, d),
+                                      lambda b, d: GaussianInverseMixture(b, d, 0.4)],
+                             ids=["inverse", "mixture"])
+    def test_names_the_step_the_replay_names(self, make, beta, d, where, monkeypatch):
+        spec = make(beta, d)
+        types = schedule(spec, 12)  # one block
+        inverse = np.flatnonzero(np.array(spec.signs)[types] < 0)
+        middle = inverse[len(inverse) // 2]
+        singular = {"first": [inverse[0]], "middle": [middle], "last": [inverse[-1]],
+                    "two": [middle, inverse[-1]]}[where]
+        # a singular Gaussian step is not inverted, so it is never named
+        gaussian = np.flatnonzero(np.array(spec.signs)[types] > 0)[:1]
+        draw = type(spec).panel
+
+        def with_singular(self, rng, types, k, previous):
+            g = draw(self, rng, types, k, previous)
+            for s in (*singular, *gaussian):
+                # a zero column, or a zero row, of the draw: an exact zero pivot
+                if s % 2:
+                    g[s, s % d] = 0.0
+                else:
+                    g[s, :, s % d] = 0.0
+            return g
+
+        monkeypatch.setattr(type(spec), "panel", with_singular)
+        step = replayed_singular_step(spec, types, chain_rng(66, d))
+        assert step == singular[0] + 1
+        with pytest.raises(ArithmeticError, match=f"^singular factor at step {step}$"):
+            list(FactorStream(spec, chain_rng(66, d)).blocks(types))
+
+
 def kernel_columns(g, beta):
     """The (cols, rows, B) kernel layout of a (B, rows, cols) stack of field
     matrices: every column, or the even ones of a quaternion embedding."""
@@ -841,6 +894,21 @@ class TestEstimate:
         for field in ESTIMATE_FIELDS:
             assert np.array_equal(getattr(together, field), getattr(alone, field)), field
 
+    @pytest.mark.parametrize("spec,N,chains,count", [
+        (StandardGaussian(2, 1), 1, 1, 1),
+        # N = 3 schedules one inverse step; at a Gaussian share of 0.9 the
+        # first two steps are Gaussian
+        (GaussianInverseMixture(2, 2, 0.5), 3, 1, 1),
+        (GaussianInverseMixture(1, 2, 0.9), 2, 3, 0),
+    ], ids=["iid-one-step", "mixture-one-inverse", "mixture-no-inverse"])
+    def test_refuses_a_type_with_fewer_than_two_increments(self, spec, N, chains, count):
+        # such a type has no variance to add to n_sigma2_hat or se_mu
+        with pytest.raises(ValueError, match="^a standard error needs at least two "
+                           f"increments per index and step type, got {count} "):
+            estimate(spec, spec.d, N, chains, 5)
+        # the count is pooled over the chains
+        assert np.all(estimate(StandardGaussian(2, 1), 1, 1, 2, 5).se_mu > 0)
+
     def test_bit_identical_across_parallelism(self, monkeypatch):
         # however the chains of an estimate are split into groups stepped
         # apart (as separate workers would run them), the result is the same
@@ -1024,6 +1092,18 @@ class TestStabilityExponents:
         monkeypatch.setattr(BrokenGaussian, "fill", fill)
         with pytest.raises(ArithmeticError, match="singular factor in stability run"):
             stability_exponents(BrokenGaussian(2, 2), n, chain_rng(38, 0))
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+    @pytest.mark.parametrize("step", [1, 4, 5, 7],
+                             ids=["first", "block-end", "block-start", "inside"])
+    def test_singular_factor_names_its_step(self, step, fill, monkeypatch):
+        monkeypatch.setattr(PoisonedStream, "poison_step", step)
+        monkeypatch.setattr(PoisonedStream, "fill", fill)
+        monkeypatch.setattr(montecarlo, "FactorStream", PoisonedStream)
+        monkeypatch.setattr(ensembles, "BLOCK", 4)
+        with pytest.raises(ArithmeticError,
+                           match=f"^singular factor in stability run at step {step}$"):
+            stability_exponents(StandardGaussian(2, 2), 12, chain_rng(38, 0))
 
     @pytest.mark.parametrize("n", [2, 3, 300])
     def test_collapsed_product_rejected(self, n):

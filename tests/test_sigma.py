@@ -117,6 +117,25 @@ class TestSigmaSpec:
         with pytest.raises(ValueError):
             SigmaSpec(())
 
+    @pytest.mark.parametrize("y", [5, 0.5, "12", b"12", {"a": 1}, None],
+                             ids=["int", "float", "str", "bytes", "mapping", "none"])
+    @pytest.mark.parametrize("call", [
+        SigmaSpec, lambda y: SigmaSpec.of(y), sigma_spectrum_complex,
+        lambda y: kargin_top(1, y), lambda y: kargin_mu1(2, y), lambda y: j_integrals(4, y),
+    ], ids=["SigmaSpec", "of", "sigma_spectrum_complex", "kargin_top", "kargin_mu1",
+            "j_integrals"])
+    def test_rejects_non_list_by_name(self, call, y):
+        # every route to a Sigma spectrum refuses it in SigmaSpec, by name
+        with pytest.raises(ValueError,
+                           match=r"^sigma_inv_eigenvalues must be a list of numbers, got "):
+            call(y)
+
+    def test_of_keeps_a_spec_and_converts_the_rest(self):
+        spec = SigmaSpec((2.0, 1.0))
+        assert SigmaSpec.of(spec) is spec
+        for y in ([1.0, 2.0], (2, 1), np.array([2.0, 1.0]), (v for v in (1.0, 2.0))):
+            assert SigmaSpec.of(y) == spec
+
     def test_distinctness_guard(self):
         SigmaSpec((1.0, 2.0)).require_distinct()
         with pytest.raises(DistinctnessError):
