@@ -69,6 +69,11 @@ CHAIN_RUNS = [(1, 9), (3, 9), (3, 10)]
 #: steps: N = 257 ends on a block of one step.
 ESTIMATE_RUNS = [(1, 257), (3, 300)]
 
+#: stability_exponents runs of N steps.  N = 500, the benchmark's size, is
+#: reduced in nine tree levels and carries an odd partial product at 125
+#: and at 63.
+STABILITY_STEPS = (20, 500)
+
 ESTIMATE_FIELDS = ("mu_hat", "se_mu", "n_sigma2_hat", "partial_sum_mu", "partial_sum_n_sigma2")
 
 
@@ -121,7 +126,8 @@ def spec_outputs(spec, wide):
         for field in ESTIMATE_FIELDS:
             yield f"estimate/C{chains}-N{n}/{field}", getattr(est, field)
     if not wide and spec.width == spec.d:
-        yield "stability_exponents/N20", stability_exponents(spec, 20, chain_rng(SEED, 0))
+        for n in STABILITY_STEPS:
+            yield f"stability_exponents/N{n}", stability_exponents(spec, n, chain_rng(SEED, 0))
     yield "theory", json_rows("theory", spec)
     chains, n = ESTIMATE_RUNS[0]
     yield f"simulate/C{chains}-N{n}", json_rows(
