@@ -231,17 +231,13 @@ def _within_type_covariance(x, steps):
 
     x is a C-ordered (k, C, N) array, and ``steps`` holds each type's mask
     over its last axis, or None alone for one live type, which is centred in x
-    itself.  A type with a single sample, or none, raises ValueError: it
-    has no variance to add.
+    itself.  Every type has two or more samples (estimate checks it).
     """
     k, chains, n = x.shape
     cov = np.zeros((k, k))
     for mask in steps:
         s = (x if mask is None else np.compress(mask, x, axis=2)).reshape(k, -1)
         count = s.shape[1]
-        if count < 2:
-            raise ValueError(f"a standard error needs at least two increments per index "
-                             f"and step type, got {count} (raise N or chains)")
         s -= s.mean(axis=1, keepdims=True)
         cov += (count / (chains * n) / (count - 1)) * (s @ s.T)
     return cov
@@ -255,26 +251,34 @@ def estimate(spec, k_max, N, chains, master_seed):
     are reduced to the grand mean and one within-type covariance (see
     McEstimate), with the step types taken from the quota schedule when
     two or more types have a non-zero share (ensembles._live_types).  Sizes
-    whose increments cannot be allocated raise MemoryError or ValueError
-    before any chain starts, and a run in which a type with a non-zero
-    share has fewer than two increments over all chains raises ValueError
-    after them: it has no standard error.
+    whose increments cannot be allocated raise MemoryError or ValueError,
+    and a run in which a type with a non-zero share has fewer than two
+    increments over all chains raises ValueError, both before any chain
+    starts: such a type has no standard error.
     """
     chains = _check_int("chains", chains, 1)
     k_max, N = _check_run(spec, k_max, N)
     # a run whose increments cannot be allocated fails here, not after
     # building a Generator for each of its chains
     np.empty((k_max, chains, N))
+    live = _live_types(spec)
+    steps = [None]
+    counts = [N]
+    if len(live) > 1:
+        types = _step_types(spec, N)
+        steps = [types == t for t in live]
+        counts = [int(np.count_nonzero(mask)) for mask in steps]
+    for count in counts:
+        if count * chains < 2:
+            # more chains cannot help a type with no step in the first N
+            advice = "raise N" if count == 0 else "raise N or chains"
+            raise ValueError(f"a standard error needs at least two increments per index "
+                             f"and step type, got {count * chains} ({advice})")
 
     rngs = [chain_rng(master_seed, c) for c in range(chains)]
     # index-major, so the means below run over contiguous memory, which numpy
     # sums pairwise; no copy for the layout run_chain returns
     xi = np.ascontiguousarray(run_chain(spec, k_max, N, rngs).transpose(2, 0, 1))
-    live = _live_types(spec)
-    steps = [None]
-    if len(live) > 1:
-        types = _step_types(spec, N)
-        steps = [types == t for t in live]
     # before the reduction, which may centre xi in place
     mu_hat = xi.mean(axis=(1, 2))
     cov = _within_type_covariance(xi, steps)
@@ -299,10 +303,15 @@ def stability_exponents(spec, N, rng):
     about log2(N) matmuls form P_N.  Before the first level and after every
     level each partial product is rescaled by the power of two 2^-e that
     brings its largest real or imaginary part into [1/2, 1), and P_N
-    itself by the one that brings its largest entry modulus there.  Such a scale is exact and commutes with the products,
-    so P_N does not depend on the intermediate ones, and the log of the
-    dropped scale is the integer sum of the e times ln 2.  P_N is then
-    eigendecomposed once.
+    itself by the one that brings its largest entry modulus there.  A
+    level's scales come from one pass over the batch: the absolute real
+    and imaginary parts are written batch-last, entries x products, and
+    their maximum is taken over the entries, so the reduction's inner loop
+    runs over the products and not over the 4-32 entries of one.  A
+    maximum is exact, so this order gives the same scales.  Such a scale
+    is exact and commutes with the products, so P_N does not depend on the
+    intermediate ones, and the log of the dropped scale is the integer sum
+    of the e times ln 2.  P_N is then eigendecomposed once.
     Returns d (lambda_k, theta_k) pairs sorted by descending lambda; for
     beta = 4 one representative per conjugate-degenerate pair is returned,
     with theta >= 0.
@@ -345,15 +354,21 @@ def stability_exponents(spec, N, rng):
     tiny = np.finfo(np.float64).tiny
     exponent = 0
     while True:
-        parts = m.view(np.float64)  # real and imaginary parts side by side
-        # by the largest real or imaginary part; P_N by its largest modulus
-        scales = np.abs(m if len(m) == 1 else parts).max(axis=(-2, -1), keepdims=True)
+        # one row per partial product, real and imaginary parts side by side
+        flat = m.view(np.float64).reshape(len(m), -1)
+        if len(m) == 1:
+            # P_N by its largest entry modulus
+            scales = np.abs(m).max(axis=(-2, -1))
+        else:
+            # by the largest real or imaginary part, reduced batch-last so the
+            # inner loop runs over the partial products, not over one's entries
+            scales = np.abs(flat.T, out=np.empty(flat.shape[::-1])).max(axis=0)
         # a normal, finite scale keeps its power-of-two inverse finite; a NaN
         # fails both comparisons
         if not (scales.min() >= tiny and scales.max() < np.inf):
             raise ArithmeticError("product collapsed to zero or overflowed")
         e = np.frexp(scales)[1]
-        np.ldexp(parts, -e, out=parts)
+        np.ldexp(flat, -e[:, None], out=flat)
         exponent += int(e.sum())
         if len(m) == 1:
             break

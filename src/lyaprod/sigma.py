@@ -96,7 +96,9 @@ class SigmaSpec:
     y: tuple
 
     def __post_init__(self):
-        if isinstance(self.y, (str, bytes, Mapping)) or not isinstance(self.y, Iterable):
+        # a 0-d array is an Iterable by type but cannot be iterated
+        if (isinstance(self.y, (str, bytes, Mapping)) or not isinstance(self.y, Iterable)
+                or getattr(self.y, "ndim", None) == 0):
             raise ValueError(f"sigma_inv_eigenvalues must be a list of numbers, got {self.y!r}")
         y = tuple(sorted(_check_real("eigenvalue of Sigma^{-1}", v) for v in self.y))
         if not y:

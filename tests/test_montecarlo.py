@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -142,6 +143,27 @@ class SubnormalDiagonal(Ensemble):
         f = np.zeros((len(g), 2, 2))
         f[0::2] = np.diag([1.0, 2.0 ** -1070])
         f[1::2] = np.diag([2.0 ** -1070, 1.0])
+        return f
+
+
+@dataclass(frozen=True)
+class PowerOfTwoGaussian(Ensemble):
+    """Standard Gaussian factors, factor i of each block times 2^s_i, the
+    s_i of ``shifts`` spread over [-600, 600]: one scale for all partial
+    products of a tree level would push some below the normal range."""
+
+    d: int
+
+    kind = "power_of_two_gaussian"
+
+    @staticmethod
+    def shifts(n):
+        return np.arange(n) * 347 % 1201 - 600
+
+    def factors(self, g):
+        f = super().factors(g)
+        parts = f.view(np.float64)
+        np.ldexp(parts, self.shifts(len(f))[:, None, None], out=parts)
         return f
 
 
@@ -909,6 +931,22 @@ class TestEstimate:
         # the count is pooled over the chains
         assert np.all(estimate(StandardGaussian(2, 1), 1, 1, 2, 5).se_mu > 0)
 
+    @pytest.mark.parametrize("spec,N,chains,refusal", [
+        (StandardGaussian(2, 1), 1, 1, "got 1 (raise N or chains)"),
+        (GaussianInverseMixture(2, 2, 0.5), 3, 1, "got 1 (raise N or chains)"),
+        # no inverse step falls due in the first N: more chains cannot help
+        (GaussianInverseMixture(1, 2, 0.9), 2, 3, "got 0 (raise N)"),
+        (GaussianInverseMixture(2, 3, 0.999999), 400_000, 2, "got 0 (raise N)"),
+    ], ids=["iid-one-step", "mixture-one-inverse", "mixture-no-inverse", "long-no-inverse"])
+    def test_refuses_a_short_run_before_any_chain(self, spec, N, chains, refusal, monkeypatch):
+        # the step types that decide it are known from the schedule
+        def no_chain(*args):
+            raise AssertionError("run_chain called")
+
+        monkeypatch.setattr(montecarlo, "run_chain", no_chain)
+        with pytest.raises(ValueError, match=f"step type, {re.escape(refusal)}$"):
+            estimate(spec, 1, N, chains, 5)
+
     def test_bit_identical_across_parallelism(self, monkeypatch):
         # however the chains of an estimate are split into groups stepped
         # apart (as separate workers would run them), the result is the same
@@ -1085,6 +1123,23 @@ class TestStabilityExponents:
         if d == 1 or n * (th.mu[0] - th.mu[1]) < 36:
             diff = [math.remainder(a - b, 2.0 * math.pi) for a, b in zip(got[:, 1], thetas)]
             assert np.abs(diff).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 500, 2000])
+    @pytest.mark.parametrize("beta,d", [(b, d) for b in (1, 2, 4) for d in (1, 2, 3)])
+    def test_scales_are_per_product_and_exact(self, beta, d, n):
+        # every factor is 2^s times the standard one of the same draw, so the
+        # rescaled partial products keep their bits: each exponent moves by
+        # sum(s) ln 2 / N and the phases stay
+        got = np.array(stability_exponents(PowerOfTwoGaussian(beta, d), n, chain_rng(41, n)))
+        want = np.array(stability_exponents(StandardGaussian(beta, d), n, chain_rng(41, n)))
+        total = sum(PowerOfTwoGaussian.shifts(min(ensembles.BLOCK, n - done)).sum()
+                    for done in range(0, n, ensembles.BLOCK))
+        assert np.abs(got[:, 0] - want[:, 0] - total * math.log(2.0) / n).max() <= 1e-12
+        if beta == 4:
+            # the member of a conjugate pair that is kept can swap
+            assert np.abs(got[:, 1] - want[:, 1]).max() <= 1e-12
+        else:
+            assert got[:, 1].tobytes() == want[:, 1].tobytes()
 
     @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
     @pytest.mark.parametrize("n", [3, 300])

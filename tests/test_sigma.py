@@ -117,8 +117,10 @@ class TestSigmaSpec:
         with pytest.raises(ValueError):
             SigmaSpec(())
 
-    @pytest.mark.parametrize("y", [5, 0.5, "12", b"12", {"a": 1}, None],
-                             ids=["int", "float", "str", "bytes", "mapping", "none"])
+    @pytest.mark.parametrize("y", [5, 0.5, "12", b"12", {"a": 1}, None, np.float64(5.0),
+                                   np.array(5.0)],
+                             ids=["int", "float", "str", "bytes", "mapping", "none",
+                                  "numpy-scalar", "0d-array"])
     @pytest.mark.parametrize("call", [
         SigmaSpec, lambda y: SigmaSpec.of(y), sigma_spectrum_complex,
         lambda y: kargin_top(1, y), lambda y: kargin_mu1(2, y), lambda y: j_integrals(4, y),
