@@ -263,12 +263,11 @@ def estimate(spec, k_max, N, chains, master_seed):
     np.empty((k_max, chains, N))
     live = _live_types(spec)
     steps = [None]
-    counts = [N]
     if len(live) > 1:
         types = _step_types(spec, N)
         steps = [types == t for t in live]
-        counts = [int(np.count_nonzero(mask)) for mask in steps]
-    for count in counts:
+    for mask in steps:
+        count = N if mask is None else int(np.count_nonzero(mask))
         if count * chains < 2:
             # more chains cannot help a type with no step in the first N
             advice = "raise N" if count == 0 else "raise N or chains"
