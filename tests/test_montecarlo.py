@@ -916,36 +916,29 @@ class TestEstimate:
         for field in ESTIMATE_FIELDS:
             assert np.array_equal(getattr(together, field), getattr(alone, field)), field
 
-    @pytest.mark.parametrize("spec,N,chains,count", [
-        (StandardGaussian(2, 1), 1, 1, 1),
-        # N = 3 schedules one inverse step; at a Gaussian share of 0.9 the
-        # first two steps are Gaussian
-        (GaussianInverseMixture(2, 2, 0.5), 3, 1, 1),
-        (GaussianInverseMixture(1, 2, 0.9), 2, 3, 0),
-    ], ids=["iid-one-step", "mixture-one-inverse", "mixture-no-inverse"])
-    def test_refuses_a_type_with_fewer_than_two_increments(self, spec, N, chains, count):
-        # such a type has no variance to add to n_sigma2_hat or se_mu
-        with pytest.raises(ValueError, match="^a standard error needs at least two "
-                           f"increments per index and step type, got {count} "):
-            estimate(spec, spec.d, N, chains, 5)
-        # the count is pooled over the chains
-        assert np.all(estimate(StandardGaussian(2, 1), 1, 1, 2, 5).se_mu > 0)
-
     @pytest.mark.parametrize("spec,N,chains,refusal", [
         (StandardGaussian(2, 1), 1, 1, "got 1 (raise N or chains)"),
+        # N = 3 schedules one inverse step; at a Gaussian share of 0.9 the
+        # first two steps are Gaussian, and so are the first 4e5 at 0.999999:
+        # more chains cannot add an inverse step
         (GaussianInverseMixture(2, 2, 0.5), 3, 1, "got 1 (raise N or chains)"),
-        # no inverse step falls due in the first N: more chains cannot help
         (GaussianInverseMixture(1, 2, 0.9), 2, 3, "got 0 (raise N)"),
         (GaussianInverseMixture(2, 3, 0.999999), 400_000, 2, "got 0 (raise N)"),
     ], ids=["iid-one-step", "mixture-one-inverse", "mixture-no-inverse", "long-no-inverse"])
-    def test_refuses_a_short_run_before_any_chain(self, spec, N, chains, refusal, monkeypatch):
-        # the step types that decide it are known from the schedule
+    def test_refuses_a_type_with_fewer_than_two_increments(self, spec, N, chains, refusal,
+                                                            monkeypatch):
+        # such a type has no variance to add to n_sigma2_hat or se_mu, and the
+        # schedule shows it before any chain runs
         def no_chain(*args):
             raise AssertionError("run_chain called")
 
-        monkeypatch.setattr(montecarlo, "run_chain", no_chain)
-        with pytest.raises(ValueError, match=f"step type, {re.escape(refusal)}$"):
-            estimate(spec, 1, N, chains, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "run_chain", no_chain)
+            with pytest.raises(ValueError, match="^a standard error needs at least two "
+                               f"increments per index and step type, {re.escape(refusal)}$"):
+                estimate(spec, spec.d, N, chains, 5)
+        # the count is pooled over the chains
+        assert np.all(estimate(StandardGaussian(2, 1), 1, 1, 2, 5).se_mu > 0)
 
     def test_bit_identical_across_parallelism(self, monkeypatch):
         # however the chains of an estimate are split into groups stepped
