@@ -355,13 +355,10 @@ def stability_exponents(spec, N, rng):
     while True:
         # one row per partial product, real and imaginary parts side by side
         flat = m.view(np.float64).reshape(len(m), -1)
-        if len(m) == 1:
-            # P_N by its largest entry modulus
-            scales = np.abs(m).max(axis=(-2, -1))
-        else:
-            # by the largest real or imaginary part, reduced batch-last so the
-            # inner loop runs over the partial products, not over one's entries
-            scales = np.abs(flat.T, out=np.empty(flat.shape[::-1])).max(axis=0)
+        # by the largest real or imaginary part, P_N by its largest entry
+        # modulus; reduced batch-last, so the inner loop runs over the partial
+        # products and not over one's entries
+        scales = np.abs((m.reshape(1, -1) if len(m) == 1 else flat).T, order="C").max(axis=0)
         # a normal, finite scale keeps its power-of-two inverse finite; a NaN
         # fails both comparisons
         if not (scales.min() >= tiny and scales.max() < np.inf):
